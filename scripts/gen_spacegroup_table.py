@@ -182,13 +182,14 @@ def parse_hall(symbol: str):
 
 
 def close_group(gens, cap=200):
+    """Every element is a word in the generators, so each new op is
+    multiplied by the generators only."""
     ops = {(I3, (0, 0, 0))}
-    frontier = list(ops | set(gens))
-    ops |= set(gens)
+    frontier = list(ops)
     while frontier:
         new = []
         for w1, t1 in frontier:
-            for w2, t2 in list(ops):
+            for w2, t2 in gens:
                 w = matmul(w1, w2)
                 t = tuple((sum(w1[i][k] * t2[k] for k in range(3)) + t1[i]) % 12
                           for i in range(3))
@@ -226,7 +227,8 @@ KNOWN_ORDERS = {
 }
 
 
-def main():
+def build_table() -> tuple[str, int, int]:
+    """Table text, group count and centrosymmetric count, validated."""
     lines_out = []
     n_centro = 0
     for line in SYMBOLS.read_text().splitlines():
@@ -251,14 +253,20 @@ def main():
         gen_strs = ";".join(op_to_triplet(w, t) for w, t in gens)
         lines_out.append(f"{num}\t{hm}\t{gen_strs}")
     assert n_centro == 92, n_centro  # textbook count of centrosymmetric groups
-    OUT.write_text(
+    text = (
         "# Space-group generator table v1.\n"
         "# number <TAB> hermann-mauguin <TAB> generators (triplet notation, ';'-separated).\n"
         "# Settings: first-listed standard setting per number (unique axis b,\n"
         "# hexagonal axes for rhombohedral groups).\n"
         + "\n".join(lines_out) + "\n"
     )
-    print(f"wrote {OUT} ({len(lines_out)} groups, {n_centro} centrosymmetric)")
+    return text, len(lines_out), n_centro
+
+
+def main():
+    text, n_groups, n_centro = build_table()
+    OUT.write_text(text)
+    print(f"wrote {OUT} ({n_groups} groups, {n_centro} centrosymmetric)")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .structcore import (
     Composition,
     CrystalStructure,
     ELEMENT_SET,
+    GeometryError,
     Lattice,
     Site,
 )
@@ -113,7 +114,10 @@ def parse_ciflite(text: str) -> CrystalStructure:
 
     a, b, c = floats(lines[1], 3, "lattice lengths")
     alpha, beta, gamma = floats(lines[2], 3, "lattice angles")
-    lattice = Lattice(a, b, c, alpha, beta, gamma)
+    try:
+        lattice = Lattice(a, b, c, alpha, beta, gamma)
+    except GeometryError as e:
+        raise ParseError(str(e), base_line + lines[1][0]) from None
 
     sites = []
     for idx, ln in lines[3:]:
@@ -132,7 +136,10 @@ def parse_ciflite(text: str) -> CrystalStructure:
             coords = tuple(float(x) for x in coords_s)
         except ValueError:
             raise ParseError("non-numeric coordinate", base_line + idx) from None
-        sites.append(Site(el, coords))
+        try:
+            sites.append(Site(el, coords))
+        except GeometryError as e:
+            raise ParseError(str(e), base_line + idx) from None
     return CrystalStructure(lattice, tuple(sites))
 
 
@@ -183,6 +190,8 @@ def parse_prompt(text: str) -> PromptConstraints:
         elif key == "spacegroup_number":
             if "." in raw or "e" in raw.lower():
                 raise ParseError(f"space-group number must be an integer, got {raw!r}")
+            if not 1 <= int(raw) <= 230:
+                raise ParseError(f"space-group number {raw} outside [1, 230]")
             kwargs[key] = int(raw)
         else:
             kwargs[key] = float(raw)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import ciflite, energetics, metrics, rewards, traces, validity
 from .structcore import reduced_formula
 from .symmetry import detect_spacegroup
+from .symmetry.groups import signature_index
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +130,8 @@ _CSV_FIELDS = [
 ]
 
 
-# Per-process state for worker pools; loaded once per worker.
+# Per-process tables, loaded once; a forked pool worker inherits the
+# parent's, any other worker loads its own on first use.
 _WORKER: dict = {}
 
 
@@ -210,21 +212,23 @@ def _heavy_phase(args) -> dict:
 
 
 def _pool_map(fn, items, worker_count):
+    if not _WORKER:
+        _init_worker()
     if worker_count == 1 or len(items) <= 1:
-        if not _WORKER:
-            _init_worker()
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=worker_count,
-                             initializer=_init_worker) as pool:
+    # Build the signature index in this process, so forked workers inherit
+    # it with the tables instead of each building its own.
+    signature_index()
+    with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (worker_count * 4))))
 
 
 def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[EvaluationRow]]:
     try:
         samples = ciflite.load_samples(config.samples_path)
+        reference = _load_reference(config.reference_structures_path)
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
-    reference = _load_reference(config.reference_structures_path)
 
     light_args = [
         (i, rec.prompt_text, rec.response_text, rec.prompt_id, config.symmetry_tol)
@@ -289,7 +293,6 @@ def _load_reference(path: str | None):
 
 
 def _build_metric_report(rows, structures, e_hulls, reference, match_cfg):
-    n = len(rows)
     entries = []
 
     def add(name, values):
@@ -319,7 +322,6 @@ def _build_metric_report(rows, structures, e_hulls, reference, match_cfg):
     entries.append(metrics.MetricValue("uniqueness", uniq, 0.0, m, low_count=m <= 1))
     entries.append(metrics.MetricValue("novelty", nov, 0.0, m, low_count=m <= 1))
     entries.append(metrics.MetricValue("sun_ratio", sun, 0.0, m, low_count=m <= 1))
-    _ = n
     return metrics.MetricReport(tuple(entries))
 
 

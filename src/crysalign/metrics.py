@@ -97,7 +97,8 @@ def _sites_assign(a: CrystalStructure, b: CrystalStructure,
                 cost = float(np.abs(wrap(fa[i] + shift - fb[k])).max())
                 if best_cost is None or cost < best_cost:
                     best, best_cost = k, cost
-            if best is None or best_cost > cfg.site_tol:
+            # A NaN cost compares False both ways: it must not pass as a match.
+            if best is None or not best_cost <= cfg.site_tol:
                 ok = False
                 break
             used.add(best)

@@ -24,7 +24,7 @@ ELEMENT_SET = frozenset(ELEMENTS)
 
 
 class GeometryError(ValueError):
-    """Degenerate lattice geometry (non-positive cell determinant)."""
+    """Non-finite or degenerate geometry (e.g. a non-positive cell determinant)."""
 
 
 class ReductionError(RuntimeError):
@@ -43,6 +43,9 @@ class Lattice:
     gamma: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"lattice parameter {name} must be finite")
         for name in ("a", "b", "c"):
             if not getattr(self, name) > 0:
                 raise GeometryError(f"lattice length {name} must be > 0")
@@ -120,6 +123,8 @@ class Site:
             raise ValueError(f"unknown element symbol {self.element!r}")
         if self.count != 1:
             raise ValueError(f"explicit sites must have count 1, got {self.count}")
+        if not all(math.isfinite(x) for x in self.frac_coords):
+            raise GeometryError(f"fractional coordinates must be finite, got {self.frac_coords}")
         object.__setattr__(
             self, "frac_coords", tuple(_wrap(float(x)) for x in self.frac_coords)
         )

@@ -11,6 +11,7 @@ Symmetry operations act on column fractional coordinates: x' = W x + w.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,10 +132,21 @@ def _lll_reduce(basis: np.ndarray) -> np.ndarray:
     return u
 
 
-def _int_vectors(rng: int):
-    r = range(-rng, rng + 1)
-    return [np.array(v) for v in
-            ((i, j, k) for i in r for j in r for k in r) if any(v)]
+# Nonzero integer vectors with entries in [-4, 4], in lexicographic order,
+# and the [-2, 2] subset in the same order. Read-only: rows are handed out.
+_VECS4 = np.array([v for v in itertools.product(range(-4, 5), repeat=3) if any(v)])
+_VECS4.setflags(write=False)
+_VECS2 = _VECS4[np.abs(_VECS4).max(axis=1) <= 2]
+_VECS2.setflags(write=False)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each computed as ``a[i] @ b[i]`` would be.
+
+    Norms built from these equal ``np.linalg.norm`` of each row to the bit,
+    so lattice vectors of equal length sort as they do one at a time.
+    """
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +159,6 @@ class _Mapper:
     def __init__(self, cell: np.ndarray, frac: np.ndarray, elems: tuple, tol: float):
         self.cell = cell                     # rows = basis vectors (Cartesian)
         self.frac = frac
-        self.elems = elems
         self.tol = tol
         self.by_elem: dict[str, np.ndarray] = {}
         for el in set(elems):
@@ -155,22 +166,20 @@ class _Mapper:
                 [i for i, e in enumerate(elems) if e == el]
             )
 
-    def match_site(self, target: np.ndarray, el: str) -> int | None:
-        idx = self.by_elem[el]
-        d = self.frac[idx] - target
-        d -= np.round(d)
-        dist = np.linalg.norm(d @ self.cell, axis=1)
-        j = int(np.argmin(dist))
-        return int(idx[j]) if dist[j] < self.tol else None
-
     def permutation(self, w: np.ndarray, t: np.ndarray) -> list[int] | None:
-        perm = []
-        for i in range(len(self.frac)):
-            target = w @ self.frac[i] + t
-            j = self.match_site(target, self.elems[i])
-            if j is None:
+        """Site i goes to the nearest same-element site to ``w x_i + t``
+        (first on a tie); None unless every one lies within ``tol`` and no
+        two sites go to the same one."""
+        perm = np.empty(len(self.frac), dtype=int)
+        for idx in self.by_elem.values():
+            sites = self.frac[idx]
+            d = sites - (sites @ w.T + t)[:, None, :]
+            d -= d.round()
+            dist = np.linalg.norm(d @ self.cell, axis=2)
+            if not (dist.min(axis=1) < self.tol).all():
                 return None
-            perm.append(j)
+            perm[idx] = idx[dist.argmin(axis=1)]
+        perm = perm.tolist()
         return perm if len(set(perm)) == len(perm) else None
 
 
@@ -215,10 +224,9 @@ def _candidate_rotations(cell: np.ndarray, tol: float) -> list[np.ndarray]:
     g = cell @ cell.T
     lmax = math.sqrt(max(g[i, i] for i in range(3)))
     atol = 4.0 * tol * lmax
-    vecs = _int_vectors(2)
     col_cands = []
     for j in range(3):
-        col_cands.append([v for v in vecs if abs(v @ g @ v - g[j, j]) < atol])
+        col_cands.append([v for v in _VECS2 if abs(v @ g @ v - g[j, j]) < atol])
     out = []
     for c0 in col_cands[0]:
         for c1 in col_cands[1]:
@@ -268,32 +276,38 @@ def _classify_system(axes: dict[tuple, int]) -> str:
     return "triclinic"
 
 
+def _lattice_vectors(cell):
+    """Cartesian images of ``_VECS4`` in ``cell`` and their lengths."""
+    v = _VECS4 @ cell
+    return v, np.sqrt(_rowdot(v, v))
+
+
 def _shortest_along(cell, direction, tol):
-    best = None
+    """Shortest of ``_VECS4`` pointing along ``direction``; on lengths within
+    1e-9 the first in lexicographic order."""
     dn = direction / np.linalg.norm(direction)
-    for u in _int_vectors(4):
-        v = u @ cell
-        norm = np.linalg.norm(v)
-        if np.linalg.norm(np.cross(v / norm, dn)) < 1e-4 and v @ dn > 0:
-            if best is None or norm < best[1] - 1e-9:
-                best = (u, norm)
-    if best is None:
+    v, norm = _lattice_vectors(cell)
+    cross = np.cross(v / norm[:, None], dn)
+    hits = np.flatnonzero((np.sqrt(_rowdot(cross, cross)) < 1e-4)
+                          & (_rowdot(v, dn) > 0))
+    if not hits.size:
         raise DetectionError("no lattice vector along symmetry axis")
-    return best[0]
+    best = hits[0]
+    for k in hits[1:]:
+        if norm[k] < norm[best] - 1e-9:
+            best = k
+    return _VECS4[best]
 
 
 def _shortest_perp(cell, direction, tol):
-    out = []
+    """Rows of ``_VECS4`` perpendicular to ``direction``, shortest first
+    (stable, so equal lengths keep lexicographic order)."""
     dn = direction / np.linalg.norm(direction)
-    for u in _int_vectors(4):
-        v = u @ cell
-        norm = np.linalg.norm(v)
-        if abs(v @ dn) < 1e-4 * norm + tol:
-            out.append((u, norm))
-    out.sort(key=lambda p: p[1])
-    if not out:
+    v, norm = _lattice_vectors(cell)
+    hits = np.flatnonzero(np.abs(_rowdot(v, dn)) < 1e-4 * norm + tol)
+    if not hits.size:
         raise DetectionError("no lattice vector perpendicular to symmetry axis")
-    return out
+    return _VECS4[hits[np.argsort(norm[hits], kind="stable")]]
 
 
 def _conventional_candidates(
@@ -331,8 +345,8 @@ def _conventional_candidates(
         ub = _shortest_along(cell, axis_cart(b_axis), tol)
         perp = _shortest_perp(cell, axis_cart(b_axis), tol)[:8]
         out = []
-        for ua, _ in perp:
-            for uc, _ in perp:
+        for ua in perp:
+            for uc in perp:
                 if np.linalg.norm(np.cross(ua * 1.0, uc * 1.0)) < 1e-9:
                     continue
                 u = np.stack([ua, ub, uc])
@@ -361,7 +375,7 @@ def _conventional_candidates(
         out = []
         # b is a rotation image of a, picked so the cell is right-handed
         # with the conventional in-plane angle.
-        for ua, _ in _shortest_perp(cell, axis_cart(c_axis), tol)[:6]:
+        for ua in _shortest_perp(cell, axis_cart(c_axis), tol)[:6]:
             for k in range(1, order):
                 ub = np.linalg.matrix_power(rot, k) @ ua
                 va, vb = ua @ cell, ub @ cell
@@ -402,7 +416,7 @@ def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
         conv_ops.append((tuple(map(tuple, w_ci)), tuple(t_c)))
     m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
     seen_centers: list[np.ndarray] = []
-    for z in [np.zeros(3, dtype=int)] + _int_vectors(2):
+    for z in [np.zeros(3, dtype=int), *_VECS2]:
         x_c = (ut_inv @ z) % 1.0
         if any(np.linalg.norm((x_c - c) - np.round(x_c - c)) < 1e-6
                for c in seen_centers):

@@ -62,7 +62,9 @@ def close_ops(gens, cap: int = 200) -> list[tuple[tuple, tuple]]:
     """Close generators under composition; translations mod 1 (exact).
 
     Internally translations are twelfths (integers mod 12), which is exact
-    for every space-group setting in the table.
+    for every space-group setting in the table. Every element of a finite
+    group is a word in its generators, so each new operation is multiplied
+    by the generators only.
     """
     def to12(op):
         w, tr = op
@@ -74,14 +76,13 @@ def close_ops(gens, cap: int = 200) -> list[tuple[tuple, tuple]]:
             t12.append(int(f * 12))
         return (w, tuple(t12))
 
-    ident = (I3, (0, 0, 0))
-    ops = {ident}
-    frontier = [ident] + [to12(g) for g in gens]
-    ops.update(frontier)
+    gens12 = [to12(g) for g in gens]
+    ops = {(I3, (0, 0, 0))}
+    frontier = list(ops)
     while frontier:
         new = []
         for w1, t1 in frontier:
-            for w2, t2 in list(ops):
+            for w2, t2 in gens12:
                 w = _matmul(w1, w2)
                 t = tuple((sum(w1[i][k] * t2[k] for k in range(3)) + t1[i]) % 12
                           for i in range(3))

@@ -66,6 +66,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_ciflite(bad)
 
+    @pytest.mark.parametrize("lengths,angles", [
+        ("-5.6 5.6 5.6", "90 90 90"), ("nan 5.6 5.6", "90 90 90"),
+        ("inf 5.6 5.6", "90 90 90"), ("5.6 5.6 5.6", "130 130 130"),
+        ("5.6 5.6 5.6", "90 inf 90")])
+    def test_bad_cell_is_positioned_parse_error(self, lengths, angles):
+        text = f"header\n<CIF>P1\n{lengths}\n{angles}\nNa 1 0 0 0</CIF>"
+        with pytest.raises(ParseError) as err:
+            parse_ciflite(text)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_nonfinite_coordinate_is_positioned_parse_error(self, coord):
+        text = f"<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0\nCl 1 0.5 {coord} 0.5</CIF>"
+        with pytest.raises(ParseError) as err:
+            parse_ciflite(text)
+        assert err.value.line == 5
+
 
 class TestWrite:
     def test_precision(self, cscl):
@@ -147,6 +164,11 @@ class TestPrompt:
     def test_fractional_spacegroup_rejected(self):
         with pytest.raises(ParseError):
             parse_prompt("The space-group number is 167.5.")
+
+    @pytest.mark.parametrize("number", ["0", "231", "999"])
+    def test_out_of_range_spacegroup_rejected(self, number):
+        with pytest.raises(ParseError):
+            parse_prompt(f"The space-group number is {number}.")
 
 
 class TestResponseParts:

@@ -142,6 +142,39 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
 
+class TestParseBoundary:
+    @staticmethod
+    def run_one(tmp_path, response, prompt="The chemical formula is NaCl."):
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [{"prompt_id": "p0", "prompt_text": prompt,
+                            "response_text": response}])
+        cfg = RunConfig(samples_path=str(path), output_dir=str(tmp_path / "out"),
+                        relax_before_hull=False)
+        _, rows = run_evaluation(cfg)
+        assert len(rows) == 1
+        return rows[0]
+
+    def test_negative_cell_length_is_parse_error(self, tmp_path):
+        row = self.run_one(tmp_path, "<CIF>P1\n-5.6 5.6 5.6\n90 90 90\n"
+                                     "Na 1 0 0 0\nCl 1 0.5 0.5 0.5</CIF>")
+        assert row.parse_status == "parse_error"
+        assert "line 2" in row.error
+        assert row.r_target == 0.0
+
+    @pytest.mark.parametrize("coord", ["nan", "inf"])
+    def test_nonfinite_coordinate_is_parse_error(self, tmp_path, coord):
+        row = self.run_one(tmp_path, "<CIF>P1\n5.6 5.6 5.6\n90 90 90\n"
+                                     f"Na 1 0 0 0\nCl 1 {coord} 0.5 0.5</CIF>")
+        assert row.parse_status == "parse_error"
+        assert row.r_target == 0.0
+
+    def test_out_of_range_prompt_spacegroup_is_parse_error(self, tmp_path, cscl):
+        row = self.run_one(tmp_path, write_ciflite(cscl),
+                           prompt="The space-group number is 999.")
+        assert row.parse_status == "parse_error"
+        assert row.r_target == 0.0
+
+
 class TestEmit:
     def test_writes_artifacts(self, samples_path, tmp_path):
         out = tmp_path / "out"
@@ -172,6 +205,16 @@ class TestCli:
         from crysalign.cli import main
         assert main(["evaluate", "--samples", "/nonexistent.jsonl",
                      "--out", str(tmp_path)]) == EXIT_INPUT
+
+    def test_malformed_reference_is_input_error(self, samples_path, tmp_path):
+        from crysalign.cli import main
+        ref = tmp_path / "ref.txt"
+        ref.write_text("<CIF>P1\n-5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0</CIF>\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\n"
+                       f"reference_structures_path = {ref}\n")
+        assert main(["evaluate", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
 
     def test_evaluate_ok(self, samples_path, tmp_path, capsys):
         from crysalign.cli import main

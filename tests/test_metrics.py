@@ -81,6 +81,19 @@ class TestStructuresMatch:
     def test_different_formulas_differ(self, cscl, rocksalt):
         assert not structures_match(cscl, rocksalt)
 
+    def test_nan_coordinate_never_matches(self):
+        lattice = Lattice(5.35, 5.35, 5.35, 90, 90, 90)
+        valid = CrystalStructure(lattice, (Site("K", (0.0, 0.0, 0.0)),
+                                           Site("F", (0.5, 0.5, 0.5))))
+        # Site rejects non-finite coordinates; set one past that check to
+        # test the matcher's own guard.
+        f_nan = Site("F", (0.5, 0.5, 0.5))
+        object.__setattr__(f_nan, "frac_coords", (math.nan, 0.5, 0.5))
+        broken = CrystalStructure(lattice, (Site("K", (0.0, 0.0, 0.0)), f_nan))
+        assert not structures_match(broken, valid)
+        assert not structures_match(valid, broken)
+        assert not structures_match(broken, broken)
+
     def test_element_identity_matters(self, cscl):
         swapped = make_structure(
             (4.11, 4.11, 4.11, 90, 90, 90),

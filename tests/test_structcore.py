@@ -51,6 +51,19 @@ class TestLattice:
         with pytest.raises(GeometryError):
             Lattice(0.0, 3, 3, 90, 90, 90)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_parameters_rejected(self, bad):
+        for k in range(6):
+            params = [3.0, 3.0, 3.0, 90.0, 90.0, 90.0]
+            params[k] = bad
+            with pytest.raises(GeometryError):
+                Lattice(*params)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_site_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            Site("Na", (0.0, bad, 0.5))
+
     def test_cell_matrix_row_lengths(self):
         lat = Lattice(4.0, 5.0, 6.0, 80, 95, 100)
         m = cell_matrix(lat)

@@ -1,16 +1,32 @@
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from crysalign.structcore import CrystalStructure, Lattice, Site
 from crysalign.symmetry import (
+    DetectionError,
     SymmetryOp,
     crystal_system,
     detect_spacegroup,
     group_order,
     site_orbits,
 )
+from crysalign.symmetry import detect, groups
 
 from conftest import make_structure
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _table_script():
+    path = ROOT / "scripts" / "gen_spacegroup_table.py"
+    spec = importlib.util.spec_from_file_location("gen_spacegroup_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # Space-group numbers below are literature values for these prototype
@@ -175,3 +191,179 @@ class TestHelpers:
         op = SymmetryOp(rotation=((0, -1, 0), (1, 0, 0), (0, 0, 1)),
                         translation=(0.0, 0.0, 0.5))
         assert op.apply((0.25, 0.0, 0.0)) == pytest.approx((0.0, 0.25, 0.5))
+
+
+def _op_codes(w, t12):
+    """One integer per op: rotation entries in {-1, 0, 1}, translations in
+    twelfths."""
+    digits = np.concatenate([w.reshape(len(w), 9) + 1, t12], axis=1)
+    bases = np.array([3] * 9 + [12] * 3)
+    return (digits * np.cumprod(np.concatenate([[1], bases[:-1]]))).sum(axis=1)
+
+
+class TestGroupTable:
+    @pytest.fixture(scope="class")
+    def closed(self):
+        return {num: groups.close_ops(gens)
+                for num, (_, gens) in groups.load_group_table().items()}
+
+    def test_every_group_is_a_group(self, closed):
+        ident = _op_codes(np.eye(3, dtype=int)[None], np.zeros((1, 3), dtype=int))[0]
+        for num, ops in closed.items():
+            w = np.array([op[0] for op in ops])
+            t12 = np.array([[int(x * 12) for x in op[1]] for op in ops])
+            assert np.abs(w).max() <= 1
+            codes = _op_codes(w, t12)
+            assert len(set(codes.tolist())) == len(ops), num
+            assert ident in codes, num
+            # All products g_i g_j at once: W_i W_j, W_i t_j + t_i (mod 1).
+            wp = np.einsum("iab,jbc->ijac", w, w).reshape(-1, 3, 3)
+            assert np.abs(wp).max() <= 1, f"group {num} not closed"
+            tp = (np.einsum("iab,jb->ija", w, t12) + t12[:, None, :]) % 12
+            products = _op_codes(wp, tp.reshape(-1, 3)).reshape(len(ops), len(ops))
+            assert np.isin(products, codes).all(), f"group {num} not closed"
+            assert (products == ident).any(axis=1).all(), f"group {num} lacks an inverse"
+
+    def test_literature_orders(self, closed):
+        known = _table_script().KNOWN_ORDERS
+        assert {num: len(closed[num]) for num in known} == known
+        assert known[225] == 192 and known[166] == 36
+
+    def test_centrosymmetric_count(self, closed):
+        minus_i = tuple(tuple(-x for x in row) for row in groups.I3)
+        assert sum(any(w == minus_i for w, _ in ops) for ops in closed.values()) == 92
+
+    def test_translations_in_unit_interval(self, closed):
+        for ops in closed.values():
+            assert all(isinstance(x, Fraction) and 0 <= x < 1
+                       for _, t in ops for x in t)
+
+    def test_signature_index_shares(self):
+        index = groups.signature_index()
+        assert len(index) == 210
+        shared = sorted(nums for nums in index.values() if len(nums) > 1)
+        assert shared == [
+            (23, 24), (27, 32), (35, 38), (37, 41), (39, 40), (55, 57), (56, 60),
+            (76, 78), (91, 95), (92, 96), (116, 117), (144, 145), (151, 153),
+            (152, 154), (169, 170), (171, 172), (178, 179), (180, 181),
+            (197, 199), (212, 213)]
+        assert sorted(n for nums in index.values() for n in nums) == list(range(1, 231))
+
+    def test_committed_table_is_generated(self):
+        text, n_groups, n_centro = _table_script().build_table()
+        committed = ROOT / "src" / "crysalign" / "data" / "spacegroup_generators.txt"
+        assert (n_groups, n_centro) == (230, 92)
+        assert text == committed.read_text(encoding="utf-8")
+
+
+# Reference loops: one lattice vector or one site at a time, as the
+# detector computed them before the searches were vectorized.
+def _int_vectors_loop(rng):
+    r = range(-rng, rng + 1)
+    return [np.array(v) for v in
+            ((i, j, k) for i in r for j in r for k in r) if any(v)]
+
+
+def _shortest_along_loop(cell, direction):
+    best = None
+    dn = direction / np.linalg.norm(direction)
+    for u in _int_vectors_loop(4):
+        v = u @ cell
+        norm = np.linalg.norm(v)
+        if np.linalg.norm(np.cross(v / norm, dn)) < 1e-4 and v @ dn > 0:
+            if best is None or norm < best[1] - 1e-9:
+                best = (u, norm)
+    return None if best is None else best[0]
+
+
+def _shortest_perp_loop(cell, direction, tol):
+    out = []
+    dn = direction / np.linalg.norm(direction)
+    for u in _int_vectors_loop(4):
+        v = u @ cell
+        norm = np.linalg.norm(v)
+        if abs(v @ dn) < 1e-4 * norm + tol:
+            out.append((u, norm))
+    out.sort(key=lambda p: p[1])
+    return [u for u, _ in out]
+
+
+def _permutation_loop(cell, frac, elems, tol, w, t):
+    perm = []
+    for i in range(len(frac)):
+        idx = np.array([k for k, e in enumerate(elems) if e == elems[i]])
+        d = frac[idx] - (w @ frac[i] + t)
+        d -= np.round(d)
+        dist = np.linalg.norm(d @ cell, axis=1)
+        j = int(np.argmin(dist))
+        if not dist[j] < tol:
+            return None
+        perm.append(int(idx[j]))
+    return perm if len(set(perm)) == len(perm) else None
+
+
+# (lattice, a space group whose standard setting fits it)
+def _random_cells(rng):
+    for _ in range(3):
+        a = rng.uniform(3.0, 8.0)
+        yield Lattice(a, a, a, 90, 90, 90), 200
+        yield Lattice(a, a, rng.uniform(3.0, 8.0), 90, 90, 120), 175
+        yield Lattice(a, rng.uniform(3.0, 8.0), rng.uniform(3.0, 8.0),
+                      90, rng.uniform(92.0, 120.0), 90), 10
+
+
+def _orbit_structure(lattice, number, rng):
+    """Two generic orbits (elements interleaved) of the group's operations."""
+    ops = groups.close_ops(groups.load_group_table()[number][1])
+    sites = []
+    for el in ("Na", "Cl"):
+        x = rng.random(3)
+        for w, t in ops:
+            sites.append((el, (np.array(w) @ x + np.array(t, dtype=float)) % 1.0))
+    order = rng.permutation(len(sites))
+    return CrystalStructure(lattice, tuple(Site(*sites[k]) for k in order))
+
+
+class TestVectorizedSearch:
+    def test_lattice_vector_searches_match_loops(self):
+        rng = np.random.default_rng(7)
+        axes = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+                (1, 1, 1), (2, 1, 0)]
+        for lattice, _ in _random_cells(rng):
+            cell = lattice.matrix()
+            for direction in [np.array(a, dtype=float) @ cell for a in axes] + [
+                    rng.normal(size=3)]:
+                want = _shortest_along_loop(cell, direction)
+                if want is None:
+                    with pytest.raises(DetectionError):
+                        detect._shortest_along(cell, direction, 1e-3)
+                else:
+                    assert np.array_equal(detect._shortest_along(cell, direction, 1e-3), want)
+                for tol in (1e-3, 1e-1):
+                    want = _shortest_perp_loop(cell, direction, tol)
+                    if not want:
+                        with pytest.raises(DetectionError):
+                            detect._shortest_perp(cell, direction, tol)
+                    else:
+                        assert np.array_equal(detect._shortest_perp(cell, direction, tol),
+                                              np.array(want))
+
+    def test_permutation_matches_loop(self):
+        rng = np.random.default_rng(11)
+        tol = 1e-3
+        matched = unmatched = 0
+        for lattice, number in _random_cells(rng):
+            s = _orbit_structure(lattice, number, rng)
+            cell, frac, elems = lattice.matrix(), s.frac_array(), s.elements()
+            jittered = frac.copy()
+            jittered[0] += 2e-3 / lattice.a
+            for f in (frac, jittered):
+                mapper = detect._Mapper(cell, f, elems, tol)
+                for w in detect._candidate_rotations(cell, tol):
+                    for j in (0, 1, 5):
+                        t = (f[j] - w @ f[0]) % 1.0
+                        want = _permutation_loop(cell, f, elems, tol, w, t)
+                        assert mapper.permutation(w, t) == want
+                        matched += want is not None
+                        unmatched += want is None
+        assert matched and unmatched
