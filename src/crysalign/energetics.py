@@ -9,15 +9,20 @@ that are not parameterized explicitly.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .structcore import Composition, CrystalStructure
+from .structcore import Composition, CrystalStructure, neighbour_pairs
 
 STABILITY_THRESHOLD = 0.016  # eV/atom, strict upper bound for "stable"
+
+# Verlet skin (A) of the pair list in relax_positions: wide enough that a
+# short descent rarely rebuilds it, narrow enough to add few extra pairs.
+SKIN = 0.5
 
 
 class ConfigurationError(ValueError):
@@ -66,17 +71,6 @@ class EnergyBackend:
     def forces(self, s: CrystalStructure) -> np.ndarray:
         """Per-site Cartesian forces (eV/A). Optional for backends."""
         raise NotImplementedError
-
-
-def _image_range(cell: np.ndarray, cutoff: float) -> np.ndarray:
-    """All lattice image shifts (Cartesian) that can hold a pair within cutoff."""
-    inv = np.linalg.inv(cell)
-    # perpendicular inter-plane spacings: 1 / |row of inverse transpose|
-    widths = 1.0 / np.linalg.norm(inv, axis=0)
-    counts = np.ceil(cutoff / widths).astype(int) + 1
-    grids = [np.arange(-n, n + 1) for n in counts]
-    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3)
-    return mesh @ cell
 
 
 class PairPotentialBackend(EnergyBackend):
@@ -160,48 +154,66 @@ class PairPotentialBackend(EnergyBackend):
             ) from exc
         return math.sqrt(ea * eb), 0.5 * (sa + sb)
 
-    def _pair_tables(self, elems: tuple[str, ...]):
-        n = len(elems)
-        eps = np.zeros((n, n))
-        sig = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                eps[i, j], sig[i, j] = self.pair_parameters(elems[i], elems[j])
-        return eps, sig
-
-    def _geometry(self, s: CrystalStructure):
-        cell = s.lattice.matrix()
-        cart = s.frac_array() @ cell
-        shifts = _image_range(cell, self.cutoff)
-        # rel[i, j, k] = r_j + shift_k - r_i
-        rel = cart[None, :, None, :] + shifts[None, None, :, :] - cart[:, None, None, :]
-        dist = np.linalg.norm(rel, axis=-1)
-        return rel, dist
-
     def energy_per_atom(self, s: CrystalStructure) -> float:
-        eps, sig = self._pair_tables(s.elements())
-        _, dist = self._geometry(s)
-        mask = (dist > 1e-12) & (dist < self.cutoff)
-        e = np.zeros_like(dist)
-        ratio = np.where(mask, sig[:, :, None] / np.where(mask, dist, 1.0), 0.0)
-        r6 = ratio ** 6
-        shift_ratio = sig / self.cutoff
-        shift = 4.0 * eps * (shift_ratio ** 12 - shift_ratio ** 6)
-        e = np.where(mask, 4.0 * eps[:, :, None] * (r6 ** 2 - r6) - shift[:, :, None], 0.0)
-        return 0.5 * float(e.sum()) / s.num_sites
+        return PairKernel(self, s, skin=0.0)(_cartesian(s))[0]
 
     def forces(self, s: CrystalStructure) -> np.ndarray:
-        eps, sig = self._pair_tables(s.elements())
-        rel, dist = self._geometry(s)
-        mask = (dist > 1e-12) & (dist < self.cutoff)
-        d = np.where(mask, dist, 1.0)
-        r6 = (sig[:, :, None] / d) ** 6
-        # dphi/dr = 4 eps (-12 sig^12 / r^13 + 6 sig^6 / r^7)
-        dphi = np.where(mask, 4.0 * eps[:, :, None] * (-12.0 * r6 ** 2 + 6.0 * r6) / d, 0.0)
-        # force on i from the pair (i, j, image): -dphi/dr * d r/d x_i,
-        # with r = |r_j + L - r_i| so d r / d x_i = -rel / r
-        f = (dphi / d)[:, :, :, None] * rel
-        return f.sum(axis=(1, 2))
+        return PairKernel(self, s, skin=0.0)(_cartesian(s))[1]
+
+
+def _cartesian(s: CrystalStructure) -> np.ndarray:
+    return s.frac_array() @ s.lattice.matrix()
+
+
+class PairKernel:
+    """Energy and forces of one fixed cell from a Verlet pair list.
+
+    The list holds every (i, j, image) pair within cutoff + skin of the
+    positions it was last built at, with each pair's LJ parameters taken
+    from a species-by-species table. While no atom has moved more than half
+    the skin since, every pair now inside the cutoff is still on the list,
+    so the list is rebuilt only when some atom has moved farther.
+    """
+
+    def __init__(self, backend: PairPotentialBackend, s: CrystalStructure, skin: float):
+        elements = s.elements()
+        species = sorted(set(elements))
+        table = np.array([[backend.pair_parameters(a, b) for b in species]
+                          for a in species])
+        self._eps, self._sig = table[..., 0], table[..., 1]
+        at_cut = self._sig / backend.cutoff
+        self._shift = 4.0 * self._eps * (at_cut ** 12 - at_cut ** 6)
+        self._kind = np.array([species.index(el) for el in elements])
+        self._cell = s.lattice.matrix()
+        self._cutoff = backend.cutoff
+        self._skin = skin
+        self._build(_cartesian(s))
+
+    def _build(self, cart: np.ndarray) -> None:
+        i, j, offset = neighbour_pairs(self._cell, cart, self._cutoff + self._skin)
+        a, b = self._kind[i], self._kind[j]
+        self._pairs = (i, j, offset, self._eps[a, b], self._sig[a, b], self._shift[a, b])
+        self._built_at = cart.copy()
+
+    def __call__(self, cart: np.ndarray) -> tuple[float, np.ndarray]:
+        """Energy per atom (eV) and per-site Cartesian forces (eV/A) at cart."""
+        moved = cart - self._built_at
+        if np.einsum("ij,ij->i", moved, moved).max() > (0.5 * self._skin) ** 2:
+            self._build(cart)
+        i, j, offset, eps, sig, shift = self._pairs
+        rel = cart[j] + offset - cart[i]
+        dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        inside = (dist > 1e-12) & (dist < self._cutoff)
+        i, rel, dist = i[inside], rel[inside], dist[inside]
+        eps, sig, shift = eps[inside], sig[inside], shift[inside]
+        r6 = (sig / dist) ** 6
+        energy = 0.5 * float(np.sum(4.0 * eps * (r6 ** 2 - r6) - shift)) / len(cart)
+        # dphi/dr = 4 eps (-12 sig^12 / r^13 + 6 sig^6 / r^7); the force on i
+        # from the pair is -dphi/dr * d r / d x_i = dphi/dr * rel / r.
+        dphi = 4.0 * eps * (-12.0 * r6 ** 2 + 6.0 * r6) / dist
+        forces = np.stack([np.bincount(i, dphi / dist * rel[:, k], minlength=len(cart))
+                           for k in range(3)], axis=1)
+        return energy, forces
 
 
 def energy_per_atom(backend: EnergyBackend, s: CrystalStructure) -> float:
@@ -209,41 +221,50 @@ def energy_per_atom(backend: EnergyBackend, s: CrystalStructure) -> float:
 
 
 def relax_positions(
-    backend: EnergyBackend,
+    backend: PairPotentialBackend,
     s: CrystalStructure,
     max_steps: int = 200,
     force_tol: float = 1e-3,
+    deadline: float | None = None,
 ) -> CrystalStructure:
-    """Positions-only descent with backtracking; the cell stays fixed."""
-    cell = s.lattice.matrix()
-    inv = np.linalg.inv(cell)
-    cart = s.frac_array() @ cell
-    current = s
-    energy = backend.energy_per_atom(current)
+    """Positions-only descent with backtracking; the cell stays fixed.
+
+    Raises ``TimeoutError`` at the first descent step that starts at or
+    after ``deadline`` (a ``time.monotonic()`` value).
+    """
+    inv = np.linalg.inv(s.lattice.matrix())
+    start = _cartesian(s)
+    cart = start
+    kernel = PairKernel(backend, s, skin=SKIN)
+    energy, f = kernel(cart)
     step = 0.05
+
+    def structure() -> CrystalStructure:
+        return s if cart is start else s.with_coords(cart @ inv)
+
     for _ in range(max_steps):
-        f = backend.forces(current)
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError("relaxation passed its deadline")
         if not np.all(np.isfinite(f)):
-            raise RelaxationError("non-finite forces", current)
+            raise RelaxationError("non-finite forces", structure())
         fmax = float(np.abs(f).max()) if f.size else 0.0
         if fmax < force_tol:
-            return current
+            return structure()
         if fmax > 1e6:
-            raise RelaxationError("force explosion", current)
+            raise RelaxationError("force explosion", structure())
         accepted = False
         for _ in range(30):
             trial_cart = cart + step * f
-            trial = current.with_coords(trial_cart @ inv)
-            trial_energy = backend.energy_per_atom(trial)
+            trial_energy, trial_f = kernel(trial_cart)
             if trial_energy <= energy:
-                current, energy, cart = trial, trial_energy, trial_cart
+                cart, energy, f = trial_cart, trial_energy, trial_f
                 step *= 1.2
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            return current
-    return current
+            return structure()
+    return structure()
 
 
 def formation_energy(backend: EnergyBackend, s: CrystalStructure) -> float:

@@ -198,14 +198,13 @@ def _heavy_phase(args) -> dict:
     backend = _WORKER["backend"]
     try:
         if relax:
-            s = energetics.relax_positions(backend, s)
-        if time.monotonic() - start > timeout_s:
-            out["error"] = "timeout"
-            return out
+            s = energetics.relax_positions(backend, s, deadline=start + timeout_s)
         ef = energetics.formation_energy(backend, s)
         candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
         hull = energetics.energy_above_hull(candidate, list(_WORKER["phases"]))
         out["e_hull"] = max(hull.e_hull, 0.0)
+    except TimeoutError:
+        out["error"] = "timeout"
     except Exception as e:
         out["error"] = f"{type(e).__name__}: {e}"
     return out

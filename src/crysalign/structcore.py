@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 # Recognized element symbols, Z = 1..103.
 ELEMENTS = (
@@ -76,15 +77,6 @@ class Lattice:
         if disc <= 0:
             return -1.0
         return self.a * self.b * self.c * math.sqrt(disc)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Lattice":
-        m = np.asarray(m, dtype=float)
-        a, b, c = (float(np.linalg.norm(m[i])) for i in range(3))
-        alpha = math.degrees(math.acos(np.clip(m[1] @ m[2] / (b * c), -1, 1)))
-        beta = math.degrees(math.acos(np.clip(m[0] @ m[2] / (a * c), -1, 1)))
-        gamma = math.degrees(math.acos(np.clip(m[0] @ m[1] / (a * b), -1, 1)))
-        return cls(a, b, c, alpha, beta, gamma)
 
 
 def cell_matrix(lattice: Lattice) -> np.ndarray:
@@ -234,34 +226,118 @@ def _image_shifts(lattice: Lattice, shell: int | None = None) -> np.ndarray:
     return np.array([(i, j, k) for i in r for j in r for k in r], dtype=float)
 
 
-def min_image_distance(
-    s: CrystalStructure, i: int, j: int, shell: int | None = None
-) -> float:
+def reduced_basis(cell: np.ndarray) -> np.ndarray:
+    """Integer rows ``t`` such that ``t @ cell`` is an LLL-reduced basis.
+
+    Both bases span the same lattice. In the reduced one no perpendicular
+    width falls far below the shortest row, so the image range of a
+    neighbour search over it stays small even for a cell given by long,
+    nearly coplanar vectors.
+    """
+    t = np.eye(3, dtype=np.int64)
+    k = 1
+    # LLL terminates after O(log(skew)) swaps; the cap only guards against
+    # a floating-point cycle, and any unimodular t is still a valid basis.
+    for _ in range(1000):
+        if k == 3:
+            break
+        b = t @ cell
+        ortho = b.copy()
+        for r in range(1, 3):
+            for q in range(r):
+                ortho[r] -= (b[r] @ ortho[q]) / (ortho[q] @ ortho[q]) * ortho[q]
+        for q in range(k - 1, -1, -1):
+            m = round(float((t[k] @ cell) @ ortho[q] / (ortho[q] @ ortho[q])))
+            if m:
+                t[k] -= m * t[q]
+        b = t @ cell
+        mu = (b[k] @ ortho[k - 1]) / (ortho[k - 1] @ ortho[k - 1])
+        if ortho[k] @ ortho[k] >= (0.75 - mu * mu) * (ortho[k - 1] @ ortho[k - 1]):
+            k += 1
+        else:
+            t[[k - 1, k]] = t[[k, k - 1]]
+            k = max(k - 1, 1)
+    return t
+
+
+def neighbour_pairs(
+    cell: np.ndarray, cart: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every periodic pair within ``radius``: index arrays i, j and offsets.
+
+    Row p stands for the vector ``cart[j[p]] + offset[p] - cart[i[p]]``,
+    whose length is at most ``radius``; ``offset`` is a Cartesian lattice
+    vector. The list is full: it holds (j, i, -offset) with each
+    (i, j, offset), and (i, i, 0) for every site. Positions may lie
+    outside the cell.
+    """
+    return _pairs(reduced_basis(cell) @ cell, cart, radius)
+
+
+def _pairs(basis: np.ndarray, cart: np.ndarray, radius: float):
+    """``neighbour_pairs`` over a basis that is already reduced.
+
+    Memory grows with the number of pairs and of image points near the
+    cell, never with n * n * images.
+    """
+    inv = np.linalg.inv(basis)
+    frac = cart @ inv
+    whole = np.floor(frac)
+    frac -= whole
+    # radius over each perpendicular inter-plane spacing, whose inverse is
+    # the norm of a column of inv: how far, in cell units, a pair can reach
+    reach = radius * np.linalg.norm(inv, axis=0)
+    counts = np.ceil(reach).astype(int) + 1
+    mesh = np.indices(2 * counts + 1).reshape(3, -1).T - counts
+    image_frac = (mesh[:, None, :] + frac[None, :, :]).reshape(-1, 3)
+    # only an image within reach of the cell can be within radius of a site
+    near = np.flatnonzero((np.abs(image_frac - 0.5) <= 0.5 + reach).all(axis=1))
+    found = cKDTree(frac @ basis).sparse_distance_matrix(
+        cKDTree(image_frac[near] @ basis), radius, output_type="ndarray")
+    i = found["i"]
+    k, j = np.divmod(near[found["j"]], len(cart))
+    offset = (mesh[k] + whole[i] - whole[j]) @ basis
+    return i, j, offset
+
+
+# Relative margin on a search radius that equals a distance exactly, so the
+# pair at that distance survives rounding in the neighbour search.
+_RADIUS_MARGIN = 1.0 + 1e-9
+
+
+def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:
     """Minimum Cartesian distance between sites i and j over lattice images.
 
     For i == j the zero translation is excluded, giving the nearest
     periodic self-image.
     """
     m = s.lattice.matrix()
-    shifts = _image_shifts(s.lattice, shell)
-    d = np.array(s.sites[j].frac_coords) - np.array(s.sites[i].frac_coords)
-    vecs = (d + shifts) @ m
-    norms = np.linalg.norm(vecs, axis=1)
+    basis = reduced_basis(m) @ m
+    cart = s.frac_array()[[i, j]] @ m
+    # Any one image bounds the nearest: the in-cell one for two sites, the
+    # self-image one shortest basis vector away for one site.
+    if i == j:
+        radius = float(np.linalg.norm(basis, axis=1).min())
+    else:
+        radius = float(np.linalg.norm(cart[1] - cart[0]))
+    a, b, offset = _pairs(basis, cart, _RADIUS_MARGIN * radius)
+    keep = (a == 0) & (b == 1)
+    norms = np.linalg.norm(cart[1] + offset[keep] - cart[0], axis=1)
     if i == j:
         norms = norms[norms > 1e-12]
     return float(norms.min())
 
 
-def all_pair_min_distance(s: CrystalStructure, shell: int | None = None) -> float:
+def all_pair_min_distance(s: CrystalStructure) -> float:
     """Minimum over all site pairs, including periodic self-images."""
     m = s.lattice.matrix()
-    shifts = _image_shifts(s.lattice, shell) @ m
+    basis = reduced_basis(m) @ m
     cart = s.frac_array() @ m
-    diff = cart[:, None, :] - cart[None, :, :]  # (n, n, 3)
-    d = diff[:, :, None, :] + shifts[None, None, :, :]
-    norms = np.linalg.norm(d, axis=-1)
-    flat = norms.reshape(-1)
-    return float(flat[flat > 1e-12].min())
+    # A self-image one shortest basis vector away bounds the minimum.
+    radius = _RADIUS_MARGIN * float(np.linalg.norm(basis, axis=1).min())
+    i, j, offset = _pairs(basis, cart, radius)
+    norms = np.linalg.norm(cart[j] + offset - cart[i], axis=1)
+    return float(norms[norms > 1e-12].min())
 
 
 def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> Lattice:

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from crysalign import energetics
 from crysalign.energetics import (
+    SKIN,
     ConfigurationError,
     CoverageError,
+    PairKernel,
     PairPotentialBackend,
     PhaseEntry,
     STABILITY_THRESHOLD,
@@ -109,6 +112,127 @@ class TestForces:
                 de = (energy_per_atom(backend, shifted(h)) -
                       energy_per_atom(backend, shifted(-h))) * n / (2 * h)
                 assert forces[i][k] == pytest.approx(-de, rel=1e-4, abs=1e-7)
+
+
+def dense_energy_and_forces(backend, s):
+    """Reference: the dense n x n x images evaluation the pair list replaced.
+
+    Returns the energy per atom, the forces, and the scale each is compared
+    at: the sum of the magnitudes of the pair terms it adds up.
+    """
+    elems = s.elements()
+    n = len(elems)
+    eps = np.zeros((n, n))
+    sig = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            eps[i, j], sig[i, j] = backend.pair_parameters(elems[i], elems[j])
+    cell = s.lattice.matrix()
+    cart = s.frac_array() @ cell
+    widths = 1.0 / np.linalg.norm(np.linalg.inv(cell), axis=0)
+    counts = np.ceil(backend.cutoff / widths).astype(int) + 1
+    grids = [np.arange(-c, c + 1) for c in counts]
+    shifts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3) @ cell
+    rel = cart[None, :, None, :] + shifts[None, None, :, :] - cart[:, None, None, :]
+    dist = np.linalg.norm(rel, axis=-1)
+    mask = (dist > 1e-12) & (dist < backend.cutoff)
+    d = np.where(mask, dist, 1.0)
+    r6 = (sig[:, :, None] / d) ** 6
+    at_cut = sig / backend.cutoff
+    shift = 4.0 * eps * (at_cut ** 12 - at_cut ** 6)
+    e = np.where(mask, 4.0 * eps[:, :, None] * (r6 ** 2 - r6) - shift[:, :, None], 0.0)
+    dphi = np.where(mask, 4.0 * eps[:, :, None] * (-12.0 * r6 ** 2 + 6.0 * r6) / d, 0.0)
+    f = (dphi / d)[:, :, :, None] * rel
+    energy = 0.5 * float(e.sum()) / n
+    e_scale = 0.5 * float(np.abs(e).sum()) / n
+    f_scale = float(np.abs(f).sum(axis=(1, 2)).max())
+    return energy, f.sum(axis=(1, 2)), e_scale, f_scale
+
+
+def assert_matches_dense(backend, s):
+    energy, forces, e_scale, f_scale = dense_energy_and_forces(backend, s)
+    assert e_scale > 0 and f_scale > 0
+    assert abs(backend.energy_per_atom(s) - energy) <= 1e-12 * e_scale
+    assert np.abs(backend.forces(s) - forces).max() <= 1e-12 * f_scale
+
+
+def jittered(s, seed, amount):
+    rng = np.random.default_rng(seed)
+    frac = s.frac_array() + rng.uniform(-amount, amount, size=(s.num_sites, 3))
+    return s.with_coords(frac)
+
+
+class TestPairListMatchesDense:
+    def test_rocksalt(self, backend, rocksalt):
+        assert_matches_dense(backend, rocksalt)
+        assert_matches_dense(backend, jittered(rocksalt, 1, 0.03))
+
+    def test_skewed_triclinic_cell(self, backend):
+        rng = random.Random(11)
+        s = make_structure((4.3, 5.2, 6.1, 62, 111, 77),
+                           [(el, (rng.random(), rng.random(), rng.random()))
+                            for el in ("Na", "Cl", "Na", "Cl")])
+        assert_matches_dense(backend, s)
+
+    def test_one_atom_cell_has_self_images_only(self, backend):
+        s = make_structure((3.3, 3.5, 3.9, 75, 82, 68), [("Cu", (0.3, 0.6, 0.1))])
+        energy, _, e_scale, _ = dense_energy_and_forces(backend, s)
+        assert abs(backend.energy_per_atom(s) - energy) <= 1e-12 * e_scale
+        # every self-image pair has its mirror, so the net force vanishes
+        assert np.abs(backend.forces(s)).max() < 1e-12
+
+    def test_pair_straddling_the_cutoff(self, backend):
+        box = 4 * backend.cutoff
+        rc = backend.cutoff
+        s = make_structure((box, box, box, 90, 90, 90),
+                           [("Na", (0.5, 0.5, 0.5)),
+                            ("Na", (0.5 + (rc - 1e-6) / box, 0.5, 0.5)),
+                            ("Na", (0.5, 0.5 + (rc + 1e-6) / box, 0.5))])
+        assert_matches_dense(backend, s)
+        # the inside pair pulls along x only; the outside one adds nothing,
+        # also from a list whose skin holds it
+        energy, _, e_scale, f_scale = dense_energy_and_forces(backend, s)
+        for kernel in (PairKernel(backend, s, skin=0.0), PairKernel(backend, s, skin=SKIN)):
+            e, f = kernel(s.frac_array() @ s.lattice.matrix())
+            assert abs(e - energy) <= 1e-12 * e_scale
+            assert f[0][0] > 0 and f[0][1] == 0.0 and f[2].tolist() == [0.0, 0.0, 0.0]
+
+    def test_mixed_species_with_explicit_cross_pair(self):
+        backend = PairPotentialBackend(
+            {"Na": (0.21, 2.3), "Cl": (0.17, 2.25), "Mg": (0.24, 2.1),
+             ("Na", "Cl"): (0.5, 2.6)}, cutoff=6.0)
+        assert backend.pair_parameters("Cl", "Na") == (0.5, 2.6)
+        rng = random.Random(4)
+        s = make_structure((5.9, 6.3, 6.6, 84, 97, 103),
+                           [(el, (rng.random(), rng.random(), rng.random()))
+                            for el in ("Na", "Cl", "Mg", "Cl", "Na", "Mg")])
+        assert_matches_dense(backend, s)
+
+
+class TestVerletSkin:
+    def test_reused_list_matches_a_fresh_one(self, backend, rocksalt, monkeypatch):
+        builds = []
+        build = energetics.neighbour_pairs
+        monkeypatch.setattr(energetics, "neighbour_pairs",
+                            lambda *a: builds.append(1) or build(*a))
+        s = jittered(rocksalt, 2, 0.02)
+        cart = s.frac_array() @ s.lattice.matrix()
+        kernel = PairKernel(backend, s, skin=SKIN)
+        rng = np.random.default_rng(7)
+        rebuilds = 0
+        for step in range(8):
+            fresh = PairKernel(backend, s, skin=0.0)(cart)
+            before = len(builds)
+            reused = kernel(cart)
+            rebuilds += len(builds) - before
+            assert reused[0] == pytest.approx(fresh[0], rel=1e-12, abs=1e-14)
+            np.testing.assert_allclose(reused[1], fresh[1], rtol=1e-12, atol=1e-12)
+            # each step moves every atom 0.3 SKIN: no single step passes the
+            # half-skin rebuild distance, so a list is reused across steps
+            # until the moves add up past it
+            move = rng.normal(size=cart.shape)
+            cart = cart + 0.3 * SKIN * move / np.linalg.norm(move, axis=1)[:, None]
+        assert 1 <= rebuilds < 7
 
 
 class TestRelax:

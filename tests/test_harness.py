@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from crysalign import energetics, harness
 from crysalign.ciflite import write_ciflite
 from crysalign.harness import (
     EXIT_INPUT,
@@ -173,6 +174,31 @@ class TestParseBoundary:
                            prompt="The space-group number is 999.")
         assert row.parse_status == "parse_error"
         assert row.r_target == 0.0
+
+
+class TestTimeout:
+    def test_deadline_holds_inside_relaxation(self, monkeypatch, rocksalt):
+        calls = []
+        evaluate = energetics.PairKernel.__call__
+
+        def counted(kernel, cart):
+            calls.append(1)
+            return evaluate(kernel, cart)
+
+        monkeypatch.setattr(energetics.PairKernel, "__call__", counted)
+        rng = random.Random(3)
+        s = make_structure(
+            (11.28, 11.28, 11.28, 90, 90, 90),
+            [(site.element,
+              tuple((x + d) / 2 + rng.uniform(-0.01, 0.01)
+                    for x, d in zip(site.frac_coords, (dx, dy, dz))))
+             for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)
+             for site in rocksalt.sites])
+        assert s.num_sites == 64
+        out = harness._heavy_phase((0, s, True, 0.0))
+        assert out["error"] == "timeout"
+        assert "e_hull" not in out
+        assert len(calls) <= 1
 
 
 class TestEmit:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from crysalign.structcore import (
     all_pair_min_distance,
     cell_matrix,
     min_image_distance,
+    neighbour_pairs,
     niggli_reduce,
+    reduced_basis,
     reduced_formula,
 )
 
@@ -92,6 +96,90 @@ class TestDistances:
             Lattice(10, 10, 10, 90, 90, 90),
             (Site("Na", (0.05, 0.0, 0.0)), Site("Cl", (0.95, 0.0, 0.0))))
         assert min_image_distance(s, 0, 1) == pytest.approx(1.0, rel=1e-10)
+
+    def test_min_distance_of_seeded_skewed_cells(self):
+        """Random cells inside the validity thresholds, against a brute force.
+
+        Among these 40 cells, a fixed image shell chosen by angle overestimates
+        the minimum of two, by up to 1.97x.
+        """
+        rng = random.Random(1)
+        checked = 0
+        while checked < 40:
+            try:
+                lat = Lattice(*(rng.uniform(2.0, 8.0) for _ in range(3)),
+                              *(rng.uniform(20.0, 160.0) for _ in range(3)))
+            except GeometryError:
+                continue
+            if lat.volume() <= 4.0:
+                continue
+            sites = tuple(Site("Na", (rng.random(), rng.random(), rng.random()))
+                          for _ in range(rng.randint(1, 3)))
+            s = CrystalStructure(lat, sites)
+            want = _brute_min_distance(s)
+            assert all_pair_min_distance(s) == pytest.approx(want, rel=1e-9)
+            for i, j in itertools.product(range(len(sites)), repeat=2):
+                assert min_image_distance(s, i, j) >= want * (1 - 1e-9)
+            checked += 1
+
+    def test_nearly_flat_cell_stays_small(self):
+        # Long, nearly coplanar cell vectors: one lattice vector, a + b + c,
+        # is 0.095 A long. Over the given basis the image range out to a
+        # pair-potential radius of 6.5 A would hold millions of shifts;
+        # over the reduced basis it holds a few thousand.
+        s = CrystalStructure(
+            Lattice(10, 10, 10, 119.999, 119.999, 119.999),
+            (Site("Na", (0.0, 0.0, 0.0)), Site("Cl", (0.5, 0.5, 0.5))))
+        m = s.lattice.matrix()
+        basis = reduced_basis(m) @ m
+        short = np.linalg.norm(basis, axis=1).min()
+        assert short == pytest.approx(np.linalg.norm(m.sum(axis=0)), rel=1e-9)
+
+        def shifts(cell):
+            reach = 6.5 * np.linalg.norm(np.linalg.inv(cell), axis=0)
+            return np.prod(2 * np.ceil(reach) + 3)
+
+        assert shifts(m) > 1e6
+        assert shifts(basis) < 5000
+        assert all_pair_min_distance(s) == pytest.approx(short / 2, rel=1e-9)
+        assert min_image_distance(s, 1, 1) == pytest.approx(short, rel=1e-9)
+
+
+def _brute_min_distance(s):
+    """Minimum over every image shift that a perpendicular-width bound allows."""
+    m = s.lattice.matrix()
+    cart = s.frac_array() @ m
+    widths = abs(np.linalg.det(m)) / np.linalg.norm(
+        np.cross(m[[1, 2, 0]], m[[2, 0, 1]]), axis=1)
+    reach = np.ceil(min(s.lattice.lengths) / widths).astype(int) + 1
+    best = math.inf
+    for n in itertools.product(*(range(-r, r + 1) for r in reach)):
+        d = np.linalg.norm(cart[None, :, :] - cart[:, None, :] + np.array(n) @ m, axis=-1)
+        d = d[d > 1e-12]
+        if d.size:
+            best = min(best, float(d.min()))
+    return best
+
+
+class TestNeighbourPairs:
+    def test_pairs_match_brute_force_for_positions_outside_the_cell(self):
+        rng = np.random.default_rng(5)
+        m = Lattice(4.2, 5.1, 6.3, 70, 105, 80).matrix()
+        cart = rng.uniform(-1.5, 2.5, size=(5, 3)) @ m
+        radius = 6.0
+        i, j, offset = neighbour_pairs(m, cart, radius)
+        got = sorted(
+            (a, b, *np.round(np.linalg.solve(m.T, o)).astype(int))
+            for a, b, o in zip(i.tolist(), j.tolist(), offset))
+        want = []
+        for a, b in itertools.product(range(5), repeat=2):
+            for n in itertools.product(range(-8, 9), repeat=3):
+                if np.linalg.norm(cart[b] + np.array(n) @ m - cart[a]) <= radius:
+                    want.append((a, b, *n))
+        assert got == sorted(want)
+        # offsets are lattice vectors to rounding
+        frac = np.linalg.solve(m.T, offset.T).T
+        assert np.abs(frac - np.round(frac)).max() < 1e-9
 
 
 class TestNiggli:
