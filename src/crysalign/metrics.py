@@ -9,7 +9,7 @@ import numpy as np
 
 from .ciflite import write_ciflite
 from .energetics import is_stable
-from .structcore import CrystalStructure, niggli_reduce, reduced_formula
+from .structcore import CrystalStructure, reduced_formula
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class MetricReport:
 
 def _lattices_agree(a: CrystalStructure, b: CrystalStructure,
                     cfg: MatchConfig) -> bool:
-    la = niggli_reduce(a.lattice)
-    lb = niggli_reduce(b.lattice)
+    la = a.niggli_lattice
+    lb = b.niggli_lattice
     for x, y in zip(la.lengths, lb.lengths):
         if abs(x - y) > cfg.length_tol * max(x, y):
             return False

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -138,6 +138,11 @@ class CrystalStructure:
 
     def volume(self) -> float:
         return self.lattice.volume()
+
+    @cached_property
+    def niggli_lattice(self) -> "Lattice":
+        """``niggli_reduce(self.lattice)``, computed once per structure."""
+        return niggli_reduce(self.lattice)
 
     def frac_array(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
@@ -337,7 +342,10 @@ def all_pair_min_distance(s: CrystalStructure) -> float:
     radius = _RADIUS_MARGIN * float(np.linalg.norm(basis, axis=1).min())
     i, j, offset = _pairs(basis, cart, radius)
     norms = np.linalg.norm(cart[j] + offset - cart[i], axis=1)
-    return float(norms[norms > 1e-12].min())
+    # Only a site's pair with itself at zero offset is left out: two sites
+    # listed at the same point are 0 apart.
+    itself = (i == j) & ~offset.any(axis=1)
+    return float(norms[~itself].min())
 
 
 def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> Lattice:

@@ -138,6 +138,9 @@ _VECS4 = np.array([v for v in itertools.product(range(-4, 5), repeat=3) if any(v
 _VECS4.setflags(write=False)
 _VECS2 = _VECS4[np.abs(_VECS4).max(axis=1) <= 2]
 _VECS2.setflags(write=False)
+# The zero vector followed by ``_VECS2``: the centering search's order.
+_VECS0_2 = np.concatenate([np.zeros((1, 3), dtype=int), _VECS2])
+_VECS0_2.setflags(write=False)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,6 +186,28 @@ class _Mapper:
         return perm if len(set(perm)) == len(perm) else None
 
 
+def _orbits(n: int, perms) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the indices 0..n-1 under the permutations ``perms``, each
+    sorted, ordered by the root that union-find leaves for it."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+    orbit_map: dict[int, list[int]] = {}
+    for i in range(n):
+        orbit_map.setdefault(find(i), []).append(i)
+    return tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -221,45 +246,50 @@ def _primitive_transform(translations: list[np.ndarray]) -> np.ndarray:
 
 
 def _candidate_rotations(cell: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Unimodular W with columns from ``_VECS2`` that keep the metric,
+    W^T G W = G within tolerance; in lexicographic order of the column
+    indices."""
     g = cell @ cell.T
     lmax = math.sqrt(max(g[i, i] for i in range(3)))
     atol = 4.0 * tol * lmax
-    col_cands = []
-    for j in range(3):
-        col_cands.append([v for v in _VECS2 if abs(v @ g @ v - g[j, j]) < atol])
-    out = []
-    for c0 in col_cands[0]:
-        for c1 in col_cands[1]:
-            if abs(c0 @ g @ c1 - g[0, 1]) > atol:
-                continue
-            for c2 in col_cands[2]:
-                if abs(c0 @ g @ c2 - g[0, 2]) > atol:
-                    continue
-                if abs(c1 @ g @ c2 - g[1, 2]) > atol:
-                    continue
-                w = np.stack([c0, c1, c2], axis=1)
-                if round(abs(np.linalg.det(w * 1.0))) == 1:
-                    out.append(w)
-    return out
+    # Products are taken one vector slice at a time, so each value equals
+    # ``v @ g @ u`` for that pair to the bit.
+    vg = np.matmul(_VECS2[:, None, :], g)[:, 0]
+    norms = _rowdot(vg, _VECS2)
+    cols = [np.flatnonzero(np.abs(norms - g[j, j]) < atol) for j in range(3)]
+
+    def fits(a, b, j, k):
+        """Whether each candidate pair for columns j and k keeps G[j, k]."""
+        dots = np.matmul(vg[a][:, None, None, :], _VECS2[b][None, :, :, None])
+        return ~(np.abs(dots[:, :, 0, 0] - g[j, k]) > atol)
+
+    c0, c1, c2 = cols
+    i0, i1, i2 = np.nonzero(fits(c0, c1, 0, 1)[:, :, None]
+                            & fits(c0, c2, 0, 2)[:, None, :]
+                            & fits(c1, c2, 1, 2)[None, :, :])
+    w = np.stack([_VECS2[c0[i0]], _VECS2[c1[i1]], _VECS2[c2[i2]]], axis=2)
+    return list(w[np.round(np.abs(np.linalg.det(w * 1.0))) == 1])
 
 
-def _axes_summary(ops: list[tuple[np.ndarray, np.ndarray]]):
-    """Distinct proper-rotation axes of the Laue class with their max order."""
-    axes: dict[tuple, int] = {}
+def _axes_summary(ops: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple, tuple]:
+    """Distinct proper-rotation axes of the Laue class: axis -> (its highest
+    order, the first proper rotation of that order about it)."""
+    axes: dict[tuple, tuple] = {}
     for w, _ in ops:
-        wi = tuple(tuple(int(x) for x in row) for row in np.round(w).astype(int))
+        wi = tuple(map(tuple, w.tolist()))
         if groups._det(wi) < 0:
             wi = tuple(tuple(-x for x in row) for row in wi)
         if wi == I3:
             continue
         axis = groups.rotation_axis(wi)
         order = groups.op_order(wi)
-        axes[axis] = max(axes.get(axis, 0), order)
+        if order > axes.get(axis, (0,))[0]:
+            axes[axis] = (order, wi)
     return axes
 
 
-def _classify_system(axes: dict[tuple, int]) -> str:
-    orders = list(axes.values())
+def _classify_system(axes: dict[tuple, tuple]) -> str:
+    orders = [o for o, _ in axes.values()]
     n3 = sum(1 for o in orders if o == 3)
     if n3 == 4:
         return "cubic"
@@ -312,36 +342,25 @@ def _shortest_perp(cell, direction, tol):
 
 def _conventional_candidates(
     cell: np.ndarray,
-    ops: list[tuple[np.ndarray, np.ndarray]],
+    axes: dict[tuple, tuple],
     system: str,
     tol: float,
 ) -> list[np.ndarray]:
     """Candidate integer row matrices U with conventional cell = U @ cell.
 
-    Several settings are returned where the axis choice is not forced
-    (monoclinic a/c, trigonal/hexagonal in-plane pair); the caller keeps the
-    first one whose operation signature is known.
+    ``axes`` is the ``_axes_summary`` of the operations. Several settings
+    are returned where the axis choice is not forced (monoclinic a/c,
+    trigonal/hexagonal in-plane pair); the caller keeps the first one whose
+    operation signature is known.
     """
-    axes = _axes_summary(ops)
-
     def axis_cart(axis):
         return np.array(axis, dtype=float) @ cell
-
-    def proper_rot(order, axis):
-        for w, _ in ops:
-            wi = tuple(tuple(int(x) for x in row) for row in np.round(w).astype(int))
-            if groups._det(wi) < 0:
-                wi = tuple(tuple(-x for x in row) for row in wi)
-            if wi != I3 and groups.op_order(wi) == order and \
-                    groups.rotation_axis(wi) == axis:
-                return np.array(wi)
-        raise DetectionError(f"missing order-{order} rotation")
 
     if system == "triclinic":
         return [np.eye(3, dtype=int)]
 
     if system == "monoclinic":
-        (b_axis,) = [a for a, o in axes.items() if o == 2]
+        (b_axis,) = [a for a, (o, _) in axes.items() if o == 2]
         ub = _shortest_along(cell, axis_cart(b_axis), tol)
         perp = _shortest_perp(cell, axis_cart(b_axis), tol)[:8]
         out = []
@@ -356,7 +375,7 @@ def _conventional_candidates(
         return out
 
     if system == "orthorhombic":
-        dirs = [a for a, o in axes.items() if o >= 2]
+        dirs = [a for a, (o, _) in axes.items() if o >= 2]
         if len(dirs) != 3:
             raise DetectionError("orthorhombic cell without three 2-fold axes")
         us = sorted((_shortest_along(cell, axis_cart(d), tol) for d in dirs),
@@ -368,9 +387,9 @@ def _conventional_candidates(
 
     if system in ("tetragonal", "trigonal", "hexagonal"):
         order = {"tetragonal": 4, "trigonal": 3, "hexagonal": 6}[system]
-        c_axis = next(a for a, o in axes.items() if o == order)
+        c_axis = next(a for a, (o, _) in axes.items() if o == order)
         uc = _shortest_along(cell, axis_cart(c_axis), tol)
-        rot = proper_rot(order, c_axis)
+        rot = np.array(axes[c_axis][1])
         target = 0.0 if system == "tetragonal" else -0.5
         out = []
         # b is a rotation image of a, picked so the cell is right-handed
@@ -390,8 +409,8 @@ def _conventional_candidates(
         return out
 
     if system == "cubic":
-        four = [a for a, o in axes.items() if o == 4]
-        dirs = four if len(four) == 3 else [a for a, o in axes.items() if o == 2]
+        four = [a for a, (o, _) in axes.items() if o == 4]
+        dirs = four if len(four) == 3 else [a for a, (o, _) in axes.items() if o == 2]
         if len(dirs) != 3:
             raise DetectionError("cubic cell without three principal axes")
         us = [_shortest_along(cell, axis_cart(d), tol) for d in dirs]
@@ -403,30 +422,40 @@ def _conventional_candidates(
     raise DetectionError(f"unknown system {system}")
 
 
+def _centering_vectors(ut_inv: np.ndarray, limit: int) -> np.ndarray:
+    """Distinct (mod 1) conventional fractional images ``ut_inv @ z`` of 0
+    and of ``_VECS2``, first occurrence of each in that order.
+
+    Each sweep keeps the first image left and drops every image equal to it
+    mod 1, so there are as many sweeps as centres; the search stops once it
+    has found more than ``limit``.
+    """
+    left = np.matmul(ut_inv, _VECS0_2[..., None])[..., 0] % 1.0
+    centers = []
+    while len(left) and len(centers) <= limit:
+        centers.append(left[0])
+        d = left - left[0]
+        d -= np.round(d)
+        left = left[np.sqrt(_rowdot(d, d)) >= 1e-6]
+    return np.array(centers)
+
+
 def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
     """Operation-set signature in the conventional basis ``u_conv @ cell``."""
     ut_inv = np.linalg.inv(u_conv.T * 1.0)
-    conv_ops: list[tuple[tuple, tuple]] = []
-    for w, t in ops:
-        w_c = ut_inv @ w @ u_conv.T
-        w_ci = np.round(w_c).astype(int)
-        if not np.allclose(w_c, w_ci, atol=1e-6):
-            raise DetectionError("non-integer rotation in conventional basis")
-        t_c = (ut_inv @ t) % 1.0
-        conv_ops.append((tuple(map(tuple, w_ci)), tuple(t_c)))
+    w_c = ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T
+    w_ci = np.round(w_c).astype(int)
+    if not np.allclose(w_c, w_ci, atol=1e-6):
+        raise DetectionError("non-integer rotation in conventional basis")
     m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
-    seen_centers: list[np.ndarray] = []
-    for z in [np.zeros(3, dtype=int), *_VECS2]:
-        x_c = (ut_inv @ z) % 1.0
-        if any(np.linalg.norm((x_c - c) - np.round(x_c - c)) < 1e-6
-               for c in seen_centers):
-            continue
-        seen_centers.append(x_c)
-    if len(seen_centers) != m_conv:
+    centers = _centering_vectors(ut_inv, m_conv)
+    if len(centers) != m_conv:
         raise DetectionError("centering count mismatch")
-    for c in seen_centers:
-        if np.linalg.norm(c) > 1e-9:
-            conv_ops.append((I3, tuple(c)))
+    # The first centre is the zero vector; every other one is at least
+    # 1e-6 from it mod 1.
+    conv_ops = [(tuple(map(tuple, w)), tuple((ut_inv @ t) % 1.0))
+                for w, (_, t) in zip(w_ci.tolist(), ops)]
+    conv_ops += [(I3, tuple(c)) for c in centers[1:].tolist()]
     return signature(conv_ops)
 
 
@@ -487,7 +516,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     ambiguous = False
     numbers = None
     try:
-        candidates = _conventional_candidates(cell_r, ops, system, tol)
+        candidates = _conventional_candidates(cell_r, axes, system, tol)
     except DetectionError:
         candidates = []
     for u_conv in candidates:
@@ -514,46 +543,29 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     rt = r_mat.T
     rt_inv = np.linalg.inv(rt)
     orig_ops: list[SymmetryOp] = []
-    parent = list(range(len(frac0)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for w, t in ops:
-        w_o = rt @ w @ rt_inv
-        w_oi = np.round(w_o).astype(int)
-        if not np.allclose(w_o, w_oi, atol=1e-6):
+    perms: list[list[int]] = []
+    w_o = rt @ np.array([w for w, _ in ops]) @ rt_inv
+    w_oi = np.round(w_o).astype(int)
+    integral = np.isclose(w_o, w_oi, atol=1e-6).all(axis=(1, 2))
+    for w, (_, t), ok in zip(w_oi, ops, integral):
+        if not ok:
             ambiguous = True
             continue
         t_o = (rt @ t) % 1.0
         for extra in translations:
             top = (t_o + extra) % 1.0
-            perm = mapper0.permutation(w_oi * 1.0, top)
+            perm = mapper0.permutation(w * 1.0, top)
             if perm is None:
                 continue
-            orig_ops.append(SymmetryOp(tuple(map(tuple, w_oi)), tuple(top)))
-            for i, j in enumerate(perm):
-                union(i, j)
-
-    orbit_map: dict[int, list[int]] = {}
-    for i in range(len(frac0)):
-        orbit_map.setdefault(find(i), []).append(i)
-    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+            orig_ops.append(SymmetryOp(tuple(map(tuple, w)), tuple(top)))
+            perms.append(perm)
 
     return SpacegroupResult(
         number=number,
         symbol=symbol,
         crystal_system=crystal_system(number),
         operations=tuple(orig_ops),
-        orbits=orbits,
+        orbits=_orbits(len(frac0), perms),
         ambiguous=ambiguous,
         tol=tol,
     )
@@ -564,29 +576,15 @@ def site_orbits(
 ) -> tuple[tuple[int, ...], ...]:
     """Partition site indices into orbits under the given operations."""
     mapper = _Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    parent = list(range(s.num_sites))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    perms = []
     for op in ops:
         w = np.array(op.rotation, dtype=float)
         t = np.array(op.translation)
         perm = mapper.permutation(w, t)
         if perm is None:
             raise ValueError("operation does not map the site set onto itself")
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-
-    orbit_map: dict[int, list[int]] = {}
-    for i in range(s.num_sites):
-        orbit_map.setdefault(find(i), []).append(i)
-    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+        perms.append(perm)
+    orbits = _orbits(s.num_sites, perms)
     for orbit in orbits:
         els = {s.sites[i].element for i in orbit}
         if len(els) != 1:

@@ -18,6 +18,12 @@ import numpy as np
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+# Entries per memoized rotation invariant. The table's standard settings
+# hold 64 distinct integer rotations and detection in reduced bases meets
+# some dozens more; the bound only stops unusual input from growing the
+# caches for the life of the process.
+ROTATION_CACHE_SIZE = 4096
+
 _TERM = re.compile(r"([+-]?)(\d*)([xyz])|([+-]?\d+(?:/\d+)?)")
 
 
@@ -105,6 +111,7 @@ def _trace(w) -> int:
     return w[0][0] + w[1][1] + w[2][2]
 
 
+@lru_cache(maxsize=ROTATION_CACHE_SIZE)
 def op_order(w) -> int:
     p = w
     for n in range(1, 13):
@@ -114,6 +121,7 @@ def op_order(w) -> int:
     raise ValueError("rotation part has no finite order <= 12")
 
 
+@lru_cache(maxsize=ROTATION_CACHE_SIZE)
 def rotation_axis(w) -> tuple[int, int, int] | None:
     """Primitive integer axis direction of a proper rotation (None for I)."""
     if w == I3:
@@ -136,6 +144,7 @@ def rotation_axis(w) -> tuple[int, int, int] | None:
     return None
 
 
+@lru_cache(maxsize=ROTATION_CACHE_SIZE)
 def axis_class(w) -> str:
     """Direction class of an operation's axis in the conventional basis."""
     d = _det(w)
@@ -145,6 +154,22 @@ def axis_class(w) -> str:
     axis = rotation_axis(wp)
     key = tuple(sorted(abs(x) for x in axis))
     return {(0, 0, 1): "p", (0, 1, 1): "f", (1, 1, 1): "d"}.get(key, "o")
+
+
+@lru_cache(maxsize=ROTATION_CACHE_SIZE)
+def _projector(w) -> np.ndarray:
+    """Mean of the powers of ``w``: it maps a translation to its component
+    along the rotation axis (intrinsic part). Read-only, as it is shared."""
+    n = op_order(w)
+    wm = np.array(w)
+    proj = np.zeros((3, 3))
+    p = np.eye(3)
+    for _ in range(n):
+        proj += p
+        p = p @ wm
+    proj /= n
+    proj.setflags(write=False)
+    return proj
 
 
 def _round_frac12(x: float) -> Fraction:
@@ -182,14 +207,7 @@ def signature(ops) -> tuple:
         reps.setdefault(w, tr)
     items = []
     for w, tr in reps.items():
-        n = op_order(w)
-        wm = np.array(w)
-        proj = np.zeros((3, 3))
-        p = np.eye(3)
-        for _ in range(n):
-            proj += p
-            p = p @ wm
-        proj /= n
+        proj = _projector(w)
         w_int = proj @ np.array(tr)
         residues = w_int[None, :] - lattice_pts @ proj.T
         best = residues[np.argmin(np.einsum("ij,ij->i", residues, residues))]

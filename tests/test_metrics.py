@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from crysalign import metrics, structcore
 from crysalign.metrics import (
     MatchConfig,
     MetricReport,
@@ -125,6 +126,24 @@ class TestUniqueness:
         n_base = len(set(cluster_indices(base)))
         n_more = len(set(cluster_indices(more)))
         assert n_more == n_base
+
+    def test_each_cell_reduced_once(self, monkeypatch):
+        calls = []
+        real = structcore.niggli_reduce
+
+        def counting(lattice, *args, **kwargs):
+            calls.append(lattice)
+            return real(lattice, *args, **kwargs)
+
+        monkeypatch.setattr(structcore, "niggli_reduce", counting)
+        monkeypatch.setattr(metrics, "niggli_reduce", counting, raising=False)
+        # One formula and site count, cells too far apart to match: every
+        # pair reaches the lattice comparison.
+        batch = [make_structure((4.0 + 0.5 * k, 4.0, 4.0, 90, 90, 90),
+                                [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
+                 for k in range(8)]
+        assert len(set(cluster_indices(batch))) == len(batch)
+        assert 0 < len(calls) <= len(batch)
 
 
 class TestNovelty:

@@ -367,3 +367,113 @@ class TestVectorizedSearch:
                         matched += want is not None
                         unmatched += want is None
         assert matched and unmatched
+
+
+# Reference loops: one candidate column and one centre at a time, as the
+# detector computed them before these searches ran on whole arrays.
+def _candidate_rotations_loop(cell, tol):
+    g = cell @ cell.T
+    lmax = np.sqrt(max(g[i, i] for i in range(3)))
+    atol = 4.0 * tol * lmax
+    vecs = _int_vectors_loop(2)
+    col_cands = [[v for v in vecs if abs(v @ g @ v - g[j, j]) < atol] for j in range(3)]
+    out = []
+    for c0 in col_cands[0]:
+        for c1 in col_cands[1]:
+            if abs(c0 @ g @ c1 - g[0, 1]) > atol:
+                continue
+            for c2 in col_cands[2]:
+                if abs(c0 @ g @ c2 - g[0, 2]) > atol:
+                    continue
+                if abs(c1 @ g @ c2 - g[1, 2]) > atol:
+                    continue
+                w = np.stack([c0, c1, c2], axis=1)
+                if round(abs(np.linalg.det(w * 1.0))) == 1:
+                    out.append(w)
+    return out
+
+
+def _centering_loop(ut_inv):
+    seen = []
+    for z in [np.zeros(3, dtype=int), *_int_vectors_loop(2)]:
+        x_c = (ut_inv @ z) % 1.0
+        if any(np.linalg.norm((x_c - c) - np.round(x_c - c)) < 1e-6 for c in seen):
+            continue
+        seen.append(x_c)
+    return seen
+
+
+def _reduced_cells(rng):
+    """LLL-reduced cubic, hexagonal, monoclinic and triclinic cells, plus
+    the primitive cells of F and I cubic lattices (many equal lengths)."""
+    a = rng.uniform(3.0, 8.0)
+    cells = [lat.matrix() for lat, _ in _random_cells(rng)]
+    for _ in range(3):
+        cells.append(Lattice(*rng.uniform(3.0, 8.0, size=3),
+                             *rng.uniform(70.0, 110.0, size=3)).matrix())
+    cells.append(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) * a / 2)
+    cells.append(np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]]) * a / 2)
+    return [detect._lll_reduce(c) @ c for c in cells]
+
+
+# Conventional-from-primitive row matrices of the P, C, I, F and R settings.
+_SETTINGS = (
+    np.eye(3, dtype=int),
+    np.array([[1, -1, 0], [1, 1, 0], [0, 0, 1]]),
+    np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]]),
+    np.array([[1, -1, 0], [0, 1, -1], [1, 1, 1]]),
+)
+
+
+class TestArraySearches:
+    def test_candidate_rotations_match_loop(self):
+        rng = np.random.default_rng(13)
+        found = 0
+        for cell in _reduced_cells(rng):
+            for tol in (1e-3, 1e-1):
+                want = _candidate_rotations_loop(cell, tol)
+                got = detect._candidate_rotations(cell, tol)
+                assert len(got) == len(want)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+                found += len(want)
+        assert found
+
+    def test_centering_vectors_match_loop(self):
+        rng = np.random.default_rng(17)
+        us = list(_SETTINGS)
+        # Settings with up to 24 centres.
+        while len(us) < 60:
+            u = rng.integers(-3, 4, size=(3, 3))
+            if 1 <= abs(round(np.linalg.det(u))) <= 24:
+                us.append(u)
+        for u in us:
+            ut_inv = np.linalg.inv(u.T * 1.0)
+            want = np.array(_centering_loop(ut_inv))
+            assert np.array_equal(detect._centering_vectors(ut_inv, 125), want)
+            m = round(abs(np.linalg.det(u)))
+            assert len(want) == m
+            # Stopping once past ``limit`` keeps the found centres' order.
+            for limit in (m - 1, m):
+                got = detect._centering_vectors(ut_inv, limit)
+                assert np.array_equal(got, want[:limit + 1])
+
+
+class TestRotationInvariants:
+    @pytest.fixture(scope="class")
+    def rotations(self):
+        table = groups.load_group_table()
+        return sorted({w for num in table for w, _ in groups.close_ops(table[num][1])})
+
+    def test_memoized_invariants_match_uncached(self, rotations):
+        assert len(rotations) == 64
+        for w in rotations:
+            for fn in (groups.op_order, groups.rotation_axis, groups.axis_class):
+                assert fn(w) == fn.__wrapped__(w) == fn(w)
+            assert np.array_equal(groups._projector(w), groups._projector.__wrapped__(w))
+
+    def test_cached_projector_is_read_only(self):
+        proj = groups._projector(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+        with pytest.raises(ValueError):
+            proj[0, 0] = 1.0
+        assert np.array_equal(proj, np.diag([0.0, 0.0, 1.0]))

@@ -40,6 +40,14 @@ class TestStructural:
         assert not ok
         assert any("distance" in f for f in failed)
 
+    def test_coincident_sites_fail(self):
+        # Rock salt with every site listed twice: each copy is 0 A from its twin.
+        s = CrystalStructure(
+            Lattice(5.64, 5.64, 5.64, 90, 90, 90),
+            (Site("Na", (0.0, 0.0, 0.0)), Site("Na", (0.0, 0.0, 0.0)),
+             Site("Cl", (0.5, 0.5, 0.5)), Site("Cl", (0.5, 0.5, 0.5))))
+        assert check_structural(s) == (False, ["pair_distance"])
+
     def test_tiny_cell_fails(self):
         s = CrystalStructure(
             Lattice(1.2, 1.2, 1.2, 90, 90, 90),
