@@ -163,11 +163,17 @@ class _Mapper:
         self.cell = cell                     # rows = basis vectors (Cartesian)
         self.frac = frac
         self.tol = tol
-        self.by_elem: dict[str, np.ndarray] = {}
-        for el in set(elems):
-            self.by_elem[el] = np.array(
-                [i for i, e in enumerate(elems) if e == el]
-            )
+        # element -> its site indices, rarest element first and equal counts
+        # by name, so the order (and the anchor) never follows string hashing.
+        counts = {el: elems.count(el) for el in set(elems)}
+        self.by_elem: dict[str, np.ndarray] = {
+            el: np.array([i for i, e in enumerate(elems) if e == el])
+            for el in sorted(counts, key=lambda el: (counts[el], el))
+        }
+
+    def anchor_sites(self) -> np.ndarray:
+        """Sites of the rarest element (by name among equal counts)."""
+        return next(iter(self.by_elem.values()))
 
     def permutation(self, w: np.ndarray, t: np.ndarray) -> list[int] | None:
         """Site i goes to the nearest same-element site to ``w x_i + t``
@@ -213,8 +219,7 @@ def _orbits(n: int, perms) -> tuple[tuple[int, ...], ...]:
 
 
 def _pure_translations(mapper: _Mapper) -> list[np.ndarray]:
-    anchor_el = min(mapper.by_elem, key=lambda el: len(mapper.by_elem[el]))
-    idx = mapper.by_elem[anchor_el]
+    idx = mapper.anchor_sites()
     i0 = int(idx[0])
     eye = np.eye(3)
     found = [np.zeros(3)]
@@ -497,8 +502,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     mapper = _Mapper(cell_r, frac_prim, elems_prim, tol)
 
     # Space-group operations in the reduced primitive basis.
-    anchor_el = min(mapper.by_elem, key=lambda el: len(mapper.by_elem[el]))
-    anchor_sites = mapper.by_elem[anchor_el]
+    anchor_sites = mapper.anchor_sites()
     x0 = frac_prim[int(anchor_sites[0])]
     ops: list[tuple[np.ndarray, np.ndarray]] = []
     for w in _candidate_rotations(cell_r, tol):

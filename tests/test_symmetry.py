@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from crysalign.symmetry import (
 from crysalign.symmetry import detect, groups
 
 from conftest import make_structure
+from orbit_cells import orbit_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -312,18 +316,6 @@ def _random_cells(rng):
                       90, rng.uniform(92.0, 120.0), 90), 10
 
 
-def _orbit_structure(lattice, number, rng):
-    """Two generic orbits (elements interleaved) of the group's operations."""
-    ops = groups.close_ops(groups.load_group_table()[number][1])
-    sites = []
-    for el in ("Na", "Cl"):
-        x = rng.random(3)
-        for w, t in ops:
-            sites.append((el, (np.array(w) @ x + np.array(t, dtype=float)) % 1.0))
-    order = rng.permutation(len(sites))
-    return CrystalStructure(lattice, tuple(Site(*sites[k]) for k in order))
-
-
 class TestVectorizedSearch:
     def test_lattice_vector_searches_match_loops(self):
         rng = np.random.default_rng(7)
@@ -353,7 +345,7 @@ class TestVectorizedSearch:
         tol = 1e-3
         matched = unmatched = 0
         for lattice, number in _random_cells(rng):
-            s = _orbit_structure(lattice, number, rng)
+            s = orbit_structure(lattice, number, rng)
             cell, frac, elems = lattice.matrix(), s.frac_array(), s.elements()
             jittered = frac.copy()
             jittered[0] += 2e-3 / lattice.a
@@ -477,3 +469,30 @@ class TestRotationInvariants:
         with pytest.raises(ValueError):
             proj[0, 0] = 1.0
         assert np.array_equal(proj, np.diag([0.0, 0.0, 1.0]))
+
+
+# Detects a Pc cell with two generic orbits of equal size and prints the
+# full result; run in fresh interpreters with different string-hash seeds.
+_DETECT_EQUAL_COUNTS = """
+import sys
+import numpy as np
+from orbit_cells import lattice_for, orbit_structure
+from crysalign.symmetry import detect_spacegroup
+rng = np.random.default_rng(0)
+res = detect_spacegroup(orbit_structure(lattice_for(7, rng), 7, rng))
+print(res.number, repr(res.operations), repr(res.orbits))
+"""
+
+
+class TestDeterminism:
+    def test_equal_counts_detect_alike_across_hash_seeds(self):
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", _DETECT_EQUAL_COUNTS],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            outs.append(done.stdout)
+        assert outs[0].startswith("7 ")
+        assert outs[0] == outs[1]
