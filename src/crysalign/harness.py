@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
-from .structcore import reduced_formula
 from .symmetry import detect_spacegroup
 from .symmetry.groups import signature_index
 
@@ -164,7 +163,7 @@ def _light_phase(args) -> dict:
         out["report"] = report
         out["structure"] = s
         out["constraints"] = constraints
-        out["formula"] = reduced_formula(s.composition())
+        out["formula"] = s.formula
         try:
             sym = detect_spacegroup(s, symmetry_tol)
             out["spacegroup_detected"] = sym.number
@@ -311,9 +310,12 @@ def _build_metric_report(rows, structures, e_hulls, reference, match_cfg):
                            for r in rows])
     add("mean_r_target", [r.r_target for r in rows])
     if structures:
-        uniq = metrics.uniqueness(structures, match_cfg)
+        # One clustering pass serves uniqueness and S.U.N.
+        assignment = metrics.cluster_indices(structures, match_cfg)
+        uniq = metrics.uniqueness(structures, match_cfg, assignment=assignment)
         nov = metrics.novelty(structures, reference, match_cfg) if reference else 1.0
-        sun = metrics.sun_ratio(structures, e_hulls, reference, match_cfg)
+        sun = metrics.sun_ratio(structures, e_hulls, reference, match_cfg,
+                                assignment=assignment)
         m = len(structures)
     else:
         uniq = nov = sun = 0.0

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ciflite import write_ciflite
 from .energetics import is_stable
-from .structcore import CrystalStructure, reduced_formula
+from .structcore import CrystalStructure
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _sites_assign(a: CrystalStructure, b: CrystalStructure,
 def structures_match(a: CrystalStructure, b: CrystalStructure,
                      cfg: MatchConfig = MatchConfig()) -> bool:
     """Same reduced formula, compatible reduced cells, and matchable sites."""
-    if reduced_formula(a.composition()) != reduced_formula(b.composition()):
+    if a.formula != b.formula:
         return False
     if a.num_sites != b.num_sites:
         return False
@@ -146,10 +146,14 @@ def cluster_indices(batch: list[CrystalStructure],
 
 
 def uniqueness(batch: list[CrystalStructure],
-               cfg: MatchConfig = MatchConfig()) -> float:
+               cfg: MatchConfig = MatchConfig(), *,
+               assignment: list[int] | None = None) -> float:
+    """Clusters per structure. ``assignment`` is ``cluster_indices(batch,
+    cfg)`` when the caller already has it."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    assignment = cluster_indices(batch, cfg)
+    if assignment is None:
+        assignment = cluster_indices(batch, cfg)
     return len(set(assignment)) / len(batch)
 
 
@@ -163,9 +167,8 @@ def novelty(batch: list[CrystalStructure],
 
 def is_novel(s: CrystalStructure, reference: list[CrystalStructure],
              cfg: MatchConfig = MatchConfig()) -> bool:
-    formula = reduced_formula(s.composition())
     for r in reference:
-        if reduced_formula(r.composition()) != formula:
+        if r.formula != s.formula:
             continue
         if structures_match(s, r, cfg):
             return False
@@ -175,13 +178,17 @@ def is_novel(s: CrystalStructure, reference: list[CrystalStructure],
 def sun_ratio(batch: list[CrystalStructure],
               e_hulls: list[float | None],
               reference: list[CrystalStructure],
-              cfg: MatchConfig = MatchConfig()) -> float:
-    """Fraction simultaneously stable, unique (cluster representative), novel."""
+              cfg: MatchConfig = MatchConfig(), *,
+              assignment: list[int] | None = None) -> float:
+    """Fraction simultaneously stable, unique (cluster representative), novel.
+    ``assignment`` is ``cluster_indices(batch, cfg)`` when the caller already
+    has it."""
     if len(batch) != len(e_hulls):
         raise ValueError("one e_hull entry per structure required")
     if not batch:
         raise ValueError("batch must be non-empty")
-    assignment = cluster_indices(batch, cfg)
+    if assignment is None:
+        assignment = cluster_indices(batch, cfg)
     qualifying = 0
     for i, s in enumerate(batch):
         if e_hulls[i] is None or not is_stable(e_hulls[i]):

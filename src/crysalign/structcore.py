@@ -144,6 +144,11 @@ class CrystalStructure:
         """``niggli_reduce(self.lattice)``, computed once per structure."""
         return niggli_reduce(self.lattice)
 
+    @cached_property
+    def formula(self) -> str:
+        """``reduced_formula(self.composition())``, computed once per structure."""
+        return reduced_formula(self.composition())
+
     def frac_array(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
 

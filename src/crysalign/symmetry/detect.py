@@ -4,7 +4,12 @@ Pipeline: find pure translations and fold to the primitive cell; reduce the
 primitive basis; enumerate integer rotations preserving the metric; search
 translations mapping the site set onto itself; build a conventional cell
 from the rotation axes; identify the group by matching the operation-set
-signature against the embedded table.
+signature against the embedded table; lift the operations back to the
+input cell.
+
+Each search stage (pure translations, rotations, the lift) tests all of its
+candidate operations in one batch (``_Mapper.permutations``), with the same
+rules as one at a time: nearest site, first on a tie, within ``tol``.
 
 Symmetry operations act on column fractional coordinates: x' = W x + w.
 """
@@ -14,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -156,6 +160,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # structure mapping
 
 
+# Upper bound on the float64 entries of one site-difference broadcast in
+# ``_Mapper.permutations``: candidates are tested in chunks of at most this
+# many, so a large cell's temporaries stay a few times 2 MiB.
+MAP_CHUNK = 1 << 18
+
+
 class _Mapper:
     """Tests whether candidate ops map the site set onto itself."""
 
@@ -175,27 +185,56 @@ class _Mapper:
         """Sites of the rarest element (by name among equal counts)."""
         return next(iter(self.by_elem.values()))
 
-    def permutation(self, w: np.ndarray, t: np.ndarray) -> list[int] | None:
-        """Site i goes to the nearest same-element site to ``w x_i + t``
-        (first on a tie); None unless every one lies within ``tol`` and no
-        two sites go to the same one."""
-        perm = np.empty(len(self.frac), dtype=int)
+    def _distances(self, sites: np.ndarray, img: np.ndarray) -> np.ndarray:
+        """Cartesian distance from each image ``img[c, i]`` to each of
+        ``sites``, wrapped to the nearest periodic copy: shape (c, i, site)."""
+        d = sites - img[:, :, None, :]
+        d -= d.round()
+        x = d @ self.cell
+        return np.sqrt((x * x).sum(axis=3))
+
+    def permutations(self, ws: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """One row per candidate ``(ws[k], ts[k])``: site i goes to the
+        nearest same-element site to ``w x_i + t`` (first on a tie). The row
+        is all -1 unless every site has its image within ``tol`` (a NaN
+        distance is no match) and no two sites go to the same one."""
+        perms = np.full((len(ws), len(self.frac)), -1, dtype=np.int32)
+        alive = np.arange(len(ws))
         for idx in self.by_elem.values():
+            if not len(alive):
+                break
             sites = self.frac[idx]
-            d = sites - (sites @ w.T + t)[:, None, :]
-            d -= d.round()
-            dist = np.linalg.norm(d @ self.cell, axis=2)
-            if not (dist.min(axis=1) < self.tol).all():
-                return None
-            perm[idx] = idx[dist.argmin(axis=1)]
-        perm = perm.tolist()
-        return perm if len(set(perm)) == len(perm) else None
+            step = max(1, MAP_CHUNK // (3 * len(idx) ** 2))
+            ok = np.zeros(len(alive), dtype=bool)
+            for lo in range(0, len(alive), step):
+                k = alive[lo:lo + step]
+                img = np.matmul(sites, ws[k].transpose(0, 2, 1)) + ts[k][:, None, :]
+                hit = np.arange(len(k))
+                if len(idx) > 1:
+                    # A candidate that fails mostly fails on any one site, so
+                    # the last site's row alone (m distances, not m * m)
+                    # screens the chunk. Not the first site: the rotation
+                    # search builds its candidates to map the first anchor
+                    # site exactly. (With one site, that row is the block.)
+                    near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
+                    hit = hit[near]
+                dist = self._distances(sites, img[hit])
+                image = idx[dist.argmin(axis=2)]
+                ordered = np.sort(image, axis=1)
+                ok[lo + hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
+                                & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
+                perms[k[hit][:, None], idx] = image
+            perms[alive[~ok]] = -1
+            alive = alive[ok]
+        return perms
 
 
-def _orbits(n: int, perms) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the indices 0..n-1 under the permutations ``perms``, each
-    sorted, ordered by the root that union-find leaves for it."""
+def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the indices 0..n-1 under the permutations (rows of
+    ``perms``), each sorted, ordered by the root that union-find leaves for
+    it."""
     parent = list(range(n))
+    seen = set()
 
     def find(i):
         while parent[i] != i:
@@ -204,7 +243,12 @@ def _orbits(n: int, perms) -> tuple[tuple[int, ...], ...]:
         return i
 
     for perm in perms:
-        for i, j in enumerate(perm):
+        key = perm.tobytes()
+        # A repeated permutation would union nothing new.
+        if key in seen:
+            continue
+        seen.add(key)
+        for i, j in enumerate(perm.tolist()):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[rj] = ri
@@ -220,16 +264,10 @@ def _orbits(n: int, perms) -> tuple[tuple[int, ...], ...]:
 
 def _pure_translations(mapper: _Mapper) -> list[np.ndarray]:
     idx = mapper.anchor_sites()
-    i0 = int(idx[0])
-    eye = np.eye(3)
-    found = [np.zeros(3)]
-    for j in idx:
-        if int(j) == i0:
-            continue
-        t = (mapper.frac[int(j)] - mapper.frac[i0]) % 1.0
-        if mapper.permutation(eye, t) is not None:
-            found.append(t)
-    return found
+    ts = (mapper.frac[idx[1:]] - mapper.frac[idx[0]]) % 1.0
+    ws = np.broadcast_to(np.eye(3), (len(ts), 3, 3))
+    fits = mapper.permutations(ws, ts)[:, 0] >= 0
+    return [np.zeros(3)] + list(ts[fits])
 
 
 def _primitive_transform(translations: list[np.ndarray]) -> np.ndarray:
@@ -502,16 +540,19 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     mapper = _Mapper(cell_r, frac_prim, elems_prim, tol)
 
     # Space-group operations in the reduced primitive basis.
+    # Every rotation against every anchor site at once; each rotation keeps
+    # the first anchor site that fits.
     anchor_sites = mapper.anchor_sites()
+    rots = np.array(_candidate_rotations(cell_r, tol)).reshape(-1, 3, 3)
     x0 = frac_prim[int(anchor_sites[0])]
-    ops: list[tuple[np.ndarray, np.ndarray]] = []
-    for w in _candidate_rotations(cell_r, tol):
-        for j in anchor_sites:
-            t = (frac_prim[int(j)] - w @ x0) % 1.0
-            if mapper.permutation(w, t) is not None:
-                ops.append((w, t))
-                break
-    if not any(np.array_equal(w, np.eye(3, dtype=int)) for w, _ in ops):
+    ts = (frac_prim[anchor_sites] - np.matmul(rots, x0)[:, None, :]) % 1.0
+    fits = mapper.permutations(np.repeat(rots, len(anchor_sites), axis=0),
+                               ts.reshape(-1, 3))[:, 0] >= 0
+    fits = fits.reshape(len(rots), len(anchor_sites))
+    first = fits.argmax(axis=1)
+    ops: list[tuple[np.ndarray, np.ndarray]] = [
+        (rots[r], ts[r, first[r]]) for r in np.flatnonzero(fits.any(axis=1))]
+    if not fits[(rots == np.eye(3, dtype=int)).all(axis=(1, 2))].any():
         raise DetectionError("identity operation missing")
 
     # Conventional setting and signature.
@@ -544,25 +585,22 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
 
     # Operations in the original basis (with the original cell's pure
     # translations re-attached), plus orbits from the induced permutations.
+    # Every lifted operation times every pure translation in one batch.
     rt = r_mat.T
     rt_inv = np.linalg.inv(rt)
-    orig_ops: list[SymmetryOp] = []
-    perms: list[list[int]] = []
     w_o = rt @ np.array([w for w, _ in ops]) @ rt_inv
     w_oi = np.round(w_o).astype(int)
     integral = np.isclose(w_o, w_oi, atol=1e-6).all(axis=(1, 2))
-    for w, (_, t), ok in zip(w_oi, ops, integral):
-        if not ok:
-            ambiguous = True
-            continue
-        t_o = (rt @ t) % 1.0
-        for extra in translations:
-            top = (t_o + extra) % 1.0
-            perm = mapper0.permutation(w * 1.0, top)
-            if perm is None:
-                continue
-            orig_ops.append(SymmetryOp(tuple(map(tuple, w)), tuple(top)))
-            perms.append(perm)
+    ambiguous = ambiguous or not integral.all()
+    extras = np.array(translations)
+    ws = np.repeat(w_oi[integral], m, axis=0)
+    ts = np.array([((rt @ t) % 1.0 + extras) % 1.0
+                   for (_, t), ok in zip(ops, integral) if ok]).reshape(-1, 3)
+    perms = mapper0.permutations(ws * 1.0, ts)
+    mapped = perms[:, 0] >= 0
+    perms = perms[mapped]
+    orig_ops = [SymmetryOp(tuple(map(tuple, w)), tuple(top))
+                for w, top in zip(ws[mapped].tolist(), ts[mapped].tolist())]
 
     return SpacegroupResult(
         number=number,
@@ -580,14 +618,11 @@ def site_orbits(
 ) -> tuple[tuple[int, ...], ...]:
     """Partition site indices into orbits under the given operations."""
     mapper = _Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    perms = []
-    for op in ops:
-        w = np.array(op.rotation, dtype=float)
-        t = np.array(op.translation)
-        perm = mapper.permutation(w, t)
-        if perm is None:
-            raise ValueError("operation does not map the site set onto itself")
-        perms.append(perm)
+    ws = np.array([op.rotation for op in ops], dtype=float).reshape(-1, 3, 3)
+    ts = np.array([op.translation for op in ops], dtype=float).reshape(-1, 3)
+    perms = mapper.permutations(ws, ts)
+    if (perms < 0).any():
+        raise ValueError("operation does not map the site set onto itself")
     orbits = _orbits(s.num_sites, perms)
     for orbit in orbits:
         els = {s.sites[i].element for i in orbit}

@@ -4,7 +4,8 @@ operation-set signature used for group identification.
 The signature of an operation set is deliberately origin- and
 setting-independent: centering class, centering order, and the sorted
 multiset of (det, trace, axis-direction class, canonical intrinsic
-translation) over the coset representatives modulo centering translations.
+translation in integer twelfths) over the coset representatives modulo
+centering translations.
 """
 
 from __future__ import annotations
@@ -172,15 +173,18 @@ def _projector(w) -> np.ndarray:
     return proj
 
 
-def _round_frac12(x: float) -> Fraction:
-    return Fraction(round(x * 12), 12) % 1
+# Lattice points with coordinates in [-2, 2]: where ``signature`` looks for
+# the lattice vector nearest to each intrinsic translation. Read-only.
+_BOX = np.array(list(np.ndindex(5, 5, 5)), dtype=float) - 2.0
+_BOX.setflags(write=False)
 
 
 def signature(ops) -> tuple:
     """Setting-independent signature of a conventional-cell operation set.
 
     ``ops`` are (rotation rows, translation) with translations as floats or
-    Fractions in [0, 1); the set must include centering translations.
+    Fractions in [0, 1); the set must include centering translations. Each
+    canonical intrinsic translation is a sorted triple of integer twelfths.
     """
     ops = [(tuple(tuple(int(x) for x in row) for row in w),
             tuple(float(t) for t in tr)) for w, tr in ops]
@@ -199,21 +203,22 @@ def signature(ops) -> tuple:
     else:
         cclass = f"?{m}"
 
-    base = np.array(list(np.ndindex(5, 5, 5)), dtype=float) - 2.0
-    lattice_pts = np.concatenate([base] + [base + c for c in centerings])
-
+    lattice_pts = np.concatenate([_BOX] + [_BOX + c for c in centerings])
     reps: dict[tuple, tuple] = {}
     for w, tr in ops:
         reps.setdefault(w, tr)
-    items = []
-    for w, tr in reps.items():
-        proj = _projector(w)
-        w_int = proj @ np.array(tr)
-        residues = w_int[None, :] - lattice_pts @ proj.T
-        best = residues[np.argmin(np.einsum("ij,ij->i", residues, residues))]
-        canon = tuple(sorted(min(f, 1 - f) for f in
-                             (_round_frac12(float(x) % 1.0) for x in best)))
-        items.append((_det(w), _trace(w), axis_class(w), canon))
+    # All representatives at once: the intrinsic translation, its residue
+    # from every lattice point (both projected) and the nearest residue.
+    proj = np.array([_projector(w) for w in reps])
+    w_int = np.matmul(proj, np.array(list(reps.values()))[..., None])[..., 0]
+    residues = np.matmul(lattice_pts, proj.transpose(0, 2, 1))
+    np.subtract(w_int[:, None, :], residues, out=residues)
+    nearest = np.einsum("rij,rij->ri", residues, residues).argmin(axis=1)
+    best = residues[np.arange(len(reps)), nearest]
+    twelfths = (np.round(best % 1.0 * 12) % 12).astype(int)
+    canon = np.sort(np.minimum(twelfths, 12 - twelfths), axis=1)
+    items = [(_det(w), _trace(w), axis_class(w), c)
+             for w, c in zip(reps, map(tuple, canon.tolist()))]
     return (cclass, m, tuple(sorted(items)))
 
 

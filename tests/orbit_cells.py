@@ -41,10 +41,10 @@ def orbit_structure(lattice, number, rng):
     return CrystalStructure(lattice, tuple(Site(*sites[k]) for k in order))
 
 
-def generic_orbit_cells(seed, max_order=96):
-    """(number, cell) for every table group of order at most ``max_order``,
+def generic_orbit_cells(seed):
+    """(number, cell) for each of the 226 table groups of order at most 96,
     in number order, all drawn from one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
     for number in range(1, 231):
-        if groups.group_order(number) <= max_order:
+        if groups.group_order(number) <= 96:
             yield number, orbit_structure(lattice_for(number, rng), number, rng)

@@ -53,6 +53,23 @@ def samples_path(tmp_path):
     return str(path)
 
 
+class TestMetricReport:
+    def test_one_clustering_pass_per_report(self, samples_path, monkeypatch):
+        calls = []
+        real = harness.metrics.cluster_indices
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness.metrics, "cluster_indices", counting)
+        config = RunConfig(samples_path=samples_path, relax_before_hull=False)
+        report, _ = run_evaluation(config)
+        assert len(calls) == 1
+        values = {e.name: e.value for e in report.entries}
+        assert values["uniqueness"] == len(set(real(*calls[0]))) / len(calls[0][0])
+
+
 class TestConfig:
     def test_defaults(self, samples_path):
         cfg = RunConfig(samples_path=samples_path)

@@ -146,6 +146,46 @@ class TestUniqueness:
         assert 0 < len(calls) <= len(batch)
 
 
+    def test_each_formula_reduced_once(self, monkeypatch):
+        calls = []
+        real = structcore.reduced_formula
+
+        def counting(composition):
+            calls.append(composition)
+            return real(composition)
+
+        monkeypatch.setattr(structcore, "reduced_formula", counting)
+        monkeypatch.setattr(metrics, "reduced_formula", counting, raising=False)
+        # One formula and site count, cells too far apart to match: every
+        # pair compares formulas.
+        batch = [make_structure((4.0 + 0.5 * k, 4.0, 4.0, 90, 90, 90),
+                                [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
+                 for k in range(8)]
+        assert len(set(cluster_indices(batch))) == len(batch)
+        assert 0 < len(calls) <= len(batch)
+
+    def test_formula_is_reduced_composition(self, cscl, rocksalt, diamond, calcite):
+        rng = random.Random(5)
+        for s in [cscl, rocksalt, diamond, calcite] + [random_structure(rng)
+                                                       for _ in range(20)]:
+            assert s.formula == structcore.reduced_formula(s.composition())
+
+
+class TestSharedAssignment:
+    def test_same_values_with_assignment(self, cscl, rocksalt, diamond):
+        rng = random.Random(11)
+        pool = [cscl, rocksalt, diamond, shifted(cscl, (0.1, 0.1, 0.1)),
+                shifted(diamond, (0.25, 0.25, 0.25)), random_structure(rng)]
+        reference = [rocksalt]
+        for _ in range(40):
+            batch = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            e_hulls = [rng.choice([0.0, 0.02, None]) for _ in batch]
+            assignment = cluster_indices(batch)
+            assert uniqueness(batch, assignment=assignment) == uniqueness(batch)
+            assert (sun_ratio(batch, e_hulls, reference, assignment=assignment)
+                    == sun_ratio(batch, e_hulls, reference))
+
+
 class TestNovelty:
     def test_subset_of_reference(self, cscl, rocksalt):
         assert novelty([cscl, rocksalt], [cscl, rocksalt]) == 0.0
