@@ -62,18 +62,7 @@ class HullResult:
     decomposition: tuple[tuple[PhaseEntry, float], ...]
 
 
-class EnergyBackend:
-    """Interface: deterministic, translation-invariant energies in eV/atom."""
-
-    def energy_per_atom(self, s: CrystalStructure) -> float:
-        raise NotImplementedError
-
-    def forces(self, s: CrystalStructure) -> np.ndarray:
-        """Per-site Cartesian forces (eV/A). Optional for backends."""
-        raise NotImplementedError
-
-
-class PairPotentialBackend(EnergyBackend):
+class PairPotentialBackend:
     """Shifted truncated Lennard-Jones with Lorentz-Berthelot mixing.
 
     ``pair_params`` maps *self* pairs (element,) or explicit pairs
@@ -216,10 +205,6 @@ class PairKernel:
         return energy, forces
 
 
-def energy_per_atom(backend: EnergyBackend, s: CrystalStructure) -> float:
-    return backend.energy_per_atom(s)
-
-
 def relax_positions(
     backend: PairPotentialBackend,
     s: CrystalStructure,
@@ -267,7 +252,7 @@ def relax_positions(
     return structure()
 
 
-def formation_energy(backend: EnergyBackend, s: CrystalStructure) -> float:
+def formation_energy(backend: PairPotentialBackend, s: CrystalStructure) -> float:
     """energy_per_atom minus the composition-weighted elemental references."""
     fractions = s.composition().fractions()
     missing = sorted(e for e in fractions if e not in backend.reference_energies)

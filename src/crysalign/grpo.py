@@ -34,8 +34,6 @@ class GrpoConfig:
     kl_coef: float = 0.001
     kl_target: float = 0.05
     kl_horizon: int = 10000
-    gamma: float = 0.98   # carried for config fidelity; unused without a critic
-    lam: float = 0.9      # carried for config fidelity; unused without a critic
     advantage_eps: float = 1e-8
 
     def __post_init__(self):

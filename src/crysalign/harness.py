@@ -37,7 +37,6 @@ class RunConfig:
     output_dir: str = "out"
     reference_structures_path: str | None = None
     worker_count: int = 1
-    seed: int = 0
     timeout_s: float = 30.0
     relax_before_hull: bool = True
     symmetry_tol: float = 1e-3

@@ -24,6 +24,12 @@ ELEMENTS = (
 ELEMENT_SET = frozenset(ELEMENTS)
 
 
+# Smallest accepted V / (abc), the volume of a cell with unit edges at its
+# angles. Below it the cell is flat to rounding: at 1.7e-16, the angles
+# (101, 129, 130) degrees give a Niggli cell 4 % off in volume.
+FLAT_CELL_RATIO = 1e-4
+
+
 class GeometryError(ValueError):
     """Non-finite or degenerate geometry (e.g. a non-positive cell determinant)."""
 
@@ -56,8 +62,11 @@ class Lattice:
                 raise GeometryError(f"lattice angle {name}={ang} outside (0, 180)")
         # Triangle-type condition; a non-positive determinant means the three
         # angles cannot close a parallelepiped.
-        if self.volume() <= 0:
+        volume = self.volume()
+        if volume <= 0:
             raise GeometryError("angles produce a non-positive cell determinant")
+        if volume < FLAT_CELL_RATIO * self.a * self.b * self.c:
+            raise GeometryError("angles produce a numerically flat cell")
 
     @property
     def lengths(self) -> tuple[float, float, float]:
@@ -228,14 +237,6 @@ def reduced_formula(c: Composition) -> str:
     return "".join(parts)
 
 
-def _image_shifts(lattice: Lattice, shell: int | None = None) -> np.ndarray:
-    if shell is None:
-        skewed = any(not 45.0 <= ang <= 135.0 for ang in lattice.angles)
-        shell = 2 if skewed else 1
-    r = range(-shell, shell + 1)
-    return np.array([(i, j, k) for i in r for j in r for k in r], dtype=float)
-
-
 def reduced_basis(cell: np.ndarray) -> np.ndarray:
     """Integer rows ``t`` such that ``t @ cell`` is an LLL-reduced basis.
 
@@ -351,6 +352,45 @@ def all_pair_min_distance(s: CrystalStructure) -> float:
     # listed at the same point are 0 apart.
     itself = (i == j) & ~offset.any(axis=1)
     return float(norms[~itself].min())
+
+
+def neighbour_shells(
+    s: CrystalStructure, factor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each site's nearest-neighbour shell: index arrays i, j and distances d.
+
+    Row p is a contact from site i[p] to an image of site j[p], d[p] away,
+    with 1e-9 < d <= factor * (site i's nearest such distance) + 1e-9.
+    Rows run by i, then j, then the image's integer shift in the cell basis.
+    """
+    m = s.lattice.matrix()
+    basis = reduced_basis(m) @ m
+    cart = s.frac_array() @ m
+    n = len(cart)
+    # A self-image one shortest basis vector away bounds every site's
+    # nearest distance, so a search this wide holds every shell.
+    cap = _RADIUS_MARGIN * (factor * float(np.linalg.norm(basis, axis=1).min()) + 1e-9)
+    # Start at 1.5 mean site spacings, which holds the whole shell of most
+    # dense cells; widen until every site's nearest neighbour is inside,
+    # then, if need be, out to the widest shell.
+    radius = min(1.5 * (s.volume() / n) ** (1.0 / 3.0), cap)
+    inv = np.linalg.inv(m)
+    while True:
+        i, j, offset = _pairs(basis, cart, radius)
+        # Distances from integer shifts of the cell itself, so that neither
+        # they nor the row order depend on the reduced basis.
+        shift = np.round(offset @ inv)
+        d = np.linalg.norm(cart[j] + shift @ m - cart[i], axis=1)
+        far = d > 1e-9
+        nearest = np.full(n, np.inf)
+        np.minimum.at(nearest, i[far], d[far])
+        reach = factor * nearest.max() + 1e-9
+        if reach <= radius or radius >= cap:
+            break
+        radius = min(2.0 * radius, cap) if math.isinf(reach) else _RADIUS_MARGIN * reach
+    keep = far & (d <= factor * nearest[i] + 1e-9)
+    order = np.lexsort((*shift[keep].T[::-1], j[keep], i[keep]))
+    return i[keep][order], j[keep][order], d[keep][order]
 
 
 def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> Lattice:

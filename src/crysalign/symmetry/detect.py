@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..structcore import CrystalStructure, Lattice
+from ..structcore import CrystalStructure, Lattice, reduced_basis
 from . import groups
 from .groups import I3, signature, signature_index, load_group_table
 
@@ -94,46 +94,6 @@ def _hnf_basis(rows: np.ndarray) -> np.ndarray:
         basis.append([-x for x in pivot] if pivot[col] < 0 else list(pivot))
         rows = [r for r in work if r is not pivot and any(r)]
     return np.array(basis, dtype=int)
-
-
-def _lll_reduce(basis: np.ndarray) -> np.ndarray:
-    """LLL reduction of row basis (Cartesian); returns unimodular U."""
-    b = basis.astype(float).copy()
-    u = np.eye(3, dtype=int)
-    delta = 0.75
-
-    def gram():
-        bstar = np.zeros_like(b)
-        mu = np.zeros((3, 3))
-        for i in range(3):
-            bstar[i] = b[i].copy()
-            for j in range(i):
-                mu[i, j] = (b[i] @ bstar[j]) / (bstar[j] @ bstar[j])
-                bstar[i] -= mu[i, j] * bstar[j]
-        return bstar, mu
-
-    k = 1
-    for _ in range(200):
-        if k >= 3:
-            break
-        bstar, mu = gram()
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q:
-                b[k] -= q * b[j]
-                u[k] -= q * u[j]
-                bstar, mu = gram()
-        if (bstar[k] @ bstar[k]) >= (delta - mu[k, k - 1] ** 2) * (
-            bstar[k - 1] @ bstar[k - 1]
-        ):
-            k += 1
-        else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            u[[k - 1, k]] = u[[k, k - 1]]
-            k = max(k - 1, 1)
-    if np.linalg.det(u * 1.0) < 0:
-        u[2] = -u[2]
-    return u
 
 
 # Nonzero integer vectors with entries in [-4, 4], in lexicographic order,
@@ -514,7 +474,9 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     cell_p = s_mat @ cell0
-    u_red = _lll_reduce(cell_p)
+    u_red = reduced_basis(cell_p)
+    if np.linalg.det(u_red * 1.0) < 0:
+        u_red[2] = -u_red[2]                         # keep the basis right-handed
     r_mat = u_red @ s_mat                            # reduced prim in orig frac
     cell_r = r_mat @ cell0
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ciflite import PromptConstraints
-from .structcore import CrystalStructure, _image_shifts
+from .structcore import CrystalStructure, neighbour_shells
 
 METAL_GAP = 0.05          # eV, below: metal
 INSULATOR_GAP = 3.0       # eV, at or above: insulator
 ON_HULL_TOL = 1e-6        # eV/atom on the prompt's hull target
+SHELL_FACTOR = 1.1        # shell: out to this many times the nearest distance
 
 GEOMETRY_LABELS = {
     2: "linear",
@@ -88,54 +89,31 @@ def band_gap_class(gap: float) -> str:
     return "insulator"
 
 
-def _neighbor_shells(s: CrystalStructure, shell_factor: float = 1.1):
-    """Per-site nearest-neighbor shell: (neighbor elements, distances)."""
-    cell = s.lattice.matrix()
-    frac = s.frac_array()
-    elems = s.elements()
-    shifts = _image_shifts(s.lattice) @ cell
-    cart = frac @ cell
-    rel = cart[None, :, None, :] + shifts[None, None, :, :] - cart[:, None, None, :]
-    dist = np.linalg.norm(rel, axis=-1)
-    shells = []
-    for i in range(len(elems)):
-        d = dist[i].ravel()
-        mask = d > 1e-9
-        if not mask.any():
-            shells.append(((), ()))
-            continue
-        dmin = d[mask].min()
-        sel = mask & (d <= dmin * shell_factor + 1e-9)
-        js = np.repeat(np.arange(len(elems)), dist.shape[2])[sel.ravel()]
-        shells.append((tuple(elems[j] for j in js), tuple(d[sel.ravel()])))
-    return shells
-
-
 def bond_statistics(s: CrystalStructure):
     """Coordination summary per element and mean bond length per element pair.
 
     Coordination is taken from each element's first site (deterministic);
     bond means pool every nearest-neighbor-shell contact of the pair.
     """
-    shells = _neighbor_shells(s)
+    i, j, d = neighbour_shells(s, SHELL_FACTOR)
     elems = s.elements()
     coordination: dict[str, tuple[str, int, str]] = {}
     pair_dists: dict[tuple[str, str], list[float]] = {}
-    for i, el in enumerate(elems):
-        neigh_els, dists = shells[i]
-        if not dists:
+    for a, b, dist in zip(i.tolist(), j.tolist(), d.tolist()):
+        pair_dists.setdefault(tuple(sorted((elems[a], elems[b]))), []).append(dist)
+    for site, el in enumerate(elems):
+        if el in coordination:
             continue
-        for ne, d in zip(neigh_els, dists):
-            key = tuple(sorted((el, ne)))
-            pair_dists.setdefault(key, []).append(d)
-        if el not in coordination:
-            counts: dict[str, int] = {}
-            for ne in neigh_els:
-                counts[ne] = counts.get(ne, 0) + 1
-            main = max(sorted(counts), key=lambda k: counts[k])
-            n = len(neigh_els)
-            label = GEOMETRY_LABELS.get(n, f"{n}-fold coordinated")
-            coordination[el] = (main, n, label)
+        neigh_els = [elems[b] for b in j[i == site].tolist()]
+        if not neigh_els:
+            continue
+        counts: dict[str, int] = {}
+        for ne in neigh_els:
+            counts[ne] = counts.get(ne, 0) + 1
+        main = max(sorted(counts), key=lambda k: counts[k])
+        n = len(neigh_els)
+        label = GEOMETRY_LABELS.get(n, f"{n}-fold coordinated")
+        coordination[el] = (main, n, label)
     bond_lengths = {k: float(np.mean(v)) for k, v in sorted(pair_dists.items())}
     return coordination, bond_lengths
 

@@ -73,12 +73,10 @@ class ValidityReport:
     structural: bool
     chemical: bool
     composition_match: bool
-    spacegroup_match: bool | None = None
     failed_checks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        any_false = not (self.structural and self.chemical and self.composition_match
-                         and self.spacegroup_match is not False)
+        any_false = not (self.structural and self.chemical and self.composition_match)
         if any_false != bool(self.failed_checks):
             raise ValueError("failed_checks must be non-empty iff a check failed")
 
@@ -150,46 +148,22 @@ def check_composition_match(generated: Composition, target: Composition) -> bool
     return reduced_formula(generated) == reduced_formula(target)
 
 
-def check_spacegroup_match(
-    s: CrystalStructure, target: int, tol: float = 1e-3
-) -> bool:
-    """True iff the detected space-group number equals ``target``.
-
-    Detection failure counts as a mismatch (conservative), never an exception.
-    """
-    if not 1 <= target <= 230:
-        raise ValueError(f"target space group {target} outside [1, 230]")
-    from . import symmetry
-
-    try:
-        result = symmetry.detect_spacegroup(s, tol=tol)
-    except Exception:
-        return False
-    return result.number == target
-
-
 def build_report(
     s: CrystalStructure | None,
     target: Composition | None,
     table: OxidationTable,
     thresholds: ValidityThresholds = ValidityThresholds(),
-    spacegroup_target: int | None = None,
 ) -> ValidityReport:
     """Full validity report for one structure; ``s=None`` means unparseable."""
     if s is None:
-        return ValidityReport(False, False, False, None,
+        return ValidityReport(False, False, False,
                               ("parse", "structural", "chemical", "composition"))
     structural, reasons = check_structural(s, thresholds)
     chemical = check_chemical(s.composition(), table)
     comp_ok = target is None or check_composition_match(s.composition(), target)
-    sg_ok = None
-    if spacegroup_target is not None:
-        sg_ok = check_spacegroup_match(s, spacegroup_target)
     failed = list(reasons)
     if not chemical:
         failed.append("chemical")
     if not comp_ok:
         failed.append("composition")
-    if sg_ok is False:
-        failed.append("spacegroup")
-    return ValidityReport(structural, chemical, comp_ok, sg_ok, tuple(failed))
+    return ValidityReport(structural, chemical, comp_ok, tuple(failed))

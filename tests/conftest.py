@@ -1,10 +1,11 @@
 """Shared fixtures: reference cells with known symmetry and energetics."""
 
 import json
+import random
 
 import pytest
 
-from crysalign.structcore import CrystalStructure, Lattice, Site
+from crysalign.structcore import CrystalStructure, GeometryError, Lattice, Site
 from crysalign.validity import OxidationTable
 
 
@@ -27,6 +28,26 @@ def make_structure(cell, species):
     a, b, c, alpha, beta, gamma = cell
     sites = tuple(Site(el, tuple(xyz)) for el, xyz in species)
     return CrystalStructure(Lattice(a, b, c, alpha, beta, gamma), sites)
+
+
+def seeded_skewed_cells(count=40):
+    """Random one-element cells of 1 to 3 sites inside the validity
+    thresholds (lengths 2 to 8 A, angles 20 to 160 degrees, volume over
+    4 A^3), the same ``count`` cells on every call."""
+    rng = random.Random(1)
+    made = 0
+    while made < count:
+        try:
+            lat = Lattice(*(rng.uniform(2.0, 8.0) for _ in range(3)),
+                          *(rng.uniform(20.0, 160.0) for _ in range(3)))
+        except GeometryError:
+            continue
+        if lat.volume() <= 4.0:
+            continue
+        yield CrystalStructure(lat, tuple(
+            Site("Na", (rng.random(), rng.random(), rng.random()))
+            for _ in range(rng.randint(1, 3))))
+        made += 1
 
 
 @pytest.fixture(scope="session")

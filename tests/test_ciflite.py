@@ -69,7 +69,7 @@ class TestParse:
     @pytest.mark.parametrize("lengths,angles", [
         ("-5.6 5.6 5.6", "90 90 90"), ("nan 5.6 5.6", "90 90 90"),
         ("inf 5.6 5.6", "90 90 90"), ("5.6 5.6 5.6", "130 130 130"),
-        ("5.6 5.6 5.6", "90 inf 90")])
+        ("5.6 5.6 5.6", "90 inf 90"), ("2 2 2", "101 129 130")])
     def test_bad_cell_is_positioned_parse_error(self, lengths, angles):
         text = f"header\n<CIF>P1\n{lengths}\n{angles}\nNa 1 0 0 0</CIF>"
         with pytest.raises(ParseError) as err:

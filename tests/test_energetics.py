@@ -14,7 +14,6 @@ from crysalign.energetics import (
     PhaseEntry,
     STABILITY_THRESHOLD,
     energy_above_hull,
-    energy_per_atom,
     formation_energy,
     is_stable,
     load_reference_phases,
@@ -49,19 +48,19 @@ class TestPairEnergy:
         r = 3.1
         s = isolated_pair(backend, "Na", r)
         expected = lj_pair_energy(backend, "Na", r) / 2
-        assert energy_per_atom(backend, s) == pytest.approx(expected, rel=1e-12)
+        assert backend.energy_per_atom(s) == pytest.approx(expected, rel=1e-12)
 
     def test_dimer_minimum_location(self, backend):
         eps, sigma = backend.pair_parameters("Na", "Na")
         r_star = 2 ** (1 / 6) * sigma
-        e_star = energy_per_atom(backend, isolated_pair(backend, "Na", r_star))
+        e_star = backend.energy_per_atom(isolated_pair(backend, "Na", r_star))
         for dr in (-0.01, 0.01):
-            assert energy_per_atom(
-                backend, isolated_pair(backend, "Na", r_star + dr)) > e_star
+            assert backend.energy_per_atom(
+                isolated_pair(backend, "Na", r_star + dr)) > e_star
 
     def test_beyond_cutoff_is_zero(self, backend):
         s = isolated_pair(backend, "Na", backend.cutoff * 1.5)
-        assert energy_per_atom(backend, s) == 0.0
+        assert backend.energy_per_atom(s) == 0.0
 
     def test_lorentz_berthelot_mixing(self, backend):
         ea, sa = backend.pair_parameters("Na", "Na")
@@ -71,20 +70,20 @@ class TestPairEnergy:
         assert sm == pytest.approx((sa + sb) / 2, rel=1e-12)
 
     def test_supercell_invariance(self, backend, rocksalt):
-        e1 = energy_per_atom(backend, rocksalt)
+        e1 = backend.energy_per_atom(rocksalt)
         doubled = make_structure(
             (11.28, 5.64, 5.64, 90, 90, 90),
             [(site.element,
               ((site.frac_coords[0] + sx) / 2,
                site.frac_coords[1], site.frac_coords[2]))
              for sx in (0, 1) for site in rocksalt.sites])
-        e2 = energy_per_atom(backend, doubled)
+        e2 = backend.energy_per_atom(doubled)
         assert e2 == pytest.approx(e1, abs=1e-12)
 
     def test_unknown_element_rejected(self, backend):
         s = make_structure((8, 8, 8, 90, 90, 90), [("Xe", (0, 0, 0))])
         with pytest.raises(ConfigurationError):
-            energy_per_atom(backend, s)
+            backend.energy_per_atom(s)
 
 
 class TestForces:
@@ -109,8 +108,8 @@ class TestForces:
                             fc[k] += delta / cell
                         sites.append((site.element, tuple(fc)))
                     return make_structure((6.5, 6.5, 6.5, 90, 90, 90), sites)
-                de = (energy_per_atom(backend, shifted(h)) -
-                      energy_per_atom(backend, shifted(-h))) * n / (2 * h)
+                de = (backend.energy_per_atom(shifted(h)) -
+                      backend.energy_per_atom(shifted(-h))) * n / (2 * h)
                 assert forces[i][k] == pytest.approx(-de, rel=1e-4, abs=1e-7)
 
 
@@ -248,13 +247,13 @@ class TestRelax:
     def test_energy_never_increases(self, backend):
         s = isolated_pair(backend, "Na", 3.4)
         relaxed = relax_positions(backend, s, max_steps=50)
-        assert energy_per_atom(backend, relaxed) <= \
-            energy_per_atom(backend, s) + 1e-12
+        assert backend.energy_per_atom(relaxed) <= \
+            backend.energy_per_atom(s) + 1e-12
 
 
 class TestFormationEnergy:
     def test_subtracts_elemental_references(self, backend, rocksalt):
-        e = energy_per_atom(backend, rocksalt)
+        e = backend.energy_per_atom(rocksalt)
         refs = backend.reference_energies
         expected = e - (refs["Na"] + refs["Cl"]) / 2
         assert formation_energy(backend, rocksalt) == \

@@ -169,7 +169,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = GrpoConfig()
         assert (cfg.group_size, cfg.clip_ratio, cfg.kl_coef) == (8, 0.2, 0.001)
-        assert (cfg.gamma, cfg.lam) == (0.98, 0.9)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -99,9 +99,9 @@ class TestConfig:
 
     def test_overrides_win(self, tmp_path, samples_path):
         ini = tmp_path / "run.ini"
-        ini.write_text(f"[run]\nsamples_path = {samples_path}\nseed = 1\n")
-        cfg = load_config(str(ini), overrides={"seed": 9})
-        assert cfg.seed == 9
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\ntimeout_s = 1\n")
+        cfg = load_config(str(ini), overrides={"timeout_s": 9.0})
+        assert cfg.timeout_s == 9.0
 
     def test_unknown_key_rejected(self, tmp_path, samples_path):
         ini = tmp_path / "run.ini"

@@ -1,12 +1,12 @@
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crysalign.structcore import (
+    FLAT_CELL_RATIO,
     Composition,
     CrystalStructure,
     GeometryError,
@@ -20,6 +20,8 @@ from crysalign.structcore import (
     reduced_basis,
     reduced_formula,
 )
+
+from conftest import seeded_skewed_cells
 
 
 def _try_lattice(params):
@@ -63,6 +65,19 @@ class TestLattice:
             with pytest.raises(GeometryError):
                 Lattice(*params)
 
+    def test_numerically_flat_cell_rejected(self):
+        # V/(abc) = 1.3e-8: the angle discriminant is 1.7e-16, so the volume
+        # is rounding noise and the Niggli cell comes out 4 % off in volume.
+        params = (2, 2, 2, 101, 129, 130)
+        with pytest.raises(GeometryError):
+            Lattice(*params)
+        # The bound is on V/(abc) alone: the same angles at any lengths.
+        with pytest.raises(GeometryError):
+            Lattice(20, 3, 7, 101, 129, 130)
+        # V/(abc) = 8.2e-3 stays accepted.
+        lat = Lattice(10, 10, 10, 119.999, 119.999, 119.999)
+        assert lat.volume() / 1000 > FLAT_CELL_RATIO
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_site_rejected(self, bad):
         with pytest.raises(GeometryError):
@@ -103,24 +118,11 @@ class TestDistances:
         Among these 40 cells, a fixed image shell chosen by angle overestimates
         the minimum of two, by up to 1.97x.
         """
-        rng = random.Random(1)
-        checked = 0
-        while checked < 40:
-            try:
-                lat = Lattice(*(rng.uniform(2.0, 8.0) for _ in range(3)),
-                              *(rng.uniform(20.0, 160.0) for _ in range(3)))
-            except GeometryError:
-                continue
-            if lat.volume() <= 4.0:
-                continue
-            sites = tuple(Site("Na", (rng.random(), rng.random(), rng.random()))
-                          for _ in range(rng.randint(1, 3)))
-            s = CrystalStructure(lat, sites)
+        for s in seeded_skewed_cells():
             want = _brute_min_distance(s)
             assert all_pair_min_distance(s) == pytest.approx(want, rel=1e-9)
-            for i, j in itertools.product(range(len(sites)), repeat=2):
+            for i, j in itertools.product(range(s.num_sites), repeat=2):
                 assert min_image_distance(s, i, j) >= want * (1 - 1e-9)
-            checked += 1
 
     def test_nearly_flat_cell_stays_small(self):
         # Long, nearly coplanar cell vectors: one lattice vector, a + b + c,
@@ -180,6 +182,44 @@ class TestNeighbourPairs:
         # offsets are lattice vectors to rounding
         frac = np.linalg.solve(m.T, offset.T).T
         assert np.abs(frac - np.round(frac)).max() < 1e-9
+
+
+def _gram_schmidt(b):
+    """Orthogonalised rows and the coefficients mu[r, q] of ``b``."""
+    ortho = b.astype(float).copy()
+    mu = np.zeros((3, 3))
+    for r in range(3):
+        for q in range(r):
+            mu[r, q] = (b[r] @ ortho[q]) / (ortho[q] @ ortho[q])
+            ortho[r] -= mu[r, q] * ortho[q]
+    return ortho, mu
+
+
+class TestReducedBasis:
+    def test_lll_conditions_on_seeded_cells(self):
+        rng = np.random.default_rng(11)
+        cells = [Lattice(10, 10, 10, 119.999, 119.999, 119.999).matrix()]
+        cells += [s.lattice.matrix() for s in seeded_skewed_cells()]
+        # long, skewed bases of random lattices: unimodular products of
+        # row additions and swaps
+        for _ in range(40):
+            u = np.eye(3, dtype=int)
+            for _ in range(6):
+                a, b = rng.choice(3, size=2, replace=False)
+                u[a] += rng.integers(-3, 4) * u[b]
+                u[[a, b]] = u[[b, a]]
+            cells.append(u @ Lattice(*rng.uniform(2, 9, 3),
+                                     *rng.uniform(60, 120, 3)).matrix())
+        for cell in cells:
+            t = reduced_basis(cell)
+            assert t.dtype.kind == "i"
+            assert round(abs(np.linalg.det(t))) == 1
+            ortho, mu = _gram_schmidt(t @ cell)
+            assert np.abs(mu).max() <= 0.5 + 1e-9
+            for k in (1, 2):
+                assert ortho[k] @ ortho[k] >= (
+                    (0.75 - mu[k, k - 1] ** 2) * (ortho[k - 1] @ ortho[k - 1])
+                    * (1 - 1e-12))
 
 
 class TestNiggli:

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crysalign.structcore import CrystalStructure, Lattice, Site
+from crysalign.structcore import CrystalStructure, Lattice, Site, reduced_basis
 from crysalign.symmetry import (
     DetectionError,
     SymmetryOp,
@@ -461,7 +462,7 @@ def _reduced_cells(rng):
                              *rng.uniform(70.0, 110.0, size=3)).matrix())
     cells.append(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) * a / 2)
     cells.append(np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]]) * a / 2)
-    return [detect._lll_reduce(c) @ c for c in cells]
+    return [reduced_basis(c) @ c for c in cells]
 
 
 # Conventional-from-primitive row matrices of the P, C, I, F and R settings.
@@ -538,6 +539,38 @@ rng = np.random.default_rng(0)
 res = detect_spacegroup(orbit_structure(lattice_for(7, rng), 7, rng))
 print(res.number, repr(res.operations), repr(res.orbits))
 """
+
+
+class TestReducedPrimitiveBasis:
+    def test_detection_basis_is_right_handed(self):
+        """Detection reduces the primitive cell with the shared LLL, which
+        may return a left-handed basis; the basis it searches has det +1."""
+        real_reduce, real_mapper = detect.reduced_basis, detect._Mapper
+        primitive, reduced, signs = [], [], []
+
+        def reducing(cell):
+            u = real_reduce(cell)
+            primitive.append(cell)
+            signs.append(round(np.linalg.det(u)))
+            return u
+
+        class Recording(real_mapper):
+            def __init__(self, cell, *args):
+                if len(reduced) < len(primitive):
+                    reduced.append(cell)
+                super().__init__(cell, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "reduced_basis", reducing)
+            mp.setattr(detect, "_Mapper", Recording)
+            for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
+                detect_spacegroup(s)
+        assert len(reduced) == len(primitive) == 76
+        assert signs.count(-1) >= 5
+        for cell_p, cell_r in zip(primitive, reduced):
+            u = cell_r @ np.linalg.inv(cell_p)
+            assert np.abs(u - np.round(u)).max() < 1e-9
+            assert round(np.linalg.det(np.round(u))) == 1
 
 
 class TestDeterminism:

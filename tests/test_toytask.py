@@ -37,8 +37,7 @@ class TestDecoding:
     def test_energy_table_matches_pointwise(self, task):
         # The cached table must agree with direct decoding.
         ia, iu = 4, 7
-        from crysalign.energetics import energy_per_atom
-        direct = energy_per_atom(task._backend, task.structure((ia, iu)))
+        direct = task._backend.energy_per_atom(task.structure((ia, iu)))
         assert task.energy_table[ia, iu] == pytest.approx(direct, rel=1e-12)
 
     def test_reward_deterministic(self, task):

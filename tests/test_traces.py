@@ -1,6 +1,11 @@
+import itertools
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from crysalign.ciflite import PromptConstraints
+from crysalign.structcore import CrystalStructure, Lattice, Site
 from crysalign.symmetry import detect_spacegroup
 from crysalign.traces import (
     TraceRecord,
@@ -12,6 +17,8 @@ from crysalign.traces import (
     trace_consistency,
 )
 from crysalign.validity import find_oxidation_assignment
+
+from conftest import make_structure, seeded_skewed_cells
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,73 @@ class TestBondStatistics:
         neighbor, n, label = coordination["Na"]
         assert (neighbor, n, label) == ("Cl", 6, "octahedral")
         assert bonds[("Cl", "Na")] == pytest.approx(2.82, abs=1e-9)
+
+
+def _brute_bond_statistics(s, factor=1.1):
+    """``bond_statistics`` by a full search over a wide cube of images."""
+    m = s.lattice.matrix()
+    cart = s.frac_array() @ m
+    elems = s.elements()
+    # Every shell lies within factor * (shortest cell edge) of its site, so
+    # it lies inside this many perpendicular widths, plus one for the
+    # position inside the cell.
+    widths = abs(np.linalg.det(m)) / np.linalg.norm(
+        np.cross(m[[1, 2, 0]], m[[2, 0, 1]]), axis=1)
+    reach = int(np.ceil(factor * min(s.lattice.lengths) / widths.min())) + 2
+    shifts = np.array(list(itertools.product(range(-reach, reach + 1), repeat=3))) @ m
+    coordination, pooled = {}, {}
+    for i, el in enumerate(elems):
+        d = np.linalg.norm(cart[None, :, :] + shifts[:, None, :] - cart[i], axis=-1)
+        nearest = d[d > 1e-9].min()
+        _, js = np.nonzero((d > 1e-9) & (d <= nearest * factor + 1e-9))
+        for j, dist in zip(js, d[(d > 1e-9) & (d <= nearest * factor + 1e-9)]):
+            pooled.setdefault(tuple(sorted((el, elems[j]))), []).append(dist)
+        if el not in coordination:
+            counts = Counter(elems[j] for j in js)
+            main = min(counts, key=lambda e: (-counts[e], e))
+            coordination[el] = (main, len(js))
+    return coordination, {k: float(np.mean(v)) for k, v in pooled.items()}
+
+
+def _shell_oracle_cells():
+    yield from seeded_skewed_cells()
+    # A one-site cell where a fixed 2-shell image range finds four images at
+    # 2.31 A and misses the two at 1.16 A.
+    yield CrystalStructure(Lattice(2.24, 3.44, 7.93, 78.9, 36.2, 43.4),
+                           (Site("Na", (0.0, 0.0, 0.0)),))
+    # A 1 A cube of Na and one Cl far from it: the Cl shell lies beyond the
+    # first search radius (cell edge 10 A), or holds no site at all inside
+    # it (edge 14 A), so the search must widen.
+    for edge in (10.0, 14.0):
+        corners = [("Na", tuple(1.0 / edge * np.array(x)))
+                   for x in itertools.product((0, 1), repeat=3)]
+        yield make_structure((edge, edge, edge, 90, 90, 90),
+                             corners + [("Cl", (0.5, 0.5, 0.5))])
+    rocksalt = [("Na", (0, 0, 0)), ("Na", (0.5, 0.5, 0)), ("Na", (0.5, 0, 0.5)),
+                ("Na", (0, 0.5, 0.5)), ("Cl", (0.5, 0.5, 0.5)), ("Cl", (0, 0, 0.5)),
+                ("Cl", (0, 0.5, 0)), ("Cl", (0.5, 0, 0))]
+    yield make_structure((5.64, 5.64, 5.64, 90, 90, 90), rocksalt)
+    rng = np.random.default_rng(3)
+    yield make_structure(
+        (11.28, 11.28, 11.28, 90, 90, 90),
+        [(el, (np.array(x) + n) / 2 + rng.normal(0, 0.004, 3))
+         for n in itertools.product((0, 1), repeat=3) for el, x in rocksalt])
+    yield make_structure(
+        (9.1, 8.3, 10.2, 77, 101, 95),
+        [(rng.choice(["Na", "Cl", "K"]), rng.random(3)) for _ in range(30)])
+
+
+class TestBondStatisticsOracle:
+    def test_matches_brute_force_shells(self):
+        cells = list(_shell_oracle_cells())
+        assert len(cells) == 46 and cells[-2].num_sites == 64
+        for s in cells:
+            want_coordination, want_bonds = _brute_bond_statistics(s)
+            coordination, bonds = bond_statistics(s)
+            assert {el: c[:2] for el, c in coordination.items()} == want_coordination
+            assert bonds.keys() == want_bonds.keys()
+            for pair, mean in want_bonds.items():
+                assert bonds[pair] == pytest.approx(mean, rel=1e-12, abs=0)
 
 
 class TestSynthesize:
