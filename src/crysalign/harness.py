@@ -1,9 +1,10 @@
 """Batch evaluation pipeline: parse, check, score, aggregate, report.
 
-Samples are processed in two phases mirroring a light/heavy worker split:
-cheap checks (parsing, validity, symmetry, trace consistency) run first,
-then energy and hull distance for the samples that passed parsing. Results
-are gathered by sample index, so output is identical for any worker count.
+Each sample is one task: parse, validity, space-group detection, trace
+consistency, then (for a structurally valid cell) energy and hull distance,
+and the reward. One process pool per batch runs the tasks; results come
+back in sample order, so output is identical for any worker count. The
+batch metrics are computed from the finished rows in this process.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
+from .structcore import CrystalStructure
 from .symmetry import detect_spacegroup
 from .symmetry.groups import signature_index
 
@@ -139,73 +141,80 @@ def _init_worker():
     _WORKER["phases"] = energetics.load_reference_phases()
 
 
-def _light_phase(args) -> dict:
-    """Parse and run the cheap checks; never raises."""
-    index, prompt_text, response_text, prompt_id, symmetry_tol = args
+def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
+    """One sample from parse to reward: the finished row, and the parsed
+    structure for the batch metrics, or ``None`` when the row has no
+    validity report. A failing check becomes the row's status and error."""
+    index, rec, config = args
     if not _WORKER:
         _init_worker()
-    out: dict = {"index": index, "prompt_id": prompt_id, "parse_status": "ok",
-                 "error": ""}
     try:
-        constraints = ciflite.parse_prompt(prompt_text)
-        trace_text, cif_text = ciflite.extract_response_parts(response_text)
+        constraints = ciflite.parse_prompt(rec.prompt_text)
+        trace_text, cif_text = ciflite.extract_response_parts(rec.response_text)
         if cif_text is None:
-            out["parse_status"] = "missing_cif"
-            return out
+            return EvaluationRow(index, rec.prompt_id, "missing_cif"), None
         s = ciflite.parse_ciflite(cif_text)
     except ciflite.ParseError as e:
-        out["parse_status"] = "parse_error"
-        out["error"] = str(e)
-        return out
+        return EvaluationRow(index, rec.prompt_id, "parse_error", error=str(e)), None
     try:
         report = validity.build_report(s, constraints.formula, _WORKER["oxidation"])
-        out["report"] = report
-        out["structure"] = s
-        out["constraints"] = constraints
-        out["formula"] = s.formula
+    except Exception:
+        error = _traceback_line()
+        return EvaluationRow(index, rec.prompt_id, "check_error", error=error), None
+    # Checks after the report: a raise keeps what was found before it.
+    found: dict = {"parse_status": "ok", "error": ""}
+    try:
         try:
-            sym = detect_spacegroup(s, symmetry_tol)
-            out["spacegroup_detected"] = sym.number
+            sym = detect_spacegroup(s, config.symmetry_tol)
+            found["spacegroup_detected"] = sym.number
             if constraints.spacegroup_number is not None:
-                out["spacegroup_match"] = int(
-                    sym.number == constraints.spacegroup_number
-                )
+                found["spacegroup_match"] = int(sym.number == constraints.spacegroup_number)
         except Exception:
             sym = None
-            out["spacegroup_detected"] = None
         if trace_text:
             trace = traces.parse_trace(trace_text)
             if sym is not None:
                 cons = traces.trace_consistency(trace, s, sym)
-                out["site_match"] = int(cons.site_match)
-                out["volume_rel_diff"] = cons.volume_rel_diff
-                out["bond_rel_diff"] = cons.bond_rel_diff
+                found["site_match"] = int(cons.site_match)
+                found["volume_rel_diff"] = cons.volume_rel_diff
+                found["bond_rel_diff"] = cons.bond_rel_diff
     except Exception:
-        out["parse_status"] = "check_error"
-        out["error"] = traceback.format_exc(limit=1).replace("\n", " ")
-    return out
+        found["parse_status"] = "check_error"
+        found["error"] = _traceback_line()
+    e_hull = None
+    if report.structural:
+        e_hull, hull_error = _hull_distance(s, config)
+        found["error"] = found["error"] or hull_error
+    breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
+    row = EvaluationRow(
+        index=index, prompt_id=rec.prompt_id,
+        structural=int(report.structural), chemical=int(report.chemical),
+        composition_match=int(report.composition_match),
+        e_hull=e_hull, r_target=breakdown.r_target, formula=s.formula, **found,
+    )
+    return row, s
 
 
-def _heavy_phase(args) -> dict:
-    """Energy and hull distance; cooperative timeout, never raises."""
-    index, s, relax, timeout_s = args
-    if not _WORKER:
-        _init_worker()
-    out: dict = {"index": index}
-    start = time.monotonic()
+def _traceback_line() -> str:
+    return traceback.format_exc(limit=1).replace("\n", " ")
+
+
+def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None, str]:
+    """Energy above hull, or ``None`` and the reason; the relaxation
+    deadline starts here."""
+    deadline = time.monotonic() + config.timeout_s
     backend = _WORKER["backend"]
     try:
-        if relax:
-            s = energetics.relax_positions(backend, s, deadline=start + timeout_s)
+        if config.relax_before_hull:
+            s = energetics.relax_positions(backend, s, deadline=deadline)
         ef = energetics.formation_energy(backend, s)
         candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
         hull = energetics.energy_above_hull(candidate, list(_WORKER["phases"]))
-        out["e_hull"] = max(hull.e_hull, 0.0)
+        return max(hull.e_hull, 0.0), ""
     except TimeoutError:
-        out["error"] = "timeout"
+        return None, "timeout"
     except Exception as e:
-        out["error"] = f"{type(e).__name__}: {e}"
-    return out
+        return None, f"{type(e).__name__}: {e}"
 
 
 def _pool_map(fn, items, worker_count):
@@ -227,54 +236,12 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
-    light_args = [
-        (i, rec.prompt_text, rec.response_text, rec.prompt_id, config.symmetry_tol)
-        for i, rec in enumerate(samples)
-    ]
-    light = _pool_map(_light_phase, light_args, config.worker_count)
-    light.sort(key=lambda d: d["index"])
-
-    heavy_args = [
-        (d["index"], d["structure"], config.relax_before_hull, config.timeout_s)
-        for d in light if "structure" in d and d["report"].structural
-    ]
-    heavy = _pool_map(_heavy_phase, heavy_args, config.worker_count)
-    heavy_by_index = {d["index"]: d for d in heavy}
-
-    weights = config.weights()
-    rows: list[EvaluationRow] = []
-    structures = []
-    e_hulls: list[float | None] = []
-    for d in light:
-        idx = d["index"]
-        if "report" not in d:
-            rows.append(EvaluationRow(
-                index=idx, prompt_id=d["prompt_id"],
-                parse_status=d["parse_status"], error=d.get("error", ""),
-            ))
-            continue
-        report = d["report"]
-        hv = heavy_by_index.get(idx, {})
-        e_hull = hv.get("e_hull")
-        breakdown = rewards.combined_reward(report, e_hull, weights, config.e0)
-        error = d.get("error", "") or hv.get("error", "")
-        rows.append(EvaluationRow(
-            index=idx, prompt_id=d["prompt_id"], parse_status=d["parse_status"],
-            structural=int(report.structural), chemical=int(report.chemical),
-            composition_match=int(report.composition_match),
-            spacegroup_detected=d.get("spacegroup_detected"),
-            spacegroup_match=d.get("spacegroup_match"),
-            e_hull=e_hull, r_target=breakdown.r_target,
-            site_match=d.get("site_match"),
-            volume_rel_diff=d.get("volume_rel_diff"),
-            bond_rel_diff=d.get("bond_rel_diff"),
-            formula=d.get("formula", ""), error=error,
-        ))
-        structures.append(d["structure"])
-        e_hulls.append(e_hull)
-
-    report = _build_metric_report(rows, structures, e_hulls, reference,
-                                  config.match_config())
+    results = _pool_map(_evaluate_sample,
+                        [(i, rec, config) for i, rec in enumerate(samples)],
+                        config.worker_count)
+    rows = [row for row, _ in results]
+    scored = [(s, row.e_hull) for row, s in results if s is not None]
+    report = _build_metric_report(rows, scored, reference, config.match_config())
     return report, rows
 
 
@@ -289,7 +256,9 @@ def _load_reference(path: str | None):
     return structures
 
 
-def _build_metric_report(rows, structures, e_hulls, reference, match_cfg):
+def _build_metric_report(rows, scored, reference, match_cfg):
+    """Batch metrics; ``scored`` holds (structure, e_hull) for each row that
+    has a validity report."""
     entries = []
 
     def add(name, values):
@@ -308,20 +277,15 @@ def _build_metric_report(rows, structures, e_hulls, reference, match_cfg):
     add("stability_rate", [r.e_hull is not None and energetics.is_stable(r.e_hull)
                            for r in rows])
     add("mean_r_target", [r.r_target for r in rows])
-    if structures:
-        # One clustering pass serves uniqueness and S.U.N.
-        assignment = metrics.cluster_indices(structures, match_cfg)
-        uniq = metrics.uniqueness(structures, match_cfg, assignment=assignment)
-        nov = metrics.novelty(structures, reference, match_cfg) if reference else 1.0
-        sun = metrics.sun_ratio(structures, e_hulls, reference, match_cfg,
-                                assignment=assignment)
-        m = len(structures)
+    m = len(scored)
+    if scored:
+        structures, e_hulls = zip(*scored)
+        uniq, nov, sun = metrics.discovery_rates(list(structures), list(e_hulls),
+                                                 reference, match_cfg)
     else:
         uniq = nov = sun = 0.0
-        m = 0
-    entries.append(metrics.MetricValue("uniqueness", uniq, 0.0, m, low_count=m <= 1))
-    entries.append(metrics.MetricValue("novelty", nov, 0.0, m, low_count=m <= 1))
-    entries.append(metrics.MetricValue("sun_ratio", sun, 0.0, m, low_count=m <= 1))
+    for name, value in (("uniqueness", uniq), ("novelty", nov), ("sun_ratio", sun)):
+        entries.append(metrics.MetricValue(name, value, 0.0, m, low_count=m <= 1))
     return metrics.MetricReport(tuple(entries))
 
 

@@ -73,36 +73,30 @@ def _lattices_agree(a: CrystalStructure, b: CrystalStructure,
 
 def _sites_assign(a: CrystalStructure, b: CrystalStructure,
                   cfg: MatchConfig) -> bool:
-    """Greedy element-preserving assignment after a translation search."""
+    """Greedy element-preserving assignment after a translation search.
+
+    For each translation that takes a's first site onto a same-element site
+    of b, a's sites in order each take the nearest unused same-element site
+    of b (the first on a tie); the cost is the largest wrapped fractional
+    difference over the axes.
+    """
     fa = a.frac_array()
     fb = b.frac_array()
-    ea, eb = a.elements(), b.elements()
-    if sorted(ea) != sorted(eb):
+    if sorted(a.elements()) != sorted(b.elements()):
         return False
-
-    def wrap(d):
-        return d - np.round(d)
-
-    anchor = 0
-    candidates = [j for j, el in enumerate(eb) if el == ea[anchor]]
-    for j in candidates:
-        shift = fb[j] - fa[anchor]
-        used = set()
-        ok = True
-        for i in range(len(ea)):
-            best, best_cost = None, None
-            for k in range(len(eb)):
-                if k in used or eb[k] != ea[i]:
-                    continue
-                cost = float(np.abs(wrap(fa[i] + shift - fb[k])).max())
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = k, cost
-            # A NaN cost compares False both ways: it must not pass as a match.
-            if best is None or not best_cost <= cfg.site_tol:
-                ok = False
+    ea, eb = np.array(a.elements()), np.array(b.elements())
+    other = ea[:, None] != eb[None, :]
+    for j in np.flatnonzero(eb == ea[0]):
+        d = (fa + (fb[j] - fa[0]))[:, None, :] - fb[None, :, :]
+        cost = np.abs(d - np.round(d)).max(axis=2)
+        cost[other] = np.inf
+        for row in cost:
+            k = row.argmin()
+            # argmin returns the first NaN, and a NaN cost fails this test.
+            if not row[k] <= cfg.site_tol:
                 break
-            used.add(best)
-        if ok:
+            cost[:, k] = np.inf
+        else:
             return True
     return False
 
@@ -145,16 +139,33 @@ def cluster_indices(batch: list[CrystalStructure],
     return assignment
 
 
-def uniqueness(batch: list[CrystalStructure],
-               cfg: MatchConfig = MatchConfig(), *,
-               assignment: list[int] | None = None) -> float:
-    """Clusters per structure. ``assignment`` is ``cluster_indices(batch,
-    cfg)`` when the caller already has it."""
+def discovery_rates(batch: list[CrystalStructure],
+                    e_hulls: list[float | None],
+                    reference: list[CrystalStructure],
+                    cfg: MatchConfig = MatchConfig()) -> tuple[float, float, float]:
+    """Uniqueness, novelty and S.U.N. of one batch, from one clustering pass
+    and one novelty test per structure.
+
+    Uniqueness is clusters per structure; novelty the share matching no
+    reference structure; S.U.N. the share that is at once stable, its
+    cluster's representative and novel.
+    """
+    if len(batch) != len(e_hulls):
+        raise ValueError("one e_hull entry per structure required")
     if not batch:
         raise ValueError("batch must be non-empty")
-    if assignment is None:
-        assignment = cluster_indices(batch, cfg)
-    return len(set(assignment)) / len(batch)
+    assignment = cluster_indices(batch, cfg)
+    novel = [is_novel(s, reference, cfg) for s in batch]
+    sun = sum(1 for i, e in enumerate(e_hulls)
+              if e is not None and is_stable(e) and assignment[i] == i and novel[i])
+    n = len(batch)
+    return len(set(assignment)) / n, sum(novel) / n, sun / n
+
+
+def uniqueness(batch: list[CrystalStructure],
+               cfg: MatchConfig = MatchConfig()) -> float:
+    """Clusters per structure."""
+    return discovery_rates(batch, [None] * len(batch), [], cfg)[0]
 
 
 def novelty(batch: list[CrystalStructure],
@@ -178,27 +189,9 @@ def is_novel(s: CrystalStructure, reference: list[CrystalStructure],
 def sun_ratio(batch: list[CrystalStructure],
               e_hulls: list[float | None],
               reference: list[CrystalStructure],
-              cfg: MatchConfig = MatchConfig(), *,
-              assignment: list[int] | None = None) -> float:
-    """Fraction simultaneously stable, unique (cluster representative), novel.
-    ``assignment`` is ``cluster_indices(batch, cfg)`` when the caller already
-    has it."""
-    if len(batch) != len(e_hulls):
-        raise ValueError("one e_hull entry per structure required")
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    if assignment is None:
-        assignment = cluster_indices(batch, cfg)
-    qualifying = 0
-    for i, s in enumerate(batch):
-        if e_hulls[i] is None or not is_stable(e_hulls[i]):
-            continue
-        if assignment[i] != i:
-            continue
-        if not is_novel(s, reference, cfg):
-            continue
-        qualifying += 1
-    return qualifying / len(batch)
+              cfg: MatchConfig = MatchConfig()) -> float:
+    """Fraction simultaneously stable, unique (cluster representative), novel."""
+    return discovery_rates(batch, e_hulls, reference, cfg)[2]
 
 
 def aggregate(values) -> MetricValue:

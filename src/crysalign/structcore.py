@@ -316,29 +316,6 @@ def _pairs(basis: np.ndarray, cart: np.ndarray, radius: float):
 _RADIUS_MARGIN = 1.0 + 1e-9
 
 
-def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:
-    """Minimum Cartesian distance between sites i and j over lattice images.
-
-    For i == j the zero translation is excluded, giving the nearest
-    periodic self-image.
-    """
-    m = s.lattice.matrix()
-    basis = reduced_basis(m) @ m
-    cart = s.frac_array()[[i, j]] @ m
-    # Any one image bounds the nearest: the in-cell one for two sites, the
-    # self-image one shortest basis vector away for one site.
-    if i == j:
-        radius = float(np.linalg.norm(basis, axis=1).min())
-    else:
-        radius = float(np.linalg.norm(cart[1] - cart[0]))
-    a, b, offset = _pairs(basis, cart, _RADIUS_MARGIN * radius)
-    keep = (a == 0) & (b == 1)
-    norms = np.linalg.norm(cart[1] + offset[keep] - cart[0], axis=1)
-    if i == j:
-        norms = norms[norms > 1e-12]
-    return float(norms.min())
-
-
 def all_pair_min_distance(s: CrystalStructure) -> float:
     """Minimum over all site pairs, including periodic self-images."""
     m = s.lattice.matrix()
@@ -394,8 +371,13 @@ def neighbour_shells(
 
 
 def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> Lattice:
-    """Niggli-reduce a cell (Krivy-Gruber steps with stabilized comparisons)."""
+    """Niggli-reduce a cell (Krivy-Gruber steps with stabilized comparisons).
+
+    The steps start from the LLL-reduced basis of the same lattice, so a
+    nearly flat cell does not need more of them than ``max_iter``.
+    """
     m = lattice.matrix()
+    m = reduced_basis(m) @ m
     a = float(m[0] @ m[0])
     b = float(m[1] @ m[1])
     c = float(m[2] @ m[2])

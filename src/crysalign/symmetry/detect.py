@@ -222,12 +222,15 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # detection
 
 
-def _pure_translations(mapper: _Mapper) -> list[np.ndarray]:
+def _pure_translations(mapper: _Mapper) -> tuple[list[np.ndarray], np.ndarray]:
+    """The pure translations, zero first, and the site permutation of each
+    nonzero one (one row each)."""
     idx = mapper.anchor_sites()
     ts = (mapper.frac[idx[1:]] - mapper.frac[idx[0]]) % 1.0
     ws = np.broadcast_to(np.eye(3), (len(ts), 3, 3))
-    fits = mapper.permutations(ws, ts)[:, 0] >= 0
-    return [np.zeros(3)] + list(ts[fits])
+    perms = mapper.permutations(ws, ts)
+    fits = perms[:, 0] >= 0
+    return [np.zeros(3)] + list(ts[fits]), perms[fits]
 
 
 def _primitive_transform(translations: list[np.ndarray]) -> np.ndarray:
@@ -470,7 +473,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     mapper0 = _Mapper(cell0, frac0, elems, tol)
 
     # Primitive cell.
-    translations = _pure_translations(mapper0)
+    translations, translation_perms = _pure_translations(mapper0)
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     cell_p = s_mat @ cell0
@@ -481,20 +484,8 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     cell_r = r_mat @ cell0
 
     frac_r = (frac0 @ np.linalg.inv(r_mat)) % 1.0
-    # Dedupe folded sites.
-    keep: list[int] = []
-    for i in range(len(frac_r)):
-        dup = False
-        for j in keep:
-            if elems[i] == elems[j]:
-                d = frac_r[i] - frac_r[j]
-                d -= np.round(d)
-                if np.linalg.norm(d @ cell_r) < tol:
-                    dup = True
-                    break
-        if dup:
-            continue
-        keep.append(i)
+    # Fold the sites: keep the lowest index of each pure-translation orbit.
+    keep = sorted(o[0] for o in _orbits(len(frac_r), translation_perms))
     if len(keep) * m != len(frac_r):
         raise DetectionError("site folding inconsistent with pure translations")
     frac_prim = frac_r[keep]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crysalign import energetics, harness
+from crysalign import energetics, harness, rewards, validity
 from crysalign.ciflite import write_ciflite
 from crysalign.harness import (
     EXIT_INPUT,
@@ -16,9 +16,9 @@ from crysalign.harness import (
     rows_to_csv,
     run_evaluation,
 )
-from crysalign.structcore import CrystalStructure, Lattice, Site
+from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
 
-from conftest import make_structure, write_jsonl
+from conftest import make_structure, sample_record, write_jsonl
 
 
 def synthetic_samples(n, seed=0):
@@ -68,6 +68,78 @@ class TestMetricReport:
         assert len(calls) == 1
         values = {e.name: e.value for e in report.entries}
         assert values["uniqueness"] == len(set(real(*calls[0]))) / len(calls[0][0])
+
+
+class TestPool:
+    def test_one_pool_per_batch(self, samples_path, monkeypatch):
+        made = []
+
+        class Counting(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        run_evaluation(RunConfig(samples_path=samples_path, worker_count=2,
+                                 relax_before_hull=False))
+        assert len(made) == 1
+
+
+class TestCheckError:
+    def test_raise_after_report_keeps_validity_hull_and_reward(self, rocksalt, tmp_path):
+        """An unbalanced charge equation makes the trace parser raise after
+        the validity report: the row is a check_error that keeps its flags,
+        e_hull, reward and detected space group, and its structure stays in
+        the batch metrics."""
+        trace = "The charge balance is 4*(+1)+4*(+1)=0."
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", rocksalt, "NaCl", trace=trace),
+                           sample_record("p1", rocksalt, "NaCl")])
+        report, rows = run_evaluation(RunConfig(samples_path=str(path),
+                                                relax_before_hull=False))
+        bad, good = rows
+        assert bad.parse_status == "check_error"
+        assert "charge equation" in bad.error
+        assert good.parse_status == "ok" and good.error == ""
+        for name in ("structural", "chemical", "composition_match",
+                     "spacegroup_detected", "e_hull", "r_target", "formula"):
+            assert getattr(bad, name) == getattr(good, name)
+        assert bad.structural == 1 and bad.spacegroup_detected == 225
+        assert bad.e_hull is not None
+        expected = rewards.combined_reward(
+            validity.build_report(rocksalt, Composition.from_formula("NaCl"),
+                                  validity.OxidationTable.load_default()),
+            bad.e_hull, RunConfig(samples_path=str(path)).weights())
+        assert bad.r_target == expected.r_target
+        assert bad.site_match is None and bad.bond_rel_diff is None
+        counts = {e.name: e.count for e in report.entries}
+        assert counts["uniqueness"] == counts["sun_ratio"] == 2
+
+    def test_parse_failures_stay_out_of_metrics(self, rocksalt, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", rocksalt, "NaCl"),
+                           {"prompt_id": "p1", "prompt_text": "NaCl",
+                            "response_text": "no structure"}])
+        report, rows = run_evaluation(RunConfig(samples_path=str(path),
+                                                relax_before_hull=False))
+        assert rows[1].parse_status == "missing_cif"
+        assert {e.name: e.count for e in report.entries}["uniqueness"] == 1
+
+
+class TestNiggliInBatch:
+    def test_nearly_flat_duplicates_do_not_abort(self, tmp_path):
+        """Two copies of a cell whose Niggli reduction from the given basis
+        does not converge: clustering compares them and reduces both."""
+        cif = ("<CIF>P1\n7.266613781226143 10.213196940146627 10.818732977533095\n"
+               "65.22242763560428 54.8024434246217 120.02486993125355\n"
+               "Na 1 0 0 0\nCl 1 0.5 0.5 0.5</CIF>")
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [{"prompt_id": f"p{i}", "prompt_text": "NaCl",
+                            "response_text": cif} for i in range(2)])
+        report, rows = run_evaluation(RunConfig(samples_path=str(path),
+                                                relax_before_hull=False))
+        assert [r.parse_status for r in rows] == ["ok", "ok"]
+        assert {e.name: e.value for e in report.entries}["uniqueness"] == 0.5
 
 
 class TestConfig:
@@ -194,7 +266,7 @@ class TestParseBoundary:
 
 
 class TestTimeout:
-    def test_deadline_holds_inside_relaxation(self, monkeypatch, rocksalt):
+    def test_deadline_holds_inside_relaxation(self, monkeypatch, rocksalt, tmp_path):
         calls = []
         evaluate = energetics.PairKernel.__call__
 
@@ -212,9 +284,12 @@ class TestTimeout:
              for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)
              for site in rocksalt.sites])
         assert s.num_sites == 64
-        out = harness._heavy_phase((0, s, True, 0.0))
-        assert out["error"] == "timeout"
-        assert "e_hull" not in out
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", s, "NaCl")])
+        _, rows = run_evaluation(RunConfig(samples_path=str(path), timeout_s=0.0))
+        assert rows[0].error == "timeout"
+        assert rows[0].e_hull is None
+        assert rows[0].structural == 1
         assert len(calls) <= 1
 
 

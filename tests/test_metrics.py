@@ -11,6 +11,7 @@ from crysalign.metrics import (
     MetricValue,
     aggregate,
     cluster_indices,
+    discovery_rates,
     is_novel,
     novelty,
     structures_match,
@@ -173,17 +174,124 @@ class TestUniqueness:
 
 class TestSharedAssignment:
     def test_same_values_with_assignment(self, cscl, rocksalt, diamond):
+        """``discovery_rates`` against the three definitions written out
+        from one ``cluster_indices`` pass and ``is_novel``."""
         rng = random.Random(11)
         pool = [cscl, rocksalt, diamond, shifted(cscl, (0.1, 0.1, 0.1)),
                 shifted(diamond, (0.25, 0.25, 0.25)), random_structure(rng)]
-        reference = [rocksalt]
         for _ in range(40):
             batch = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             e_hulls = [rng.choice([0.0, 0.02, None]) for _ in batch]
+            reference = rng.choice([[], [rocksalt], [cscl, diamond]])
             assignment = cluster_indices(batch)
-            assert uniqueness(batch, assignment=assignment) == uniqueness(batch)
-            assert (sun_ratio(batch, e_hulls, reference, assignment=assignment)
-                    == sun_ratio(batch, e_hulls, reference))
+            novel = [is_novel(s, reference) for s in batch]
+            sun = [e is not None and e < 0.016 and assignment[i] == i and novel[i]
+                   for i, e in enumerate(e_hulls)]
+            n = len(batch)
+            want = (len(set(assignment)) / n, sum(novel) / n, sum(sun) / n)
+            assert discovery_rates(batch, e_hulls, reference) == want
+            assert uniqueness(batch) == want[0]
+            assert novelty(batch, reference) == want[1]
+            assert sun_ratio(batch, e_hulls, reference) == want[2]
+
+    def test_rejects_empty_and_mismatched(self, cscl):
+        with pytest.raises(ValueError):
+            discovery_rates([], [], [])
+        with pytest.raises(ValueError):
+            discovery_rates([cscl], [0.0, 0.0], [])
+
+
+def loop_sites_assign(a, b, cfg):
+    """The matcher as a per-site loop: the reference for ``_sites_assign``."""
+    fa = a.frac_array()
+    fb = b.frac_array()
+    ea, eb = a.elements(), b.elements()
+    if sorted(ea) != sorted(eb):
+        return False
+
+    def wrap(d):
+        return d - np.round(d)
+
+    for j in [j for j, el in enumerate(eb) if el == ea[0]]:
+        shift = fb[j] - fa[0]
+        used = set()
+        ok = True
+        for i in range(len(ea)):
+            best, best_cost = None, None
+            for k in range(len(eb)):
+                if k in used or eb[k] != ea[i]:
+                    continue
+                cost = float(np.abs(wrap(fa[i] + shift - fb[k])).max())
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = k, cost
+            if best is None or not best_cost <= cfg.site_tol:
+                ok = False
+                break
+            used.add(best)
+        if ok:
+            return True
+    return False
+
+
+class TestSitesAssignOracle:
+    @staticmethod
+    def grid_structure(rng, elements, n):
+        """Sites on an eighth grid, some listed twice: many equal costs."""
+        sites = [(rng.choice(elements), tuple(rng.randrange(8) / 8 for _ in range(3)))
+                 for _ in range(n)]
+        sites += [rng.choice(sites) for _ in range(rng.randint(0, 2))]
+        return make_structure((5.0, 5.0, 5.0, 90, 90, 90), sites)
+
+    @staticmethod
+    def moved(rng, s, step):
+        """Same sites shuffled, translated and nudged by up to ``step``."""
+        delta = [rng.randrange(8) / 8 for _ in range(3)]
+        sites = [Site(site.element,
+                      tuple((c + d + rng.uniform(-step, step)) % 1.0
+                            for c, d in zip(site.frac_coords, delta)))
+                 for site in s.sites]
+        rng.shuffle(sites)
+        return CrystalStructure(s.lattice, tuple(sites))
+
+    def test_matches_loop_on_seeded_batches(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(300):
+            a = self.grid_structure(rng, ["Na", "Cl", "O"], rng.randint(1, 6))
+            b = rng.choice([self.moved(rng, a, rng.choice([0.0, 0.01, 0.05])),
+                            self.grid_structure(rng, ["Na", "Cl", "O"], a.num_sites)])
+            cfg = MatchConfig(site_tol=rng.choice([0.03, 0.125, 0.25, 0.5]))
+            want = loop_sites_assign(a, b, cfg)
+            assert metrics._sites_assign(a, b, cfg) == want
+            assert metrics._sites_assign(b, a, cfg) == loop_sites_assign(b, a, cfg)
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_first_minimum_wins_a_tie(self):
+        # The Na at 0.5 is 0.125 from both Na of b. Taking the first leaves
+        # the Na at 0.625 only the far one when b lists 0.625 first.
+        a = make_structure((5.0, 5.0, 5.0, 90, 90, 90),
+                           [("Cl", (0, 0, 0)), ("Na", (0.5, 0, 0)), ("Na", (0.625, 0, 0))])
+        cfg = MatchConfig(site_tol=0.125)
+        for order, want in (((0.375, 0.625), True), ((0.625, 0.375), False)):
+            b = make_structure((5.0, 5.0, 5.0, 90, 90, 90),
+                               [("Cl", (0, 0, 0))] + [("Na", (x, 0, 0)) for x in order])
+            assert loop_sites_assign(a, b, cfg) is want
+            assert metrics._sites_assign(a, b, cfg) is want
+
+    def test_matches_loop_with_nan_sites(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            a = self.grid_structure(rng, ["Na", "Cl"], rng.randint(2, 5))
+            b = self.moved(rng, a, 0.0)
+            site = rng.choice(b.sites)
+            coords = list(site.frac_coords)
+            coords[rng.randrange(3)] = math.nan
+            # Site rejects non-finite coordinates; set one past that check.
+            object.__setattr__(site, "frac_coords", tuple(coords))
+            for x, y in ((a, b), (b, a), (b, b)):
+                assert not loop_sites_assign(x, y, MatchConfig())
+                assert not metrics._sites_assign(x, y, MatchConfig())
 
 
 class TestNovelty:

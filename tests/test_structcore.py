@@ -14,7 +14,6 @@ from crysalign.structcore import (
     Site,
     all_pair_min_distance,
     cell_matrix,
-    min_image_distance,
     neighbour_pairs,
     niggli_reduce,
     reduced_basis,
@@ -98,11 +97,6 @@ class TestLattice:
 
 
 class TestDistances:
-    def test_rocksalt_nearest_neighbor(self, rocksalt):
-        # Na-Cl contact along a cell edge half-diagonal: a/2.
-        d = min_image_distance(rocksalt, 0, 5)
-        assert d == pytest.approx(5.64 / 2, rel=1e-10)
-
     def test_all_pair_min(self, rocksalt):
         assert all_pair_min_distance(rocksalt) == pytest.approx(2.82, rel=1e-10)
 
@@ -110,7 +104,7 @@ class TestDistances:
         s = CrystalStructure(
             Lattice(10, 10, 10, 90, 90, 90),
             (Site("Na", (0.05, 0.0, 0.0)), Site("Cl", (0.95, 0.0, 0.0))))
-        assert min_image_distance(s, 0, 1) == pytest.approx(1.0, rel=1e-10)
+        assert all_pair_min_distance(s) == pytest.approx(1.0, rel=1e-10)
 
     def test_min_distance_of_seeded_skewed_cells(self):
         """Random cells inside the validity thresholds, against a brute force.
@@ -121,8 +115,6 @@ class TestDistances:
         for s in seeded_skewed_cells():
             want = _brute_min_distance(s)
             assert all_pair_min_distance(s) == pytest.approx(want, rel=1e-9)
-            for i, j in itertools.product(range(s.num_sites), repeat=2):
-                assert min_image_distance(s, i, j) >= want * (1 - 1e-9)
 
     def test_nearly_flat_cell_stays_small(self):
         # Long, nearly coplanar cell vectors: one lattice vector, a + b + c,
@@ -144,7 +136,6 @@ class TestDistances:
         assert shifts(m) > 1e6
         assert shifts(basis) < 5000
         assert all_pair_min_distance(s) == pytest.approx(short / 2, rel=1e-9)
-        assert min_image_distance(s, 1, 1) == pytest.approx(short, rel=1e-9)
 
 
 def _brute_min_distance(s):
