@@ -98,13 +98,10 @@ def _cmd_metrics(args) -> int:
         print("no structures in batch file", file=sys.stderr)
         return harness.EXIT_INPUT
     reference = harness._load_reference(args.reference) if args.reference else []
-    cfg = metrics.MatchConfig()
-    out = {
-        "count": len(structures),
-        "uniqueness": metrics.uniqueness(structures, cfg),
-    }
+    uniq, nov, _ = metrics.discovery_rates(structures, [None] * len(structures), reference)
+    out = {"count": len(structures), "uniqueness": uniq}
     if reference:
-        out["novelty"] = metrics.novelty(structures, reference, cfg)
+        out["novelty"] = nov
     print(json.dumps(out))
     return harness.EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -38,11 +39,7 @@ class CoverageError(ValueError):
 
 
 class RelaxationError(RuntimeError):
-    """Relaxation diverged; carries the last valid structure."""
-
-    def __init__(self, message: str, last_valid: CrystalStructure):
-        self.last_valid = last_valid
-        super().__init__(message)
+    """Relaxation diverged."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,7 @@ class PairPotentialBackend:
         return cls(params, cutoff=cutoff, reference_energies=refs)
 
     @classmethod
+    @lru_cache(maxsize=1)
     def load_default(cls) -> "PairPotentialBackend":
         data = resources.files("crysalign.data")
         return cls.from_text(
@@ -223,33 +221,27 @@ def relax_positions(
     kernel = PairKernel(backend, s, skin=SKIN)
     energy, f = kernel(cart)
     step = 0.05
-
-    def structure() -> CrystalStructure:
-        return s if cart is start else s.with_coords(cart @ inv)
-
     for _ in range(max_steps):
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError("relaxation passed its deadline")
         if not np.all(np.isfinite(f)):
-            raise RelaxationError("non-finite forces", structure())
+            raise RelaxationError("non-finite forces")
         fmax = float(np.abs(f).max()) if f.size else 0.0
         if fmax < force_tol:
-            return structure()
+            break
         if fmax > 1e6:
-            raise RelaxationError("force explosion", structure())
-        accepted = False
+            raise RelaxationError("force explosion")
         for _ in range(30):
             trial_cart = cart + step * f
             trial_energy, trial_f = kernel(trial_cart)
             if trial_energy <= energy:
                 cart, energy, f = trial_cart, trial_energy, trial_f
                 step *= 1.2
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            return structure()
-    return structure()
+        else:
+            break
+    return s if cart is start else s.with_coords(cart @ inv)
 
 
 def formation_energy(backend: PairPotentialBackend, s: CrystalStructure) -> float:
@@ -309,6 +301,7 @@ def is_stable(e_hull: float, threshold: float = STABILITY_THRESHOLD) -> bool:
     return e_hull < threshold
 
 
+@lru_cache(maxsize=1)
 def load_reference_phases() -> tuple[PhaseEntry, ...]:
     """Curated surrogate phase set: label, formula, energy per atom."""
     text = (resources.files("crysalign.data") / "reference_phases.txt").read_text()

@@ -16,7 +16,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
 from .structcore import CrystalStructure
@@ -79,7 +79,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     for section in parser.sections():
         for key, raw in parser.items(section):
             merged[key] = raw
-    casts = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
+    casts = {f.name: f.type for f in fields(RunConfig)}
     kwargs: dict = {}
     for key, raw in merged.items():
         if key not in casts:
@@ -122,32 +122,11 @@ class EvaluationRow:
     error: str = ""
 
 
-_CSV_FIELDS = [
-    "index", "prompt_id", "parse_status", "structural", "chemical",
-    "composition_match", "spacegroup_detected", "spacegroup_match",
-    "e_hull", "r_target", "site_match", "volume_rel_diff", "bond_rel_diff",
-    "formula", "error",
-]
-
-
-# Per-process tables, loaded once; a forked pool worker inherits the
-# parent's, any other worker loads its own on first use.
-_WORKER: dict = {}
-
-
-def _init_worker():
-    _WORKER["oxidation"] = validity.OxidationTable.load_default()
-    _WORKER["backend"] = energetics.PairPotentialBackend.load_default()
-    _WORKER["phases"] = energetics.load_reference_phases()
-
-
 def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
     """One sample from parse to reward: the finished row, and the parsed
     structure for the batch metrics, or ``None`` when the row has no
     validity report. A failing check becomes the row's status and error."""
     index, rec, config = args
-    if not _WORKER:
-        _init_worker()
     try:
         constraints = ciflite.parse_prompt(rec.prompt_text)
         trace_text, cif_text = ciflite.extract_response_parts(rec.response_text)
@@ -157,7 +136,8 @@ def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
     except ciflite.ParseError as e:
         return EvaluationRow(index, rec.prompt_id, "parse_error", error=str(e)), None
     try:
-        report = validity.build_report(s, constraints.formula, _WORKER["oxidation"])
+        report = validity.build_report(s, constraints.formula,
+                                       validity.OxidationTable.load_default())
     except Exception:
         error = _traceback_line()
         return EvaluationRow(index, rec.prompt_id, "check_error", error=error), None
@@ -203,13 +183,13 @@ def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None
     """Energy above hull, or ``None`` and the reason; the relaxation
     deadline starts here."""
     deadline = time.monotonic() + config.timeout_s
-    backend = _WORKER["backend"]
+    backend = energetics.PairPotentialBackend.load_default()
     try:
         if config.relax_before_hull:
             s = energetics.relax_positions(backend, s, deadline=deadline)
         ef = energetics.formation_energy(backend, s)
         candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
-        hull = energetics.energy_above_hull(candidate, list(_WORKER["phases"]))
+        hull = energetics.energy_above_hull(candidate, list(energetics.load_reference_phases()))
         return max(hull.e_hull, 0.0), ""
     except TimeoutError:
         return None, "timeout"
@@ -218,12 +198,14 @@ def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None
 
 
 def _pool_map(fn, items, worker_count):
-    if not _WORKER:
-        _init_worker()
+    # Load the tables (each loader caches its result per process) and, for
+    # a pool, the signature index in this process, so forked workers
+    # inherit them instead of each loading its own.
+    validity.OxidationTable.load_default()
+    energetics.PairPotentialBackend.load_default()
+    energetics.load_reference_phases()
     if worker_count == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # Build the signature index in this process, so forked workers inherit
-    # it with the tables instead of each building its own.
     signature_index()
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (worker_count * 4))))
@@ -263,7 +245,7 @@ def _build_metric_report(rows, scored, reference, match_cfg):
 
     def add(name, values):
         if values:
-            entries.append(metrics.named(metrics.aggregate(values), name))
+            entries.append(replace(metrics.aggregate(values), name=name))
         else:
             entries.append(metrics.MetricValue(name, 0.0, 0.0, 0, low_count=True))
 
@@ -292,10 +274,11 @@ def _build_metric_report(rows, scored, reference, match_cfg):
 def rows_to_csv(rows: list[EvaluationRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    names = [f.name for f in fields(EvaluationRow)]
+    writer.writerow(names)
     for r in rows:
         record = []
-        for name in _CSV_FIELDS:
+        for name in names:
             v = getattr(r, name)
             if v is None:
                 record.append("")

@@ -207,8 +207,3 @@ def aggregate(values) -> MetricValue:
     arr = np.asarray(seq, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MetricValue("", float(arr.mean()), se, n, low_count=(n == 1))
-
-
-def named(metric: MetricValue, name: str) -> MetricValue:
-    return MetricValue(name, metric.value, metric.standard_error,
-                       metric.count, metric.low_count)

@@ -86,8 +86,15 @@ def validity_reward(report: ValidityReport) -> int:
     return int(report.structural) + int(report.chemical) + int(report.composition_match)
 
 
-def _gate(report: ValidityReport) -> int:
-    return int(report.structural and report.chemical and report.composition_match)
+def _gated_stability(report: ValidityReport, e_hull: float | None,
+                     e0: float) -> tuple[int, float | None, tuple[str, ...]]:
+    """The validity gate, R_stability (None when the gate is shut) and the
+    anomalies; a passing report without an e_hull shuts the gate."""
+    if not (report.structural and report.chemical and report.composition_match):
+        return 0, None, ()
+    if e_hull is None:
+        return 0, None, ("missing_e_hull",)
+    return 1, stability_reward(e_hull, e0), ()
 
 
 def combined_reward(
@@ -97,12 +104,7 @@ def combined_reward(
     e0: float = DEFAULT_E0,
 ) -> RewardBreakdown:
     """r_target = alpha_validity * R_validity + alpha_stability * gate * R_stability."""
-    gate = _gate(report)
-    anomalies: tuple[str, ...] = ()
-    if gate and e_hull is None:
-        gate = 0
-        anomalies = ("missing_e_hull",)
-    r_stab = stability_reward(e_hull, e0) if gate else None
+    gate, r_stab, anomalies = _gated_stability(report, e_hull, e0)
     r_target = weights.alpha_validity * validity_reward(report)
     if gate:
         r_target += weights.alpha_stability * r_stab
@@ -153,12 +155,7 @@ def conditioned_reward(
     e0: float = DEFAULT_E0,
 ) -> RewardBreakdown:
     """gate * R_stability + beta * R_property; only stability is gated."""
-    gate = _gate(report)
-    anomalies: tuple[str, ...] = ()
-    if gate and e_hull is None:
-        gate = 0
-        anomalies = ("missing_e_hull",)
-    r_stab = stability_reward(e_hull, e0) if gate else None
+    gate, r_stab, anomalies = _gated_stability(report, e_hull, e0)
     r_prop, per_key = property_reward(ranges, measured, indicators)
     r_target = weights.beta_property * r_prop
     if gate:

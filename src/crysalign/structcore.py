@@ -113,17 +113,14 @@ def _wrap(x: float) -> float:
 
 @dataclass(frozen=True)
 class Site:
-    """One explicit atomic site; count is always 1 for explicit sites."""
+    """One explicit atomic site."""
 
     element: str
     frac_coords: tuple[float, float, float]
-    count: int = 1
 
     def __post_init__(self):
         if self.element not in ELEMENT_SET:
             raise ValueError(f"unknown element symbol {self.element!r}")
-        if self.count != 1:
-            raise ValueError(f"explicit sites must have count 1, got {self.count}")
         if not all(math.isfinite(x) for x in self.frac_coords):
             raise GeometryError(f"fractional coordinates must be finite, got {self.frac_coords}")
         object.__setattr__(

@@ -61,10 +61,6 @@ def _matmul(a, b):
     )
 
 
-def _matvec(a, v):
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
 def close_ops(gens, cap: int = 200) -> list[tuple[tuple, tuple]]:
     """Close generators under composition; translations mod 1 (exact).
 

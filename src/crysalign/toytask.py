@@ -38,20 +38,13 @@ class LatticeTask:
         )
 
     @cached_property
-    def _backend(self) -> energetics.PairPotentialBackend:
-        return energetics.PairPotentialBackend.load_default()
-
-    @cached_property
-    def _table(self) -> validity.OxidationTable:
-        return validity.OxidationTable.load_default()
-
-    @cached_property
     def energy_table(self) -> np.ndarray:
         """Brute-force energy per atom over the full token grid."""
+        backend = energetics.PairPotentialBackend.load_default()
         table = np.zeros((len(A_GRID), len(U_GRID)))
         for i in range(len(A_GRID)):
             for j in range(len(U_GRID)):
-                table[i, j] = self._backend.energy_per_atom(self.structure((i, j)))
+                table[i, j] = backend.energy_per_atom(self.structure((i, j)))
         return table
 
     @cached_property
@@ -63,7 +56,7 @@ class LatticeTask:
     def reward(self, tokens) -> float:
         s = self.structure(tokens)
         target = Composition({self.element_a: 1, self.element_b: 1})
-        report = validity.build_report(s, target, self._table)
+        report = validity.build_report(s, target, validity.OxidationTable.load_default())
         e_hull = None
         if report.structural:
             e = self.energy_table[tokens[0], tokens[1]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,11 @@ def _charge_equation(site_counts: dict[str, int],
     return "+".join(parts) + "=0"
 
 
+def _orbit_counts(s: CrystalStructure, sym) -> dict[str, int]:
+    """Symmetry orbits per element, sorted by element."""
+    return dict(sorted(Counter(s.sites[orbit[0]].element for orbit in sym.orbits).items()))
+
+
 def synthesize_trace(
     s: CrystalStructure,
     props: PromptConstraints,
@@ -132,11 +138,7 @@ def synthesize_trace(
 ) -> tuple[TraceRecord, str]:
     """Render the three-segment report; deterministic for identical inputs."""
     site_counts = dict(sorted(s.composition().counts.items()))
-    orbit_counts: dict[str, int] = {}
-    for orbit in sym.orbits:
-        el = s.sites[orbit[0]].element
-        orbit_counts[el] = orbit_counts.get(el, 0) + 1
-    orbit_counts = dict(sorted(orbit_counts.items()))
+    orbit_counts = _orbit_counts(s, sym)
 
     flags: tuple[str, ...] = ()
     equation = None
@@ -315,13 +317,9 @@ def trace_consistency(
 ) -> TraceConsistency:
     """Score a trace against the structure it claims to describe."""
     actual_counts = dict(s.composition().counts)
-    actual_orbits: dict[str, int] = {}
-    for orbit in sym.orbits:
-        el = s.sites[orbit[0]].element
-        actual_orbits[el] = actual_orbits.get(el, 0) + 1
     site_match = bool(trace.site_counts) and trace.site_counts == actual_counts
     if trace.orbit_counts:
-        site_match = site_match and trace.orbit_counts == actual_orbits
+        site_match = site_match and trace.orbit_counts == _orbit_counts(s, sym)
 
     # Claims are rendered at fixed precision (2 decimals), so the measured
     # side is rounded the same way; a trace that restates its own structure

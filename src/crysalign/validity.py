@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 from .structcore import (
@@ -18,10 +19,6 @@ from .structcore import (
     all_pair_min_distance,
     reduced_formula,
 )
-
-# Exhaustive product enumeration is used up to this many combinations, then a
-# meet-in-the-middle sum search takes over (bounded worst case on big cells).
-ENUMERATION_CAP = 10**7
 
 
 class ConfigurationError(RuntimeError):
@@ -50,6 +47,7 @@ class OxidationTable:
         object.__setattr__(self, "states", dict(self.states))
 
     @classmethod
+    @lru_cache(maxsize=1)
     def load_default(cls) -> "OxidationTable":
         path = resources.files("crysalign.data") / "oxidation_states.txt"
         return cls.from_text(path.read_text(encoding="utf-8"))
@@ -99,30 +97,26 @@ def check_structural(
 
 
 def _neutral_assignment(counts: dict[str, int], state_lists) -> tuple[int, ...] | None:
-    """Search one state per element with zero weighted sum, or None."""
+    """The first combination in ``itertools.product`` order, one state per
+    element, whose weighted sum is zero, or None.
+
+    Meet in the middle: index the right half's sums, keeping the first
+    combination for each, then scan the left half in product order. The
+    first left combination with a match, joined to that right combination,
+    is the product's first neutral combination. The halves combine each
+    state times its element's count; counts are positive, so dividing by
+    the count gives the state back.
+    """
     elements = list(counts)
-    total = 1
-    for el in elements:
-        total *= max(len(state_lists[el]), 1)
-        if not state_lists[el]:
-            return None
-    if total <= ENUMERATION_CAP:
-        for combo in itertools.product(*(state_lists[el] for el in elements)):
-            if sum(counts[el] * st for el, st in zip(elements, combo)) == 0:
-                return combo
-        return None
-    # Meet in the middle: split elements, index left sums, scan right sums.
+    weighted = [[counts[el] * st for st in state_lists[el]] for el in elements]
     half = len(elements) // 2
-    left, right = elements[:half], elements[half:]
-    left_sums: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(*(state_lists[el] for el in left)):
-        left_sums.setdefault(
-            sum(counts[el] * st for el, st in zip(left, combo)), combo
-        )
-    for combo in itertools.product(*(state_lists[el] for el in right)):
-        rsum = sum(counts[el] * st for el, st in zip(right, combo))
-        if -rsum in left_sums:
-            return left_sums[-rsum] + combo
+    right_sums: dict[int, tuple[int, ...]] = {}
+    for combo in itertools.product(*weighted[half:]):
+        right_sums.setdefault(sum(combo), combo)
+    for combo in itertools.product(*weighted[:half]):
+        match = right_sums.get(-sum(combo))
+        if match is not None:
+            return tuple(w // counts[el] for el, w in zip(elements, combo + match))
     return None
 
 

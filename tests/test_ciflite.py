@@ -83,6 +83,13 @@ class TestParse:
             parse_ciflite(text)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("count", ["2", "0", "1.0"])
+    def test_site_count_other_than_one_is_positioned_parse_error(self, count):
+        text = f"<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0\nCl {count} 0.5 0.5 0.5</CIF>"
+        with pytest.raises(ParseError) as err:
+            parse_ciflite(text)
+        assert err.value.line == 5
+
 
 class TestWrite:
     def test_precision(self, cscl):

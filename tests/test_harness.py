@@ -361,3 +361,60 @@ class TestCli:
         from crysalign.cli import main
         assert main(["reward", "--ehull", "1.0"]) == EXIT_OK
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5)
+
+    def _batch_file(self, path, structures):
+        path.write_text("\n".join(write_ciflite(s) for s in structures) + "\n")
+        return str(path)
+
+    def test_metrics_subcommand(self, tmp_path, rocksalt, cscl, hcp_mg, capsys):
+        from crysalign import metrics
+        from crysalign.cli import main
+        batch = [rocksalt, cscl, rocksalt, hcp_mg]
+        path = self._batch_file(tmp_path / "batch.txt", batch)
+        assert main(["metrics", path]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        parsed = harness._load_reference(path)
+        uniq, _, _ = metrics.discovery_rates(parsed, [None] * 4, [])
+        assert out == {"count": 4, "uniqueness": uniq}
+        assert uniq == pytest.approx(0.75)
+
+    def test_metrics_subcommand_with_reference(self, tmp_path, rocksalt, cscl,
+                                               hcp_mg, capsys):
+        from crysalign import metrics
+        from crysalign.cli import main
+        path = self._batch_file(tmp_path / "batch.txt", [rocksalt, cscl, rocksalt, hcp_mg])
+        ref = self._batch_file(tmp_path / "ref.txt", [cscl])
+        assert main(["metrics", path, "--reference", ref]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        parsed = harness._load_reference(path)
+        uniq, nov, _ = metrics.discovery_rates(parsed, [None] * 4,
+                                               harness._load_reference(ref))
+        assert out == {"count": 4, "uniqueness": uniq, "novelty": nov}
+        assert nov == pytest.approx(0.75)
+
+    def test_metrics_subcommand_empty_batch(self, tmp_path):
+        from crysalign.cli import main
+        path = tmp_path / "batch.txt"
+        path.write_text("no structures here\n")
+        assert main(["metrics", str(path)]) == EXIT_INPUT
+
+    def test_hull_subcommand(self, capsys):
+        from crysalign.cli import main
+        assert main(["hull", "--formula", "NaCl", "--energy", "-1.5"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        result = energetics.energy_above_hull(
+            energetics.PhaseEntry(Composition.from_formula("NaCl"), -1.5, "candidate"),
+            list(energetics.load_reference_phases()))
+        assert out == {
+            "e_hull": result.e_hull,
+            "stable": energetics.is_stable(max(result.e_hull, 0.0)),
+            "decomposition": [{"label": p.label, "weight": w}
+                              for p, w in result.decomposition],
+        }
+        assert out["e_hull"] == pytest.approx(0.6)
+        assert out["stable"] is False
+
+    def test_hull_subcommand_uncovered_element(self, capsys):
+        from crysalign.cli import main
+        assert main(["hull", "--formula", "XeF2", "--energy", "-1.0"]) == EXIT_INPUT
+        assert "Xe" in capsys.readouterr().err

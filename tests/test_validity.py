@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,16 @@ def brute_force_neutral(c, table):
         if sum(s * c.counts[el] for s, el in zip(combo, elements)) == 0:
             return True
     return False
+
+
+def first_neutral(c, table):
+    """Product-order oracle: the first combination of the reduced
+    composition's states, in ``itertools.product`` order, that sums to zero."""
+    counts = c.reduced()
+    combos = itertools.product(*(table.states[el] for el in counts))
+    combo = next((combo for combo in combos
+                  if sum(counts[el] * st for el, st in zip(counts, combo)) == 0), None)
+    return None if combo is None else dict(zip(counts, combo))
 
 
 class TestStructural:
@@ -94,6 +105,32 @@ class TestChemical:
             c = Composition({el: rng.randint(1, 4) for el in chosen})
             assert check_chemical(c, oxidation_table) == \
                 brute_force_neutral(c, oxidation_table)
+
+    def test_first_neutral_in_product_order(self, oxidation_table):
+        rng = random.Random(12)
+        elements = sorted(el for el, v in oxidation_table.states.items() if v)
+        for _ in range(2000):
+            chosen = rng.sample(elements, rng.randint(1, 6))
+            c = Composition({el: rng.randint(1, 4) for el in chosen})
+            assert find_oxidation_assignment(c, oxidation_table) == \
+                first_neutral(c, oxidation_table)
+
+    def test_first_neutral_beyond_ten_million_combinations(self, oxidation_table):
+        # 16,588,800 combinations; the earliest states win at every size.
+        c = Composition.from_formula("Br2Cr3N3Os3Re5S2Sb5Se5SnTe5Ti5V2")
+        got = find_oxidation_assignment(c, oxidation_table)
+        assert got == first_neutral(c, oxidation_table)
+        assert {el: got[el] for el in ("Cr", "Os", "Sn", "Ti", "V")} == \
+            {"Cr": 3, "Os": 4, "Sn": -4, "Ti": 2, "V": 4}
+
+    def test_large_unbalanceable_composition_is_fast(self, oxidation_table):
+        # One atom each of twelve multivalent elements: 9,216,000
+        # combinations, none of them neutral.
+        c = Composition({el: 1 for el in ("Mn", "Mo", "Os", "V", "Ru", "Re",
+                                          "U", "Np", "Pu", "Ti", "Cr", "Fe")})
+        start = time.perf_counter()
+        assert find_oxidation_assignment(c, oxidation_table) is None
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCompositionMatch:
