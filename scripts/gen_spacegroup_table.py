@@ -4,7 +4,9 @@
 Decodes the concise (Hall) space-group notation listed in hall_symbols.txt
 into explicit symmetry-operation generators, validates each group by closure,
 and writes src/crysalign/data/spacegroup_generators.txt in
-"rotation | translation" triplet notation (e.g. ``-y,x,z+1/2``).
+"rotation | translation" triplet notation (e.g. ``-y,x,z+1/2``), with each
+group's operation-set signature (``crysalign.symmetry.groups.signature`` of
+the closed group), so the package never closes a group to identify one.
 
 Run from the repository root:
 
@@ -20,6 +22,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SYMBOLS = Path(__file__).resolve().parent / "hall_symbols.txt"
 OUT = ROOT / "src" / "crysalign" / "data" / "spacegroup_generators.txt"
+
+sys.path.insert(0, str(ROOT / "src"))
+from crysalign.symmetry import groups  # noqa: E402
 
 # Translations are held in twelfths so all arithmetic is exact.
 T12 = {
@@ -181,27 +186,6 @@ def parse_hall(symbol: str):
     return gens
 
 
-def close_group(gens, cap=200):
-    """Every element is a word in the generators, so each new op is
-    multiplied by the generators only."""
-    ops = {(I3, (0, 0, 0))}
-    frontier = list(ops)
-    while frontier:
-        new = []
-        for w1, t1 in frontier:
-            for w2, t2 in gens:
-                w = matmul(w1, w2)
-                t = tuple((sum(w1[i][k] * t2[k] for k in range(3)) + t1[i]) % 12
-                          for i in range(3))
-                if (w, t) not in ops:
-                    ops.add((w, t))
-                    new.append((w, t))
-        frontier = new
-        if len(ops) > cap:
-            raise RuntimeError("closure exceeded cap")
-    return ops
-
-
 def op_to_triplet(w, t12):
     names = "xyz"
     parts = []
@@ -239,7 +223,7 @@ def build_table() -> tuple[str, int, int]:
         num = int(num_s)
         hm = hm.split(":")[0]
         gens = parse_hall(hall)
-        ops = close_group(gens)
+        ops = groups.close_ops([(w, tuple(Fraction(x, 12) for x in t)) for w, t in gens])
         # Group axioms: closed (by construction), every W has |det| 1.
         for w, _ in ops:
             det = (w[0][0] * (w[1][1] * w[2][2] - w[1][2] * w[2][1])
@@ -251,11 +235,14 @@ def build_table() -> tuple[str, int, int]:
         if any(w == neg(I3) for w, _ in ops):
             n_centro += 1
         gen_strs = ";".join(op_to_triplet(w, t) for w, t in gens)
-        lines_out.append(f"{num}\t{hm}\t{gen_strs}")
+        sig = groups.format_signature(groups.signature(ops))
+        lines_out.append(f"{num}\t{hm}\t{gen_strs}\t{sig}")
     assert n_centro == 92, n_centro  # textbook count of centrosymmetric groups
     text = (
-        "# Space-group generator table v1.\n"
-        "# number <TAB> hermann-mauguin <TAB> generators (triplet notation, ';'-separated).\n"
+        "# Space-group generator table v2.\n"
+        "# number <TAB> hermann-mauguin <TAB> generators (triplet notation, ';'-separated)\n"
+        "# <TAB> signature of the closed group: centering class and count, then per\n"
+        "# rotation det, trace, axis class and intrinsic translation in twelfths.\n"
         "# Settings: first-listed standard setting per number (unique axis b,\n"
         "# hexagonal axes for rhombohedral groups).\n"
         + "\n".join(lines_out) + "\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .symmetry import detect_spacegroup
 
 
 def _cmd_validate(args) -> int:
-    text = open(args.path, encoding="utf-8").read()
+    text = Path(args.path).read_text(encoding="utf-8")
     table = validity.OxidationTable.load_default()
     target = Composition.from_formula(args.formula) if args.formula else None
     try:
@@ -60,7 +61,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_symmetry(args) -> int:
-    text = open(args.path, encoding="utf-8").read()
+    text = Path(args.path).read_text(encoding="utf-8")
     s = ciflite.parse_ciflite(text)
     result = detect_spacegroup(s, args.tol)
     print(json.dumps({
@@ -75,7 +76,7 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    text = open(args.path, encoding="utf-8").read()
+    text = Path(args.path).read_text(encoding="utf-8")
     trace_text, cif_text = ciflite.extract_response_parts(text)
     if cif_text is None or trace_text is None:
         print("input needs both a trace and a CIF block", file=sys.stderr)

@@ -17,6 +17,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
 from .structcore import CrystalStructure
@@ -231,7 +232,7 @@ def _load_reference(path: str | None):
     if path is None:
         return []
     structures = []
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     for chunk in text.split(ciflite.CIF_CLOSE):
         if ciflite.CIF_OPEN in chunk:
             structures.append(ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE))

@@ -121,8 +121,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Upper bound on the float64 entries of one site-difference broadcast in
-# ``_Mapper.permutations``: candidates are tested in chunks of at most this
-# many, so a large cell's temporaries stay a few times 2 MiB.
+# ``_Mapper.permutations``: the one-site screen and the full blocks each run
+# in chunks of at most this many, so a large cell's temporaries stay a few
+# times 2 MiB.
 MAP_CHUNK = 1 << 18
 
 
@@ -164,12 +165,14 @@ class _Mapper:
             if not len(alive):
                 break
             sites = self.frac[idx]
-            step = max(1, MAP_CHUNK // (3 * len(idx) ** 2))
+            # 3 m floats per candidate in the screen, 3 m m in a full block.
+            step = max(1, MAP_CHUNK // (3 * len(idx)))
+            block = max(1, step // len(idx))
             ok = np.zeros(len(alive), dtype=bool)
             for lo in range(0, len(alive), step):
                 k = alive[lo:lo + step]
                 img = np.matmul(sites, ws[k].transpose(0, 2, 1)) + ts[k][:, None, :]
-                hit = np.arange(len(k))
+                hits = np.arange(len(k))
                 if len(idx) > 1:
                     # A candidate that fails mostly fails on any one site, so
                     # the last site's row alone (m distances, not m * m)
@@ -177,13 +180,15 @@ class _Mapper:
                     # search builds its candidates to map the first anchor
                     # site exactly. (With one site, that row is the block.)
                     near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
-                    hit = hit[near]
-                dist = self._distances(sites, img[hit])
-                image = idx[dist.argmin(axis=2)]
-                ordered = np.sort(image, axis=1)
-                ok[lo + hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
-                                & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
-                perms[k[hit][:, None], idx] = image
+                    hits = hits[near]
+                for b in range(0, len(hits), block):
+                    hit = hits[b:b + block]
+                    dist = self._distances(sites, img[hit])
+                    image = idx[dist.argmin(axis=2)]
+                    ordered = np.sort(image, axis=1)
+                    ok[lo + hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
+                                    & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
+                    perms[k[hit][:, None], idx] = image
             perms[alive[~ok]] = -1
             alive = alive[ok]
         return perms

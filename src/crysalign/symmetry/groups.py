@@ -5,7 +5,9 @@ The signature of an operation set is deliberately origin- and
 setting-independent: centering class, centering order, and the sorted
 multiset of (det, trace, axis-direction class, canonical intrinsic
 translation in integer twelfths) over the coset representatives modulo
-centering translations.
+centering translations. Each group's signature is computed when the table
+is generated (``scripts/gen_spacegroup_table.py``) and stored in it, so no
+group is closed at start-up.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import numpy as np
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+# Entries per memoized parse of table text: the 664 generators of the table
+# are 88 distinct triplets and its 2,609 signature items 32 distinct ones.
+PARSE_CACHE_SIZE = 256
+
 # Entries per memoized rotation invariant. The table's standard settings
 # hold 64 distinct integer rotations and detection in reduced bases meets
 # some dozens more; the bound only stops unusual input from growing the
@@ -28,6 +34,7 @@ ROTATION_CACHE_SIZE = 4096
 _TERM = re.compile(r"([+-]?)(\d*)([xyz])|([+-]?\d+(?:/\d+)?)")
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_triplet(triplet: str) -> tuple[tuple, tuple]:
     """Parse 'x,y+1/2,-z' into (rotation rows, translation Fractions)."""
     rows = []
@@ -218,18 +225,39 @@ def signature(ops) -> tuple:
     return (cclass, m, tuple(sorted(items)))
 
 
+def format_signature(sig: tuple) -> str:
+    """The table's text form of a signature: centering class and count,
+    then det, trace, axis class and twelfths per representative, e.g.
+    ``P1 +1+3-000 -1-3-000``."""
+    cclass, m, items = sig
+    return " ".join([f"{cclass}{m}"] + [
+        f"{det:+d}{trace:+d}{axis}" + "".join(str(t) for t in twelfths)
+        for det, trace, axis, twelfths in items])
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _signature_item(tok: str) -> tuple:
+    return (int(tok[0:2]), int(tok[2:4]), tok[4], (int(tok[5]), int(tok[6]), int(tok[7])))
+
+
+def parse_signature(text: str) -> tuple:
+    """Inverse of ``format_signature``."""
+    head, *items = text.split()
+    return (head[0], int(head[1:]), tuple(map(_signature_item, items)))
+
+
 @lru_cache(maxsize=1)
-def load_group_table() -> dict[int, tuple[str, tuple]]:
-    """number -> (Hermann-Mauguin symbol, generator ops)."""
+def load_group_table() -> dict[int, tuple[str, tuple, tuple]]:
+    """number -> (Hermann-Mauguin symbol, generator ops, signature)."""
     path = resources.files("crysalign.data") / "spacegroup_generators.txt"
-    table: dict[int, tuple[str, tuple]] = {}
+    table: dict[int, tuple[str, tuple, tuple]] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        num_s, hm, gens_s = line.split("\t")
+        num_s, hm, gens_s, sig_s = line.split("\t")
         gens = tuple(parse_triplet(g) for g in gens_s.split(";"))
-        table[int(num_s)] = (hm, gens)
+        table[int(num_s)] = (hm, gens, parse_signature(sig_s))
     if len(table) != 230:
         raise RuntimeError(f"group table has {len(table)} entries, expected 230")
     return table
@@ -239,12 +267,10 @@ def load_group_table() -> dict[int, tuple[str, tuple]]:
 def signature_index() -> dict[tuple, tuple[int, ...]]:
     """signature -> sorted space-group numbers sharing it."""
     index: dict[tuple, list[int]] = {}
-    for num, (_, gens) in load_group_table().items():
-        ops = close_ops(gens)
-        index.setdefault(signature(ops), []).append(num)
+    for num, (_, _, sig) in load_group_table().items():
+        index.setdefault(sig, []).append(num)
     return {sig: tuple(sorted(nums)) for sig, nums in index.items()}
 
 
 def group_order(num: int) -> int:
-    _, gens = load_group_table()[num]
-    return len(close_ops(gens))
+    return len(close_ops(load_group_table()[num][1]))

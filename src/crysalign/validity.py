@@ -8,7 +8,6 @@ invalid structure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -100,24 +99,28 @@ def _neutral_assignment(counts: dict[str, int], state_lists) -> tuple[int, ...] 
     """The first combination in ``itertools.product`` order, one state per
     element, whose weighted sum is zero, or None.
 
-    Meet in the middle: index the right half's sums, keeping the first
-    combination for each, then scan the left half in product order. The
-    first left combination with a match, joined to that right combination,
-    is the product's first neutral combination. The halves combine each
-    state times its element's count; counts are positive, so dividing by
-    the count gives the state back.
+    ``reach[i]`` holds every sum the elements from ``i`` on can make, each
+    state times its element's count. Walking the elements in order and
+    taking, for each, its first state whose remainder the next suffix can
+    reach gives the product's first neutral combination. The sets span at
+    most the range of the sums, so the work grows with the element count
+    and the counts, not with the number of combinations.
     """
     elements = list(counts)
-    weighted = [[counts[el] * st for st in state_lists[el]] for el in elements]
-    half = len(elements) // 2
-    right_sums: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(*weighted[half:]):
-        right_sums.setdefault(sum(combo), combo)
-    for combo in itertools.product(*weighted[:half]):
-        match = right_sums.get(-sum(combo))
-        if match is not None:
-            return tuple(w // counts[el] for el, w in zip(elements, combo + match))
-    return None
+    reach = [{0}]
+    for el in reversed(elements):
+        reach.append({counts[el] * st + rest
+                      for st in state_lists[el] for rest in reach[-1]})
+    reach.reverse()
+    if 0 not in reach[0]:
+        return None
+    need = 0
+    combo = []
+    for el, rest in zip(elements, reach[1:]):
+        st = next(st for st in state_lists[el] if need - counts[el] * st in rest)
+        combo.append(st)
+        need -= counts[el] * st
+    return tuple(combo)
 
 
 def find_oxidation_assignment(

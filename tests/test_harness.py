@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import warnings
 
 import pytest
 
@@ -391,6 +393,18 @@ class TestCli:
                                                harness._load_reference(ref))
         assert out == {"count": 4, "uniqueness": uniq, "novelty": nov}
         assert nov == pytest.approx(0.75)
+
+    def test_readers_close_their_files(self, tmp_path, rocksalt, capsys):
+        from crysalign.cli import main
+        path = self._batch_file(tmp_path / "one.txt", [rocksalt])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(harness._load_reference(path)) == 1
+            for command in ("validate", "symmetry", "trace"):
+                main([command, path])
+            gc.collect()
+        capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_metrics_subcommand_empty_batch(self, tmp_path):
         from crysalign.cli import main

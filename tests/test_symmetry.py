@@ -210,7 +210,7 @@ class TestGroupTable:
     @pytest.fixture(scope="class")
     def closed(self):
         return {num: groups.close_ops(gens)
-                for num, (_, gens) in groups.load_group_table().items()}
+                for num, (_, gens, _) in groups.load_group_table().items()}
 
     def test_every_group_is_a_group(self, closed):
         ident = _op_codes(np.eye(3, dtype=int)[None], np.zeros((1, 3), dtype=int))[0]
@@ -253,6 +253,34 @@ class TestGroupTable:
             (152, 154), (169, 170), (171, 172), (178, 179), (180, 181),
             (197, 199), (212, 213)]
         assert sorted(n for nums in index.values() for n in nums) == list(range(1, 231))
+
+    def test_stored_signatures_match_the_closed_groups(self, closed):
+        index: dict[tuple, list[int]] = {}
+        for num, ops in closed.items():
+            index.setdefault(groups.signature(ops), []).append(num)
+        assert groups.signature_index() == {sig: tuple(nums) for sig, nums in index.items()}
+
+    def test_setup_closes_no_group(self):
+        # The benchmark's cold start (tables plus signature index), with
+        # every call of close_ops counted.
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crysalign import energetics, harness, validity
+from crysalign.symmetry import groups
+calls = []
+close_ops = groups.close_ops
+groups.close_ops = lambda *a, **k: calls.append(1) or close_ops(*a, **k)
+validity.OxidationTable.load_default()
+energetics.PairPotentialBackend.load_default()
+energetics.load_reference_phases()
+groups.signature_index()
+harness._pool_map(len, ["a", "b"], 2)
+print(len(calls))
+"""
+        out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
     def test_committed_table_is_generated(self):
         text, n_groups, n_centro = _table_script().build_table()
@@ -373,6 +401,22 @@ class TestVectorizedSearch:
                 matched += (want[:, 0] >= 0).sum()
                 unmatched += (want[:, 0] < 0).sum()
         assert matched and unmatched
+
+    def test_large_cell_screens_in_few_chunks(self, monkeypatch):
+        # 200 sites of one element: a full block is 120,000 floats per
+        # candidate, the one-site screen only 600.
+        rng = np.random.default_rng(0)
+        s = CrystalStructure(Lattice(15, 15, 15, 90, 90, 90),
+                             tuple(Site("Si", tuple(p)) for p in rng.random((200, 3))))
+        calls = []
+        distances = detect._Mapper._distances
+        monkeypatch.setattr(detect._Mapper, "_distances",
+                            lambda self, *a: calls.append(1) or distances(self, *a))
+        res = detect_spacegroup(s)
+        assert len(calls) <= 100
+        monkeypatch.setattr(detect, "MAP_CHUNK", 1)
+        assert detect_spacegroup(s) == res
+        assert res.number == 1 and len(res.orbits) == 200
 
     @pytest.mark.parametrize("chunk", [1, 200, 1000, detect.MAP_CHUNK])
     def test_permutations_match_loop_on_edge_cases(self, monkeypatch, chunk):
@@ -658,7 +702,7 @@ class TestGenericOrbits:
 
     def test_integer_signature_partitions_like_fractions(self, detected):
         _, op_sets = detected
-        closed = [groups.close_ops(gens) for _, gens in groups.load_group_table().values()]
+        closed = [groups.close_ops(gens) for _, gens, _ in groups.load_group_table().values()]
         forward, backward = {}, {}
         for ops in closed + op_sets:
             old, new = _signature_fractions(ops), groups.signature(ops)

@@ -132,6 +132,16 @@ class TestChemical:
         assert find_oxidation_assignment(c, oxidation_table) is None
         assert time.perf_counter() - start < 2.0
 
+    def test_twenty_four_unbalanceable_elements_are_fast(self, oxidation_table):
+        # One atom each of 24 multivalent elements: 84,934,656,000
+        # combinations, none of them neutral.
+        c = Composition({el: 1 for el in (
+            "Au", "Bi", "Ce", "Co", "Cr", "Cu", "Eu", "Fe", "Hg", "In", "Ir", "Md",
+            "Mn", "Mo", "Np", "Os", "Pu", "Re", "Ru", "Ti", "U", "V", "W", "Xe")})
+        start = time.perf_counter()
+        assert find_oxidation_assignment(c, oxidation_table) is None
+        assert time.perf_counter() - start < 0.05
+
 
 class TestCompositionMatch:
     def test_reduced_formula_equality(self):
