@@ -171,13 +171,13 @@ class PairKernel:
         at_cut = self._sig / backend.cutoff
         self._shift = 4.0 * self._eps * (at_cut ** 12 - at_cut ** 6)
         self._kind = np.array([species.index(el) for el in elements])
-        self._cell = s.lattice.matrix()
+        self._lattice = s.lattice
         self._cutoff = backend.cutoff
         self._skin = skin
         self._build(_cartesian(s))
 
     def _build(self, cart: np.ndarray) -> None:
-        i, j, offset = neighbour_pairs(self._cell, cart, self._cutoff + self._skin)
+        i, j, offset = neighbour_pairs(self._lattice, cart, self._cutoff + self._skin)
         a, b = self._kind[i], self._kind[j]
         self._pairs = (i, j, offset, self._eps[a, b], self._sig[a, b], self._shift[a, b])
         self._built_at = cart.copy()
@@ -257,12 +257,26 @@ def formation_energy(backend: PairPotentialBackend, s: CrystalStructure) -> floa
 
 
 def energy_above_hull(candidate: PhaseEntry, refs: list[PhaseEntry]) -> HullResult:
-    """Hull distance by LP over convex combinations of reference phases.
+    """Hull distance: the candidate's energy less ``hull_energy`` at its
+    composition."""
+    fractions = tuple(candidate.composition.fractions().items())
+    fun, decomposition = hull_energy(fractions, tuple(refs))
+    return HullResult(e_hull=candidate.energy_per_atom - fun, decomposition=decomposition)
+
+
+@lru_cache(maxsize=None)
+def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry, ...]
+                ) -> tuple[float, tuple[tuple[PhaseEntry, float], ...]]:
+    """Hull energy per atom at the atomic ``fractions`` (sorted by element)
+    and its decomposition, by LP over convex combinations of ``refs``.
 
     minimize sum w_i E_i subject to sum w_i x_i,e = x_cand,e and w >= 0;
     the weights then sum to 1 automatically because atomic fractions do.
+    Memoized on both arguments, since the LP depends on nothing else; a
+    raise is not memoized. ``harness.run_evaluation`` clears the memo at
+    the start of each batch.
     """
-    target = candidate.composition.fractions()
+    target = dict(fractions)
     elements = sorted(target)
     usable = [r for r in refs
               if set(r.composition.fractions()) <= set(elements)]
@@ -282,7 +296,6 @@ def energy_above_hull(candidate: PhaseEntry, refs: list[PhaseEntry]) -> HullResu
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise CoverageError(tuple(elements))
-    e_hull = candidate.energy_per_atom - float(res.fun)
     decomposition = tuple(
         (r, float(w)) for r, w in zip(usable, res.x) if w > 1e-12
     )
@@ -292,7 +305,7 @@ def energy_above_hull(candidate: PhaseEntry, refs: list[PhaseEntry]) -> HullResu
         recon += w * np.array([fr.get(e, 0.0) for e in elements])
     if np.abs(recon - b_eq).max() > 1e-9:
         raise RuntimeError("hull decomposition does not reproduce composition")
-    return HullResult(e_hull=e_hull, decomposition=decomposition)
+    return float(res.fun), decomposition
 
 
 def is_stable(e_hull: float, threshold: float = STABILITY_THRESHOLD) -> bool:

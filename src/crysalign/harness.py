@@ -219,6 +219,7 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
+    energetics.hull_energy.cache_clear()
     results = _pool_map(_evaluate_sample,
                         [(i, rec, config) for i, rec in enumerate(samples)],
                         config.worker_count)

@@ -80,11 +80,12 @@ def _sites_assign(a: CrystalStructure, b: CrystalStructure,
     of b (the first on a tie); the cost is the largest wrapped fractional
     difference over the axes.
     """
+    # Equal formulas and site counts: the same element multiset.
+    if a.formula != b.formula or a.num_sites != b.num_sites:
+        return False
     fa = a.frac_array()
     fb = b.frac_array()
-    if sorted(a.elements()) != sorted(b.elements()):
-        return False
-    ea, eb = np.array(a.elements()), np.array(b.elements())
+    ea, eb = a.species, b.species
     other = ea[:, None] != eb[None, :]
     for j in np.flatnonzero(eb == ea[0]):
         d = (fa + (fb[j] - fa[0]))[:, None, :] - fb[None, :, :]

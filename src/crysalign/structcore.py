@@ -79,6 +79,15 @@ class Lattice:
     def matrix(self) -> np.ndarray:
         return cell_matrix(self)
 
+    @cached_property
+    def reduced_matrix(self) -> np.ndarray:
+        """``reduced_basis(m) @ m`` for the cell matrix ``m``, computed once
+        per lattice; read-only."""
+        m = self.matrix()
+        basis = reduced_basis(m) @ m
+        basis.setflags(write=False)
+        return basis
+
     def volume(self) -> float:
         al, be, ga = (math.radians(x) for x in self.angles)
         ca, cb, cg = math.cos(al), math.cos(be), math.cos(ga)
@@ -154,6 +163,18 @@ class CrystalStructure:
     def formula(self) -> str:
         """``reduced_formula(self.composition())``, computed once per structure."""
         return reduced_formula(self.composition())
+
+    @cached_property
+    def min_distance(self) -> float:
+        """``all_pair_min_distance(self)``, computed once per structure."""
+        return all_pair_min_distance(self)
+
+    @cached_property
+    def species(self) -> np.ndarray:
+        """``np.array(self.elements())``, built once per structure; read-only."""
+        species = np.array(self.elements())
+        species.setflags(write=False)
+        return species
 
     def frac_array(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
@@ -269,7 +290,7 @@ def reduced_basis(cell: np.ndarray) -> np.ndarray:
 
 
 def neighbour_pairs(
-    cell: np.ndarray, cart: np.ndarray, radius: float
+    lattice: Lattice, cart: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every periodic pair within ``radius``: index arrays i, j and offsets.
 
@@ -278,16 +299,12 @@ def neighbour_pairs(
     vector. The list is full: it holds (j, i, -offset) with each
     (i, j, offset), and (i, i, 0) for every site. Positions may lie
     outside the cell.
+
+    The search runs over ``lattice.reduced_matrix``, so memory grows with
+    the number of pairs and of image points near the cell, never with
+    n * n * images.
     """
-    return _pairs(reduced_basis(cell) @ cell, cart, radius)
-
-
-def _pairs(basis: np.ndarray, cart: np.ndarray, radius: float):
-    """``neighbour_pairs`` over a basis that is already reduced.
-
-    Memory grows with the number of pairs and of image points near the
-    cell, never with n * n * images.
-    """
+    basis = lattice.reduced_matrix
     inv = np.linalg.inv(basis)
     frac = cart @ inv
     whole = np.floor(frac)
@@ -316,11 +333,10 @@ _RADIUS_MARGIN = 1.0 + 1e-9
 def all_pair_min_distance(s: CrystalStructure) -> float:
     """Minimum over all site pairs, including periodic self-images."""
     m = s.lattice.matrix()
-    basis = reduced_basis(m) @ m
     cart = s.frac_array() @ m
     # A self-image one shortest basis vector away bounds the minimum.
-    radius = _RADIUS_MARGIN * float(np.linalg.norm(basis, axis=1).min())
-    i, j, offset = _pairs(basis, cart, radius)
+    radius = _RADIUS_MARGIN * float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
+    i, j, offset = neighbour_pairs(s.lattice, cart, radius)
     norms = np.linalg.norm(cart[j] + offset - cart[i], axis=1)
     # Only a site's pair with itself at zero offset is left out: two sites
     # listed at the same point are 0 apart.
@@ -338,19 +354,19 @@ def neighbour_shells(
     Rows run by i, then j, then the image's integer shift in the cell basis.
     """
     m = s.lattice.matrix()
-    basis = reduced_basis(m) @ m
     cart = s.frac_array() @ m
     n = len(cart)
     # A self-image one shortest basis vector away bounds every site's
     # nearest distance, so a search this wide holds every shell.
-    cap = _RADIUS_MARGIN * (factor * float(np.linalg.norm(basis, axis=1).min()) + 1e-9)
+    shortest = float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
+    cap = _RADIUS_MARGIN * (factor * shortest + 1e-9)
     # Start at 1.5 mean site spacings, which holds the whole shell of most
     # dense cells; widen until every site's nearest neighbour is inside,
     # then, if need be, out to the widest shell.
     radius = min(1.5 * (s.volume() / n) ** (1.0 / 3.0), cap)
     inv = np.linalg.inv(m)
     while True:
-        i, j, offset = _pairs(basis, cart, radius)
+        i, j, offset = neighbour_pairs(s.lattice, cart, radius)
         # Distances from integer shifts of the cell itself, so that neither
         # they nor the row order depend on the reduced basis.
         shift = np.round(offset @ inv)
@@ -373,8 +389,7 @@ def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> 
     The steps start from the LLL-reduced basis of the same lattice, so a
     nearly flat cell does not need more of them than ``max_iter``.
     """
-    m = lattice.matrix()
-    m = reduced_basis(m) @ m
+    m = lattice.reduced_matrix
     a = float(m[0] @ m[0])
     b = float(m[1] @ m[1])
     c = float(m[2] @ m[2])

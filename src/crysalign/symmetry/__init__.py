@@ -6,7 +6,6 @@ from .detect import (
     SymmetryOp,
     crystal_system,
     detect_spacegroup,
-    site_orbits,
 )
 from .groups import group_order, load_group_table
 
@@ -16,7 +15,6 @@ __all__ = [
     "SymmetryOp",
     "crystal_system",
     "detect_spacegroup",
-    "site_orbits",
     "group_order",
     "load_group_table",
 ]

@@ -4,8 +4,9 @@ Pipeline: find pure translations and fold to the primitive cell; reduce the
 primitive basis; enumerate integer rotations preserving the metric; search
 translations mapping the site set onto itself; build a conventional cell
 from the rotation axes; identify the group by matching the operation-set
-signature against the embedded table; lift the operations back to the
-input cell.
+signature against the embedded table; expand the primitive orbits to the
+input cell through the pure translations. The operations in the input cell
+(the lift) are computed only when ``SpacegroupResult.operations`` is read.
 
 Each search stage (pure translations, rotations, the lift) tests all of its
 candidate operations in one batch (``_Mapper.permutations``), with the same
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,10 +54,17 @@ class SpacegroupResult:
     number: int
     symbol: str
     crystal_system: str
-    operations: tuple[SymmetryOp, ...]
     orbits: tuple[tuple[int, ...], ...]
     ambiguous: bool
     tol: float
+    # Returns (operations, orbits) in the input cell; see ``_lift``.
+    lift: Callable[[], tuple] = field(compare=False, repr=False)
+
+    @cached_property
+    def operations(self) -> tuple[SymmetryOp, ...]:
+        """The operations that map the input cell onto itself, lifted on
+        first access."""
+        return self.lift()[0]
 
 
 def crystal_system(number: int) -> str:
@@ -149,10 +159,15 @@ class _Mapper:
     def _distances(self, sites: np.ndarray, img: np.ndarray) -> np.ndarray:
         """Cartesian distance from each image ``img[c, i]`` to each of
         ``sites``, wrapped to the nearest periodic copy: shape (c, i, site)."""
-        d = sites - img[:, :, None, :]
+        return self._gaps(sites, img[:, :, None, :])
+
+    def _gaps(self, targets: np.ndarray, img: np.ndarray) -> np.ndarray:
+        """Cartesian distance from each image to its own target site,
+        wrapped to the nearest periodic copy."""
+        d = targets - img
         d -= d.round()
         x = d @ self.cell
-        return np.sqrt((x * x).sum(axis=3))
+        return np.sqrt((x * x).sum(axis=-1))
 
     def permutations(self, ws: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """One row per candidate ``(ws[k], ts[k])``: site i goes to the
@@ -194,11 +209,17 @@ class _Mapper:
         return perms
 
 
-def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _orbits(n: int, perms: np.ndarray, least: int = 1) -> tuple[tuple[int, ...], ...]:
     """Orbits of the indices 0..n-1 under the permutations (rows of
     ``perms``), each sorted, ordered by the root that union-find leaves for
-    it."""
+    it.
+
+    ``least`` is at most the number of orbits all the rows leave. Once that
+    many are left, no later row joins two of them or moves a root, so the
+    rest are skipped.
+    """
     parent = list(range(n))
+    left = n
     seen = set()
 
     def find(i):
@@ -208,6 +229,8 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
         return i
 
     for perm in perms:
+        if left <= least:
+            break
         key = perm.tobytes()
         # A repeated permutation would union nothing new.
         if key in seen:
@@ -217,10 +240,67 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[rj] = ri
+                left -= 1
     orbit_map: dict[int, list[int]] = {}
     for i in range(n):
         orbit_map.setdefault(find(i), []).append(i)
     return tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+
+
+def _lift(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray):
+    """The candidates ``(ws[k], ts[k])`` that map the site set of ``mapper``
+    onto itself, as operations, and the orbits of their permutations."""
+    perms = mapper.permutations(ws * 1.0, ts)
+    mapped = perms[:, 0] >= 0
+    ops = tuple(SymmetryOp(tuple(map(tuple, w)), tuple(t))
+                for w, t in zip(ws[mapped].tolist(), ts[mapped].tolist()))
+    return ops, _orbits(len(mapper.frac), perms[mapped])
+
+
+def _expanded_orbits(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray,
+                     prim_perms: np.ndarray, translation_perms: np.ndarray,
+                     keep: list[int], min_distance: float):
+    """The orbits ``_lift(mapper, ws, ts)`` gives, in its order, built from
+    the primitive permutations; ``None`` where they could differ.
+
+    The lift's candidates come in runs, one run per primitive operation
+    (row of ``prim_perms``) and one candidate per pure translation. Input
+    site ``members[k, q]`` is primitive site ``q`` moved by pure
+    translation ``k``. In the first row of a run each site goes to the
+    member of its primitive image's class nearest its image; row ``k`` is
+    that row followed by pure translation ``k``. If every site lies within
+    ``tol`` of its image and no two sites lie within ``2 tol`` of each
+    other, every other site is farther than ``tol`` from that image, so
+    each row is the one the mapper finds. Union-find over the rows can then
+    stop at the number of primitive orbits, which no row goes below.
+    """
+    tol = mapper.tol
+    if not min_distance > 2.0 * tol:
+        return None
+    frac = mapper.frac
+    n, m = len(frac), len(translation_perms) + 1
+    shifts = np.concatenate([np.arange(n)[None, :], translation_perms])
+    members = shifts[:, keep]
+    if not np.array_equal(np.sort(members, axis=None), np.arange(n)):
+        return None
+    prim_of = np.empty(n, dtype=int)
+    prim_of[members] = np.arange(len(keep))
+    rows = np.empty((len(ws), n), dtype=int)
+    step = max(1, MAP_CHUNK // (3 * n * m))
+    for lo in range(0, len(prim_perms), step):
+        k = slice(lo * m, (lo + step) * m)
+        img = np.matmul(frac, ws[k].transpose(0, 2, 1) * 1.0) + ts[k][:, None, :]
+        cand = members[:, prim_perms[lo:lo + step][:, prim_of]]
+        near = mapper._gaps(frac[cand], img[None, ::m]).argmin(axis=0)
+        image = np.take_along_axis(cand, near[None], axis=0)[0]
+        rows[k] = shifts[:, image].transpose(1, 0, 2).reshape(-1, n)
+        if not (mapper._gaps(frac[rows[k]], img) < tol).all():
+            return None
+    if not (np.sort(rows, axis=1) == np.arange(n)).all():
+        return None
+    orbits = _orbits(len(keep), prim_perms)
+    # With no pure translation the rows are the primitive permutations.
+    return orbits if m == 1 else _orbits(n, rows, len(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +584,13 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     rots = np.array(_candidate_rotations(cell_r, tol)).reshape(-1, 3, 3)
     x0 = frac_prim[int(anchor_sites[0])]
     ts = (frac_prim[anchor_sites] - np.matmul(rots, x0)[:, None, :]) % 1.0
-    fits = mapper.permutations(np.repeat(rots, len(anchor_sites), axis=0),
-                               ts.reshape(-1, 3))[:, 0] >= 0
-    fits = fits.reshape(len(rots), len(anchor_sites))
+    perms = mapper.permutations(np.repeat(rots, len(anchor_sites), axis=0),
+                                ts.reshape(-1, 3)).reshape(len(rots), len(anchor_sites), -1)
+    fits = perms[:, :, 0] >= 0
     first = fits.argmax(axis=1)
-    ops: list[tuple[np.ndarray, np.ndarray]] = [
-        (rots[r], ts[r, first[r]]) for r in np.flatnonzero(fits.any(axis=1))]
+    accepted = np.flatnonzero(fits.any(axis=1))
+    ops: list[tuple[np.ndarray, np.ndarray]] = [(rots[r], ts[r, first[r]]) for r in accepted]
+    prim_perms = perms[accepted, first[accepted]]
     if not fits[(rots == np.eye(3, dtype=int)).all(axis=(1, 2))].any():
         raise DetectionError("identity operation missing")
 
@@ -541,9 +622,8 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         ambiguous = True
     symbol = load_group_table()[number][0]
 
-    # Operations in the original basis (with the original cell's pure
-    # translations re-attached), plus orbits from the induced permutations.
-    # Every lifted operation times every pure translation in one batch.
+    # The operations in the input basis, each integral rotation with every
+    # pure translation of the input cell added; the lift maps them.
     rt = r_mat.T
     rt_inv = np.linalg.inv(rt)
     w_o = rt @ np.array([w for w, _ in ops]) @ rt_inv
@@ -554,36 +634,16 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     ws = np.repeat(w_oi[integral], m, axis=0)
     ts = np.array([((rt @ t) % 1.0 + extras) % 1.0
                    for (_, t), ok in zip(ops, integral) if ok]).reshape(-1, 3)
-    perms = mapper0.permutations(ws * 1.0, ts)
-    mapped = perms[:, 0] >= 0
-    perms = perms[mapped]
-    orig_ops = [SymmetryOp(tuple(map(tuple, w)), tuple(top))
-                for w, top in zip(ws[mapped].tolist(), ts[mapped].tolist())]
+    lift = partial(_lift, mapper0, ws, ts)
+    orbits = _expanded_orbits(mapper0, ws, ts, prim_perms[integral], translation_perms,
+                              keep, s.min_distance)
 
     return SpacegroupResult(
         number=number,
         symbol=symbol,
         crystal_system=crystal_system(number),
-        operations=tuple(orig_ops),
-        orbits=_orbits(len(frac0), perms),
+        orbits=lift()[1] if orbits is None else orbits,
         ambiguous=ambiguous,
         tol=tol,
+        lift=lift,
     )
-
-
-def site_orbits(
-    s: CrystalStructure, ops, tol: float = 1e-3
-) -> tuple[tuple[int, ...], ...]:
-    """Partition site indices into orbits under the given operations."""
-    mapper = _Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    ws = np.array([op.rotation for op in ops], dtype=float).reshape(-1, 3, 3)
-    ts = np.array([op.translation for op in ops], dtype=float).reshape(-1, 3)
-    perms = mapper.permutations(ws, ts)
-    if (perms < 0).any():
-        raise ValueError("operation does not map the site set onto itself")
-    orbits = _orbits(s.num_sites, perms)
-    for orbit in orbits:
-        els = {s.sites[i].element for i in orbit}
-        if len(els) != 1:
-            raise ValueError("orbit mixes element types")
-    return orbits

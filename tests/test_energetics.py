@@ -293,6 +293,25 @@ class TestHull:
         with pytest.raises(CoverageError):
             energy_above_hull(entry("NaCl", -1.0), refs)
 
+    def test_uncovered_composition_raises_on_every_call(self):
+        refs = [entry("Na", 0.0)]
+        for _ in range(3):
+            with pytest.raises(CoverageError):
+                energy_above_hull(entry("NaCl", -1.0), refs)
+
+    def test_memo_keys_on_fractions_and_references(self):
+        low = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -2.0)]
+        high = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -1.0)]
+        energetics.hull_energy.cache_clear()
+        assert energy_above_hull(entry("NaCl", -1.5), low).e_hull == pytest.approx(0.5)
+        assert energy_above_hull(entry("NaCl", -1.5), high).e_hull == pytest.approx(-0.5)
+        # Na2Cl2 has NaCl's fractions, so it reuses that LP.
+        again = energy_above_hull(entry("Na2Cl2", -1.75), low)
+        assert again.e_hull == pytest.approx(0.25)
+        assert [(reduced(r), w) for r, w in again.decomposition] == [("ClNa", 1.0)]
+        info = energetics.hull_energy.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
     def test_hull_independent_of_irrelevant_phases(self):
         refs = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -2.0)]
         extra = refs + [entry("FeO", -5.0), entry("Fe", 0.0)]

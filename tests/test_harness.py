@@ -72,6 +72,67 @@ class TestMetricReport:
         assert values["uniqueness"] == len(set(real(*calls[0]))) / len(calls[0][0])
 
 
+def _rocksalt(a, jitter=0.0):
+    return make_structure(
+        (a, a, a, 90, 90, 90),
+        [("Na", (0.0, 0.0, 0.0)), ("Na", (0.5, 0.5, 0.0)),
+         ("Na", (0.5, 0.0, 0.5)), ("Na", (0.0, 0.5, 0.5)),
+         ("Cl", (0.5 + jitter, 0.5, 0.5)), ("Cl", (0.0, 0.0, 0.5)),
+         ("Cl", (0.0, 0.5, 0.0)), ("Cl", (0.5, 0.0, 0.0))])
+
+
+class TestHullMemo:
+    def test_one_lp_per_composition_per_batch(self, tmp_path, monkeypatch):
+        """Eight distinct NaCl cells share one hull LP, and each batch
+        starts with an empty memo."""
+        calls = []
+        real = energetics.linprog
+        monkeypatch.setattr(energetics, "linprog",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record(f"p{k}", _rocksalt(5.4 + 0.05 * k), "NaCl")
+                           for k in range(8)])
+        config = RunConfig(samples_path=str(path), relax_before_hull=False)
+        for _ in range(2):
+            before = len(calls)
+            _, rows = run_evaluation(config)
+            assert len(calls) - before == 1
+            assert all(r.e_hull is not None for r in rows)
+            assert len({r.bond_rel_diff for r in rows}) == 1
+
+
+class TestReducedBasisOnce:
+    def test_one_reduction_per_lattice(self, monkeypatch, oxidation_table):
+        """Validity, detection, the trace shells, relaxation, the energy and
+        clustering reduce each parsed lattice once; detection reduces its
+        primitive cell once more."""
+        from crysalign import ciflite, metrics, structcore, traces
+        from crysalign.symmetry import detect
+
+        cells = [_rocksalt(5.64, 0.01), _rocksalt(5.64, 0.012)]
+        records = []
+        for k, s in enumerate(cells):
+            sym = detect.detect_spacegroup(s)
+            oxi = validity.find_oxidation_assignment(s.composition(), oxidation_table)
+            _, trace = traces.synthesize_trace(s, ciflite.PromptConstraints(), sym, oxi)
+            records.append(ciflite.SampleRecord(
+                f"p{k}", "The chemical formula is NaCl.", trace + "\n" + write_ciflite(s)))
+        counts = {structcore: 0, detect: 0}
+        for module in counts:
+            real = module.reduced_basis
+            monkeypatch.setattr(module, "reduced_basis",
+                                lambda cell, module=module, real=real:
+                                counts.__setitem__(module, counts[module] + 1) or real(cell))
+        config = RunConfig(samples_path=__file__)
+        results = [harness._evaluate_sample((k, rec, config)) for k, rec in enumerate(records)]
+        assert all(row.site_match is not None and row.e_hull is not None
+                   for row, _ in results)
+        structures = [s for _, s in results]
+        uniq, _, _ = metrics.discovery_rates(structures, [0.0, 0.0], [])
+        assert uniq == 0.5
+        assert counts == {structcore: 2, detect: 2}
+
+
 class TestPool:
     def test_one_pool_per_batch(self, samples_path, monkeypatch):
         made = []

@@ -157,10 +157,11 @@ def _brute_min_distance(s):
 class TestNeighbourPairs:
     def test_pairs_match_brute_force_for_positions_outside_the_cell(self):
         rng = np.random.default_rng(5)
-        m = Lattice(4.2, 5.1, 6.3, 70, 105, 80).matrix()
+        lattice = Lattice(4.2, 5.1, 6.3, 70, 105, 80)
+        m = lattice.matrix()
         cart = rng.uniform(-1.5, 2.5, size=(5, 3)) @ m
         radius = 6.0
-        i, j, offset = neighbour_pairs(m, cart, radius)
+        i, j, offset = neighbour_pairs(lattice, cart, radius)
         got = sorted(
             (a, b, *np.round(np.linalg.solve(m.T, o)).astype(int))
             for a, b, o in zip(i.tolist(), j.tolist(), offset))

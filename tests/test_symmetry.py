@@ -16,7 +16,6 @@ from crysalign.symmetry import (
     crystal_system,
     detect_spacegroup,
     group_order,
-    site_orbits,
 )
 from crysalign.symmetry import detect, groups
 
@@ -169,10 +168,65 @@ class TestOrbits:
         res = detect_spacegroup(rocksalt)
         assert sorted(len(o) for o in res.orbits) == [4, 4]
 
-    def test_site_orbits_standalone(self, cscl):
+    def test_lift_orbits_standalone(self, cscl):
         res = detect_spacegroup(cscl)
-        orbits = site_orbits(cscl, res.operations)
+        operations, orbits = res.lift()
+        assert operations == res.operations
+        assert orbits == res.orbits
         assert sorted(len(o) for o in orbits) == [1, 1]
+
+    def test_lift_runs_only_when_operations_are_read(self, monkeypatch):
+        rocksalt = make_structure(
+            (5.64, 5.64, 5.64, 90, 90, 90),
+            [(el, xyz) for el, shift in (("Na", 0.0), ("Cl", 0.5))
+             for xyz in ((shift, shift, shift), (shift, 0.5 + shift, 0.5 + shift),
+                         (0.5 + shift, shift, 0.5 + shift),
+                         (0.5 + shift, 0.5 + shift, shift))])
+        sizes = []
+        real = detect._Mapper.permutations
+        monkeypatch.setattr(detect._Mapper, "permutations",
+                            lambda self, ws, ts: sizes.append(len(ts)) or real(self, ws, ts))
+        res = detect_spacegroup(rocksalt)
+        # The pure-translation search and the primitive rotation search.
+        assert len(sizes) == 2
+        assert len(res.operations) == 192 and res.number == 225
+        # The lift: 48 rotations, each with the 4 pure translations.
+        assert sizes[2:] == [192]
+        assert res.operations is res.operations and len(sizes) == 3
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_orbits_are_the_lifts_in_order(self, seed):
+        """The orbits expanded from the primitive cell equal, order
+        included, those of the lifted operations' permutations (seed 1 in
+        ``TestGenericOrbits``)."""
+        for num, s in generic_orbit_cells(seed):
+            res = detect_spacegroup(s)
+            assert res.orbits == res.lift()[1], num
+
+    def test_orbits_are_the_lifts_on_jittered_supercells(self, monkeypatch):
+        """At a tolerance near the jitter the expansion cannot always show
+        that its rows are the mapper's; those cells take the lift's orbits,
+        and every cell's orbits are the lift's."""
+        expanded = []
+        real = detect._expanded_orbits
+        monkeypatch.setattr(detect, "_expanded_orbits",
+                            lambda *a: expanded.append(real(*a)) or expanded[-1])
+        rng = np.random.default_rng(3)
+        base = [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))]
+        for n in (2, 3):
+            sites = [(el, (np.array(xyz) + shift) / n) for el, xyz in base
+                     for shift in itertools.product(range(n), repeat=3)]
+            for _ in range(3):
+                a = 4.11 * n
+                s = make_structure((a, a, a, 90, 90, 90),
+                                   [(el, x + rng.normal(0, 0.03, 3) / a) for el, x in sites])
+                for tol in (1e-3, 0.1, 0.3):
+                    try:
+                        res = detect_spacegroup(s, tol)
+                    except DetectionError:
+                        continue
+                    assert res.orbits == res.lift()[1], (n, tol)
+        assert any(x is None for x in expanded) and any(x is not None for x in expanded)
 
 
 class TestHelpers:
@@ -699,6 +753,11 @@ class TestGenericOrbits:
         # once detection tells the pair apart.
         relabelled = sorted(num for num, res in results if res.number != num)
         assert relabelled == sorted(nums[0] for nums in index.values() if len(nums) > 1)
+
+    def test_orbits_are_the_lifts_in_order(self, detected):
+        results, _ = detected
+        for num, res in results:
+            assert res.orbits == res.lift()[1], num
 
     def test_integer_signature_partitions_like_fractions(self, detected):
         _, op_sets = detected
