@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ciflite, energetics, grpo, harness, metrics, rewards, traces, validity
 from .structcore import Composition, reduced_formula
-from .symmetry import detect_spacegroup
+from .symmetry import DetectionError, detect_spacegroup
 
 
 def _cmd_validate(args) -> int:
@@ -213,7 +213,8 @@ def main(argv=None) -> int:
         return harness.EXIT_USAGE if e.code not in (0, None) else harness.EXIT_OK
     try:
         return args.fn(args)
-    except (OSError, ciflite.ParseError) as e:
+    # ValueError covers ciflite.ParseError and malformed formulas or traces.
+    except (OSError, ValueError, DetectionError) as e:
         print(str(e), file=sys.stderr)
         return harness.EXIT_INPUT
 

@@ -165,11 +165,6 @@ class CrystalStructure:
         return reduced_formula(self.composition())
 
     @cached_property
-    def min_distance(self) -> float:
-        """``all_pair_min_distance(self)``, computed once per structure."""
-        return all_pair_min_distance(self)
-
-    @cached_property
     def species(self) -> np.ndarray:
         """``np.array(self.elements())``, built once per structure; read-only."""
         species = np.array(self.elements())

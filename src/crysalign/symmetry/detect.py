@@ -4,9 +4,10 @@ Pipeline: find pure translations and fold to the primitive cell; reduce the
 primitive basis; enumerate integer rotations preserving the metric; search
 translations mapping the site set onto itself; build a conventional cell
 from the rotation axes; identify the group by matching the operation-set
-signature against the embedded table; expand the primitive orbits to the
-input cell through the pure translations. The operations in the input cell
-(the lift) are computed only when ``SpacegroupResult.operations`` is read.
+signature against the embedded table. The orbits in the input cell are
+the orbits of the primitive operations, each primitive site replaced by its
+pure-translation class. The operations in the input cell (the lift) are
+computed only when ``SpacegroupResult.operations`` is read.
 
 Each search stage (pure translations, rotations, the lift) tests all of its
 candidate operations in one batch (``_Mapper.permutations``), with the same
@@ -159,15 +160,10 @@ class _Mapper:
     def _distances(self, sites: np.ndarray, img: np.ndarray) -> np.ndarray:
         """Cartesian distance from each image ``img[c, i]`` to each of
         ``sites``, wrapped to the nearest periodic copy: shape (c, i, site)."""
-        return self._gaps(sites, img[:, :, None, :])
-
-    def _gaps(self, targets: np.ndarray, img: np.ndarray) -> np.ndarray:
-        """Cartesian distance from each image to its own target site,
-        wrapped to the nearest periodic copy."""
-        d = targets - img
+        d = sites - img[:, :, None, :]
         d -= d.round()
         x = d @ self.cell
-        return np.sqrt((x * x).sum(axis=-1))
+        return np.sqrt((x * x).sum(axis=3))
 
     def permutations(self, ws: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """One row per candidate ``(ws[k], ts[k])``: site i goes to the
@@ -209,17 +205,10 @@ class _Mapper:
         return perms
 
 
-def _orbits(n: int, perms: np.ndarray, least: int = 1) -> tuple[tuple[int, ...], ...]:
+def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Orbits of the indices 0..n-1 under the permutations (rows of
-    ``perms``), each sorted, ordered by the root that union-find leaves for
-    it.
-
-    ``least`` is at most the number of orbits all the rows leave. Once that
-    many are left, no later row joins two of them or moves a root, so the
-    rest are skipped.
-    """
+    ``perms``), each sorted, in order of their least index."""
     parent = list(range(n))
-    left = n
     seen = set()
 
     def find(i):
@@ -229,8 +218,6 @@ def _orbits(n: int, perms: np.ndarray, least: int = 1) -> tuple[tuple[int, ...],
         return i
 
     for perm in perms:
-        if left <= least:
-            break
         key = perm.tobytes()
         # A repeated permutation would union nothing new.
         if key in seen:
@@ -240,11 +227,11 @@ def _orbits(n: int, perms: np.ndarray, least: int = 1) -> tuple[tuple[int, ...],
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[rj] = ri
-                left -= 1
+    # Scanning up from 0 meets each orbit first at its least index.
     orbit_map: dict[int, list[int]] = {}
     for i in range(n):
         orbit_map.setdefault(find(i), []).append(i)
-    return tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+    return tuple(tuple(v) for v in orbit_map.values())
 
 
 def _lift(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray):
@@ -255,52 +242,6 @@ def _lift(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray):
     ops = tuple(SymmetryOp(tuple(map(tuple, w)), tuple(t))
                 for w, t in zip(ws[mapped].tolist(), ts[mapped].tolist()))
     return ops, _orbits(len(mapper.frac), perms[mapped])
-
-
-def _expanded_orbits(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray,
-                     prim_perms: np.ndarray, translation_perms: np.ndarray,
-                     keep: list[int], min_distance: float):
-    """The orbits ``_lift(mapper, ws, ts)`` gives, in its order, built from
-    the primitive permutations; ``None`` where they could differ.
-
-    The lift's candidates come in runs, one run per primitive operation
-    (row of ``prim_perms``) and one candidate per pure translation. Input
-    site ``members[k, q]`` is primitive site ``q`` moved by pure
-    translation ``k``. In the first row of a run each site goes to the
-    member of its primitive image's class nearest its image; row ``k`` is
-    that row followed by pure translation ``k``. If every site lies within
-    ``tol`` of its image and no two sites lie within ``2 tol`` of each
-    other, every other site is farther than ``tol`` from that image, so
-    each row is the one the mapper finds. Union-find over the rows can then
-    stop at the number of primitive orbits, which no row goes below.
-    """
-    tol = mapper.tol
-    if not min_distance > 2.0 * tol:
-        return None
-    frac = mapper.frac
-    n, m = len(frac), len(translation_perms) + 1
-    shifts = np.concatenate([np.arange(n)[None, :], translation_perms])
-    members = shifts[:, keep]
-    if not np.array_equal(np.sort(members, axis=None), np.arange(n)):
-        return None
-    prim_of = np.empty(n, dtype=int)
-    prim_of[members] = np.arange(len(keep))
-    rows = np.empty((len(ws), n), dtype=int)
-    step = max(1, MAP_CHUNK // (3 * n * m))
-    for lo in range(0, len(prim_perms), step):
-        k = slice(lo * m, (lo + step) * m)
-        img = np.matmul(frac, ws[k].transpose(0, 2, 1) * 1.0) + ts[k][:, None, :]
-        cand = members[:, prim_perms[lo:lo + step][:, prim_of]]
-        near = mapper._gaps(frac[cand], img[None, ::m]).argmin(axis=0)
-        image = np.take_along_axis(cand, near[None], axis=0)[0]
-        rows[k] = shifts[:, image].transpose(1, 0, 2).reshape(-1, n)
-        if not (mapper._gaps(frac[rows[k]], img) < tol).all():
-            return None
-    if not (np.sort(rows, axis=1) == np.arange(n)).all():
-        return None
-    orbits = _orbits(len(keep), prim_perms)
-    # With no pure translation the rows are the primitive permutations.
-    return orbits if m == 1 else _orbits(n, rows, len(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +510,9 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     cell_r = r_mat @ cell0
 
     frac_r = (frac0 @ np.linalg.inv(r_mat)) % 1.0
-    # Fold the sites: keep the lowest index of each pure-translation orbit.
-    keep = sorted(o[0] for o in _orbits(len(frac_r), translation_perms))
+    # Fold the sites: keep the lowest index of each pure-translation class.
+    classes = _orbits(len(frac_r), translation_perms)
+    keep = [c[0] for c in classes]
     if len(keep) * m != len(frac_r):
         raise DetectionError("site folding inconsistent with pure translations")
     frac_prim = frac_r[keep]
@@ -634,16 +576,17 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     ws = np.repeat(w_oi[integral], m, axis=0)
     ts = np.array([((rt @ t) % 1.0 + extras) % 1.0
                    for (_, t), ok in zip(ops, integral) if ok]).reshape(-1, 3)
-    lift = partial(_lift, mapper0, ws, ts)
-    orbits = _expanded_orbits(mapper0, ws, ts, prim_perms[integral], translation_perms,
-                              keep, s.min_distance)
+    # The input-cell orbits: each orbit of the primitive operations with
+    # every primitive site replaced by its pure-translation class.
+    orbits = tuple(tuple(sorted(i for q in o for i in classes[q]))
+                   for o in _orbits(len(keep), prim_perms[integral]))
 
     return SpacegroupResult(
         number=number,
         symbol=symbol,
         crystal_system=crystal_system(number),
-        orbits=lift()[1] if orbits is None else orbits,
+        orbits=orbits,
         ambiguous=ambiguous,
         tol=tol,
-        lift=lift,
+        lift=partial(_lift, mapper0, ws, ts),
     )

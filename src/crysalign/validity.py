@@ -15,6 +15,7 @@ from importlib import resources
 from .structcore import (
     Composition,
     CrystalStructure,
+    all_pair_min_distance,
     reduced_formula,
 )
 
@@ -82,7 +83,7 @@ def check_structural(
 ) -> tuple[bool, list[str]]:
     """Geometric validity: strict inequalities at every threshold."""
     reasons = []
-    if not s.min_distance > t.min_pair_distance:
+    if not all_pair_min_distance(s) > t.min_pair_distance:
         reasons.append("pair_distance")
     if not s.volume() > t.min_volume:
         reasons.append("volume")

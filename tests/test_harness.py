@@ -493,3 +493,42 @@ class TestCli:
         from crysalign.cli import main
         assert main(["hull", "--formula", "XeF2", "--energy", "-1.0"]) == EXIT_INPUT
         assert "Xe" in capsys.readouterr().err
+
+    # Each input below used to end in a traceback with the usage exit code.
+    def _doubled_rocksalt(self, path, trace=None):
+        """A cell that lists Na and Cl twice each: detection rejects it."""
+        cell = make_structure((5.64, 5.64, 5.64, 90, 90, 90),
+                              [("Na", (0.0, 0.0, 0.0)), ("Na", (0.0, 0.0, 0.0)),
+                               ("Cl", (0.5, 0.5, 0.5)), ("Cl", (0.5, 0.5, 0.5))])
+        path.write_text((trace + "\n" if trace else "") + write_ciflite(cell))
+        return str(path)
+
+    def _input_error(self, capsys, argv, words):
+        from crysalign.cli import main
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err and "\n" not in err and words in err
+
+    def test_symmetry_subcommand_rejected_cell(self, tmp_path, capsys):
+        path = self._doubled_rocksalt(tmp_path / "cell.txt")
+        self._input_error(capsys, ["symmetry", path], "identity operation missing")
+
+    def test_trace_subcommand_rejected_cell(self, tmp_path, capsys):
+        path = self._doubled_rocksalt(tmp_path / "cell.txt", "There are 2 Na atoms.")
+        self._input_error(capsys, ["trace", path], "identity operation missing")
+
+    def test_trace_subcommand_unbalanced_charge(self, tmp_path, rocksalt, capsys):
+        path = tmp_path / "response.txt"
+        path.write_text("The charge balance is 4*(+1)+4*(+1)=0.\n" + write_ciflite(rocksalt))
+        self._input_error(capsys, ["trace", str(path)], "charge")
+
+    def test_hull_subcommand_malformed_formula(self, capsys):
+        self._input_error(capsys, ["hull", "--formula", "Qq2", "--energy", "-1.0"], "Qq")
+
+    def test_validate_subcommand_malformed_formula(self, tmp_path, rocksalt, capsys):
+        path = tmp_path / "cell.txt"
+        path.write_text(write_ciflite(rocksalt))
+        self._input_error(capsys, ["validate", str(path), "--formula", "Na1Cl1x"],
+                          "Na1Cl1x")

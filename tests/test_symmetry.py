@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crysalign import ciflite, traces
 from crysalign.structcore import CrystalStructure, Lattice, Site, reduced_basis
 from crysalign.symmetry import (
     DetectionError,
@@ -203,16 +204,14 @@ class TestOrbits:
             res = detect_spacegroup(s)
             assert res.orbits == res.lift()[1], num
 
-    def test_orbits_are_the_lifts_on_jittered_supercells(self, monkeypatch):
-        """At a tolerance near the jitter the expansion cannot always show
-        that its rows are the mapper's; those cells take the lift's orbits,
-        and every cell's orbits are the lift's."""
-        expanded = []
-        real = detect._expanded_orbits
-        monkeypatch.setattr(detect, "_expanded_orbits",
-                            lambda *a: expanded.append(real(*a)) or expanded[-1])
+    def test_orbits_hold_the_lifts_on_jittered_supercells(self):
+        """At a tolerance near the jitter the lift may map fewer candidates
+        than the primitive search accepted. The orbits still partition the
+        sites, each lift orbit lies inside one of them, and where the lift
+        maps every candidate the two are equal."""
         rng = np.random.default_rng(3)
         base = [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))]
+        full = []
         for n in (2, 3):
             sites = [(el, (np.array(xyz) + shift) / n) for el, xyz in base
                      for shift in itertools.product(range(n), repeat=3)]
@@ -225,8 +224,56 @@ class TestOrbits:
                         res = detect_spacegroup(s, tol)
                     except DetectionError:
                         continue
-                    assert res.orbits == res.lift()[1], (n, tol)
-        assert any(x is None for x in expanded) and any(x is not None for x in expanded)
+                    assert sorted(i for o in res.orbits for i in o) == list(range(s.num_sites))
+                    operations, lifted = res.lift()
+                    _assert_within(lifted, res.orbits)
+                    # ``res.lift`` binds the mapper, then the candidate rotations.
+                    full.append(len(operations) == len(res.lift.args[1]))
+                    if full[-1]:
+                        assert res.orbits == lifted, (n, tol)
+        assert any(full) and not all(full)
+
+    def test_jittered_cscl_orbits_are_the_primitive_ones(self):
+        """The seed-3 ``relax`` cell ``cscl-CsCl-16`` of the benchmark at tol
+        0.1: the lift maps only some of the accepted operations and leaves 6
+        orbits; the primitive orbits give one Cs and two Cl orbits."""
+        s = ciflite.parse_ciflite(JITTERED_CSCL_16)
+        res = detect_spacegroup(s, 0.1)
+        assert traces._orbit_counts(s, res) == {"Cl": 2, "Cs": 1}
+        _assert_within(res.lift()[1], res.orbits)
+
+    def test_orbits_sorted_in_least_index_order(self):
+        for num, s in generic_orbit_cells(0):
+            orbits = detect_spacegroup(s).orbits
+            assert all(list(o) == sorted(o) for o in orbits), num
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits), num
+
+
+def _assert_within(inner, outer):
+    """Every orbit of ``inner`` lies inside one orbit of ``outer``."""
+    owner = {i: k for k, o in enumerate(outer) for i in o}
+    assert all(len({owner[i] for i in o}) == 1 for o in inner)
+
+
+JITTERED_CSCL_16 = """<CIF>P1
+8.240000 8.240000 8.240000
+90.0000 90.0000 90.0000
+Cl 1 0.98675742 0.86381664 0.64016342
+Cs 1 0.73262222 0.11578774 0.89255552
+Cl 1 0.98564802 0.36377550 0.14321865
+Cs 1 0.24185870 0.10962340 0.88985341
+Cs 1 0.73173040 0.61273564 0.89125783
+Cs 1 0.73189589 0.61307890 0.38947290
+Cs 1 0.23431486 0.61023239 0.89087041
+Cl 1 0.98357374 0.86838342 0.14489345
+Cl 1 0.49185870 0.36602652 0.14364226
+Cl 1 0.48492478 0.86380158 0.13938490
+Cl 1 0.97983265 0.36696822 0.64285334
+Cs 1 0.23270577 0.60767175 0.39183789
+Cs 1 0.73583534 0.11666335 0.39243124
+Cs 1 0.22729560 0.10679454 0.39059188
+Cl 1 0.48497405 0.85920351 0.63874071
+Cl 1 0.48304005 0.36444985 0.64201941</CIF>"""
 
 
 class TestHelpers:
