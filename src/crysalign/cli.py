@@ -110,6 +110,9 @@ def _cmd_metrics(args) -> int:
 def _cmd_grpo_demo(args) -> int:
     from .toytask import build_lattice_task
 
+    if args.iterations < 1:
+        print("--iterations must be >= 1", file=sys.stderr)
+        return harness.EXIT_USAGE
     task = build_lattice_task()
     policy = grpo.ToyPolicy.uniform(*task.policy_shape)
     _, log = grpo.train_toy_policy(

@@ -2,9 +2,16 @@
 
 Each sample is one task: parse, validity, space-group detection, trace
 consistency, then (for a structurally valid cell) energy and hull distance,
-and the reward. One process pool per batch runs the tasks; results come
-back in sample order, so output is identical for any worker count. The
-batch metrics are computed from the finished rows in this process.
+and the reward. With more than one worker the tasks run on a process pool
+that is kept for the life of the process and reused by every batch with the
+same worker count; results come back in sample order, so output is
+identical for any worker count. The batch metrics are computed from the
+finished rows in this process.
+
+The workers fork when the pool is made, so they do not see state this
+process changes afterwards: a monkeypatch or a replaced table reaches the
+workers only through a pool made after it (``_drop_pool`` discards the
+kept one).
 """
 
 from __future__ import annotations
@@ -12,10 +19,12 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -54,6 +63,8 @@ class RunConfig:
     def __post_init__(self):
         if self.worker_count < 1:
             raise InputError("worker_count must be >= 1")
+        if not (math.isfinite(self.symmetry_tol) and self.symmetry_tol > 0):
+            raise InputError("symmetry_tol must be a positive finite number")
         if not os.path.exists(self.samples_path):
             raise InputError(f"samples file not found: {self.samples_path}")
         if (self.reference_structures_path is not None
@@ -198,18 +209,60 @@ def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None
         return None, f"{type(e).__name__}: {e}"
 
 
+# The kept pool (its workers fork on the first batch it runs), its worker
+# count and the number of batches this process has run. In a worker,
+# ``_worker_batch`` is the batch of its last task.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_batches = 0
+_worker_batch = 0
+
+
+def _in_batch(args):
+    """One task of batch ``batch``: the first task of a new batch empties
+    this process's hull memo, so every batch starts cold in every worker."""
+    global _worker_batch
+    batch, fn, item = args
+    if batch != _worker_batch:
+        energetics.hull_energy.cache_clear()
+        _worker_batch = batch
+    return fn(item)
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down; the next multi-worker batch forks a new one."""
+    global _pool, _pool_workers
+    if _pool is not None:
+        _pool.shutdown(cancel_futures=True)
+    _pool, _pool_workers = None, 0
+
+
 def _pool_map(fn, items, worker_count):
     # Load the tables (each loader caches its result per process) and, for
-    # a pool, the signature index in this process, so forked workers
-    # inherit them instead of each loading its own.
+    # a pool, the signature index in this process, so the workers of a new
+    # pool inherit them instead of each loading its own.
+    global _batches, _pool, _pool_workers
     validity.OxidationTable.load_default()
     energetics.PairPotentialBackend.load_default()
     energetics.load_reference_phases()
+    _batches += 1
+    tasks = [(_batches, fn, item) for item in items]
     if worker_count == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [_in_batch(task) for task in tasks]
     signature_index()
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (worker_count * 4))))
+    chunksize = max(1, len(items) // (worker_count * 4))
+    for attempt in (1, 2):
+        if _pool is None or _pool_workers != worker_count:
+            _drop_pool()
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=worker_count), worker_count
+        try:
+            return list(_pool.map(_in_batch, tasks, chunksize=chunksize))
+        except BrokenProcessPool:
+            # A worker died, between batches or during this one: the batch
+            # runs once more on a fresh pool, and a second break is raised.
+            _drop_pool()
+            if attempt == 2:
+                raise
 
 
 def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[EvaluationRow]]:
@@ -219,7 +272,6 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
-    energetics.hull_energy.cache_clear()
     results = _pool_map(_evaluate_sample,
                         [(i, rec, config) for i, rec in enumerate(samples)],
                         config.worker_count)

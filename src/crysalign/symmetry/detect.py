@@ -493,6 +493,8 @@ def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
 
 def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResult:
     """Detect the space group of a structure at Cartesian tolerance ``tol`` (A)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DetectionError(f"tolerance must be a positive finite number, got {tol}")
     cell0 = s.lattice.matrix()
     frac0 = s.frac_array()
     elems = s.elements()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crysalign import harness
 from crysalign.structcore import CrystalStructure, GeometryError, Lattice, Site
 from crysalign.validity import OxidationTable
 
@@ -22,6 +23,14 @@ O 1 0.50783229 0.99216771 0.25000000
 O 1 0.25000000 0.50783229 0.99216771
 O 1 0.99216771 0.25000000 0.50783229
 O 1 0.49216771 0.00783229 0.75000000</CIF>"""
+
+
+@pytest.fixture(autouse=True)
+def _drop_kept_pool():
+    """Drop the evaluation pool a test may have kept: its workers forked
+    before the next test's monkeypatches and would not see them."""
+    yield
+    harness._drop_pool()
 
 
 def make_structure(cell, species):

@@ -1,7 +1,14 @@
 import gc
 import json
+import multiprocessing.connection
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -133,19 +140,76 @@ class TestReducedBasisOnce:
         assert counts == {structcore: 2, detect: 2}
 
 
+def _hull_memo_size(_):
+    return energetics.hull_energy.cache_info().currsize
+
+
 class TestPool:
-    def test_one_pool_per_batch(self, samples_path, monkeypatch):
+    """One pool per process, kept across batches while the worker count
+    stays the same."""
+
+    @staticmethod
+    def config(samples_path, workers=2):
+        return RunConfig(samples_path=samples_path, worker_count=workers,
+                         relax_before_hull=False)
+
+    def test_one_pool_per_process_and_worker_count(self, samples_path, monkeypatch):
         made = []
 
         class Counting(harness.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                made.append(1)
+                made.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
-        run_evaluation(RunConfig(samples_path=samples_path, worker_count=2,
-                                 relax_before_hull=False))
-        assert len(made) == 1
+        for _ in range(3):
+            run_evaluation(self.config(samples_path))
+        assert made == [2]
+        run_evaluation(self.config(samples_path, workers=3))
+        assert made == [2, 3]
+
+    def test_worker_killed_between_batches(self, samples_path):
+        _, rows = run_evaluation(self.config(samples_path))
+        first = rows_to_csv(rows)
+        pool = harness._pool
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+        _, rows = run_evaluation(self.config(samples_path))
+        assert rows_to_csv(rows) == first
+        assert harness._pool is not pool
+        assert victim.pid not in harness._pool._processes
+
+    def test_hull_memo_empty_when_a_batch_starts(self, samples_path):
+        """The kept workers fill their memos in one batch, and this process
+        fills its own in a one-worker batch; the first task of the next
+        batch finds an empty memo in whichever worker runs it."""
+        run_evaluation(self.config(samples_path))
+        run_evaluation(self.config(samples_path, workers=1))
+        assert energetics.hull_energy.cache_info().currsize > 0
+        assert harness._pool_map(_hull_memo_size, range(8), 2) == [0] * 8
+
+    def test_process_exits_and_reaps_its_workers(self, samples_path):
+        code = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from crysalign import harness
+config = harness.RunConfig(samples_path=sys.argv[2], worker_count=2,
+                           relax_before_hull=False)
+for _ in range(2):
+    harness.run_evaluation(config)
+print(time.monotonic(), *harness._pool._processes)
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code, src, samples_path],
+                              capture_output=True, text=True, timeout=120, check=True)
+        exited = time.monotonic()
+        finished, *pids = done.stdout.split()
+        assert len(pids) == 2
+        assert exited - float(finished) < 10.0
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
 
 
 class TestCheckError:
@@ -218,6 +282,19 @@ class TestConfig:
     def test_bad_worker_count_rejected(self, samples_path):
         with pytest.raises(InputError):
             RunConfig(samples_path=samples_path, worker_count=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_symmetry_tol_rejected(self, samples_path, tol):
+        with pytest.raises(InputError, match="symmetry_tol"):
+            RunConfig(samples_path=samples_path, symmetry_tol=tol)
+
+    def test_bad_symmetry_tol_in_ini_is_input_error(self, tmp_path, samples_path):
+        from crysalign.cli import main
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\nsymmetry_tol = -1\n")
+        assert main(["evaluate", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert not (tmp_path / "out").exists()
 
     def test_load_ini(self, tmp_path, samples_path):
         ini = tmp_path / "run.ini"
@@ -526,6 +603,18 @@ class TestCli:
 
     def test_hull_subcommand_malformed_formula(self, capsys):
         self._input_error(capsys, ["hull", "--formula", "Qq2", "--energy", "-1.0"], "Qq")
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_grpo_demo_without_iterations_is_usage_error(self, tmp_path, capsys,
+                                                          iterations):
+        from crysalign.cli import main
+        log = tmp_path / "log.csv"
+        assert main(["grpo-demo", "--iterations", iterations,
+                     "--out", str(log)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "--iterations must be >= 1"
+        assert not log.exists()
 
     def test_validate_subcommand_malformed_formula(self, tmp_path, rocksalt, capsys):
         path = tmp_path / "cell.txt"

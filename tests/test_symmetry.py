@@ -110,6 +110,11 @@ class TestTolerance:
             [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
         assert detect_spacegroup(distorted).number == 123
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_non_positive_or_non_finite_tolerance_rejected(self, cscl, tol):
+        with pytest.raises(DetectionError, match="tolerance"):
+            detect_spacegroup(cscl, tol=tol)
+
 
 class TestInvariance:
     def test_supercell_same_group(self, cscl):
