@@ -273,8 +273,8 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
     minimize sum w_i E_i subject to sum w_i x_i,e = x_cand,e and w >= 0;
     the weights then sum to 1 automatically because atomic fractions do.
     Memoized on both arguments, since the LP depends on nothing else; a
-    raise is not memoized. ``harness.run_evaluation`` clears the memo at
-    the start of each batch.
+    raise is not memoized. ``harness._in_batch`` clears the memo on the
+    first task of each batch, in whichever process runs it.
     """
     target = dict(fractions)
     elements = sorted(target)

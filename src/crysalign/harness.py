@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
 from .structcore import CrystalStructure
-from .symmetry import detect_spacegroup
+from .symmetry import DetectionError, detect_spacegroup
 from .symmetry.groups import signature_index
 
 EXIT_OK = 0
@@ -54,7 +54,6 @@ class RunConfig:
     symmetry_tol: float = 1e-3
     alpha_validity: float = 1.0
     alpha_stability: float = 10.0
-    beta_property: float = 1.0
     e0: float = 1.0
     length_tol: float = 0.05
     angle_tol: float = 5.0
@@ -74,9 +73,7 @@ class RunConfig:
             )
 
     def weights(self) -> rewards.RewardWeights:
-        return rewards.RewardWeights(
-            self.alpha_validity, self.alpha_stability, self.beta_property
-        )
+        return rewards.RewardWeights(self.alpha_validity, self.alpha_stability)
 
     def match_config(self) -> metrics.MatchConfig:
         return metrics.MatchConfig(self.length_tol, self.angle_tol, self.site_tol)
@@ -161,7 +158,7 @@ def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
             found["spacegroup_detected"] = sym.number
             if constraints.spacegroup_number is not None:
                 found["spacegroup_match"] = int(sym.number == constraints.spacegroup_number)
-        except Exception:
+        except DetectionError:
             sym = None
         if trace_text:
             trace = traces.parse_trace(trace_text)

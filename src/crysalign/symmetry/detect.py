@@ -4,14 +4,15 @@ Pipeline: find pure translations and fold to the primitive cell; reduce the
 primitive basis; enumerate integer rotations preserving the metric; search
 translations mapping the site set onto itself; build a conventional cell
 from the rotation axes; identify the group by matching the operation-set
-signature against the embedded table. The orbits in the input cell are
-the orbits of the primitive operations, each primitive site replaced by its
-pure-translation class. The operations in the input cell (the lift) are
-computed only when ``SpacegroupResult.operations`` is read.
+signature against the embedded table. The input cell is never searched
+again: its operations are the primitive operations whose rotations are
+integral in the input basis, each followed by every pure translation, and
+its orbits are the orbits of the primitive operations, each primitive site
+replaced by its pure-translation class.
 
-Each search stage (pure translations, rotations, the lift) tests all of its
-candidate operations in one batch (``_Mapper.permutations``), with the same
-rules as one at a time: nearest site, first on a tie, within ``tol``.
+Each search stage (pure translations, rotations) tests all of its candidate
+operations in one batch (``_Mapper.permutations``), with the same rules as
+one at a time: nearest site, first on a tie, within ``tol``.
 
 Symmetry operations act on column fractional coordinates: x' = W x + w.
 """
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -57,15 +57,15 @@ class SpacegroupResult:
     crystal_system: str
     orbits: tuple[tuple[int, ...], ...]
     ambiguous: bool
-    tol: float
-    # Returns (operations, orbits) in the input cell; see ``_lift``.
-    lift: Callable[[], tuple] = field(compare=False, repr=False)
+    # The input-cell rotations and translations, one row per operation.
+    op_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @cached_property
     def operations(self) -> tuple[SymmetryOp, ...]:
-        """The operations that map the input cell onto itself, lifted on
-        first access."""
-        return self.lift()[0]
+        """The operations of the input cell, built on first read."""
+        ws, ts = self.op_arrays
+        return tuple(SymmetryOp(tuple(map(tuple, w)), tuple(t))
+                     for w, t in zip(ws.tolist(), ts.tolist()))
 
 
 def crystal_system(number: int) -> str:
@@ -234,16 +234,6 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in orbit_map.values())
 
 
-def _lift(mapper: _Mapper, ws: np.ndarray, ts: np.ndarray):
-    """The candidates ``(ws[k], ts[k])`` that map the site set of ``mapper``
-    onto itself, as operations, and the orbits of their permutations."""
-    perms = mapper.permutations(ws * 1.0, ts)
-    mapped = perms[:, 0] >= 0
-    ops = tuple(SymmetryOp(tuple(map(tuple, w)), tuple(t))
-                for w, t in zip(ws[mapped].tolist(), ts[mapped].tolist()))
-    return ops, _orbits(len(mapper.frac), perms[mapped])
-
-
 # ---------------------------------------------------------------------------
 # detection
 
@@ -313,8 +303,11 @@ def _axes_summary(ops: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple, tuple
             wi = tuple(tuple(-x for x in row) for row in wi)
         if wi == I3:
             continue
+        try:
+            order = groups.op_order(wi)
+        except ValueError as e:
+            raise DetectionError(str(e)) from None
         axis = groups.rotation_axis(wi)
-        order = groups.op_order(wi)
         if order > axes.get(axis, (0,))[0]:
             axes[axis] = (order, wi)
     return axes
@@ -474,12 +467,14 @@ def _centering_vectors(ut_inv: np.ndarray, limit: int) -> np.ndarray:
 
 def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
     """Operation-set signature in the conventional basis ``u_conv @ cell``."""
+    m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
+    if m_conv == 0:
+        raise DetectionError("singular conventional basis")
     ut_inv = np.linalg.inv(u_conv.T * 1.0)
     w_c = ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T
     w_ci = np.round(w_c).astype(int)
     if not np.allclose(w_c, w_ci, atol=1e-6):
         raise DetectionError("non-integer rotation in conventional basis")
-    m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
     centers = _centering_vectors(ut_inv, m_conv)
     if len(centers) != m_conv:
         raise DetectionError("centering count mismatch")
@@ -492,16 +487,17 @@ def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
 
 
 def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResult:
-    """Detect the space group of a structure at Cartesian tolerance ``tol`` (A)."""
+    """Detect the space group of a structure at Cartesian tolerance ``tol`` (A).
+
+    A cell that detection cannot settle raises ``DetectionError``."""
     if not (math.isfinite(tol) and tol > 0):
         raise DetectionError(f"tolerance must be a positive finite number, got {tol}")
     cell0 = s.lattice.matrix()
     frac0 = s.frac_array()
     elems = s.elements()
-    mapper0 = _Mapper(cell0, frac0, elems, tol)
 
     # Primitive cell.
-    translations, translation_perms = _pure_translations(mapper0)
+    translations, translation_perms = _pure_translations(_Mapper(cell0, frac0, elems, tol))
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     cell_p = s_mat @ cell0
@@ -566,8 +562,8 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         ambiguous = True
     symbol = load_group_table()[number][0]
 
-    # The operations in the input basis, each integral rotation with every
-    # pure translation of the input cell added; the lift maps them.
+    # The operations in the input basis: each primitive operation whose
+    # rotation is integral there, followed by every pure translation.
     rt = r_mat.T
     rt_inv = np.linalg.inv(rt)
     w_o = rt @ np.array([w for w, _ in ops]) @ rt_inv
@@ -589,6 +585,5 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         crystal_system=crystal_system(number),
         orbits=orbits,
         ambiguous=ambiguous,
-        tol=tol,
-        lift=partial(_lift, mapper0, ws, ts),
+        op_arrays=(ws, ts),
     )

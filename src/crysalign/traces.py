@@ -52,19 +52,11 @@ class TraceRecord:
 
     def __post_init__(self):
         if self.charge_equation is not None:
-            total = 0
-            counts: dict[int, int] = {}
-            for num, state in re.findall(
-                r"(\d+)\*\(([+-]\d+)\)", self.charge_equation
-            ):
-                total += int(num) * int(state)
-                counts[int(num)] = counts.get(int(num), 0) + 1
-            if total != 0:
+            terms = [(int(num), int(state)) for num, state in
+                     re.findall(r"(\d+)\*\(([+-]\d+)\)", self.charge_equation)]
+            if sum(num * state for num, state in terms) != 0:
                 raise ValueError("charge equation does not sum to zero as written")
-            eq_counts = sorted(
-                int(n) for n, _ in re.findall(r"(\d+)\*\(([+-]\d+)\)",
-                                              self.charge_equation)
-            )
+            eq_counts = sorted(num for num, _ in terms)
             if self.site_counts and eq_counts != sorted(self.site_counts.values()):
                 raise ValueError("charge equation counts disagree with site counts")
 

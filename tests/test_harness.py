@@ -242,6 +242,29 @@ class TestCheckError:
         counts = {e.name: e.count for e in report.entries}
         assert counts["uniqueness"] == counts["sun_ratio"] == 2
 
+    def test_detection_fault_is_check_error(self, rocksalt, tmp_path, monkeypatch):
+        """Detection raising anything but ``DetectionError`` is a fault, not
+        a cell it rejects: the row is a check_error naming the raise, and it
+        keeps its validity flags, e_hull and reward."""
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", rocksalt, "NaCl")])
+        config = RunConfig(samples_path=str(path), relax_before_hull=False)
+        _, (good,) = run_evaluation(config)
+
+        def broken(s, tol):
+            raise RuntimeError("detection fault")
+
+        monkeypatch.setattr(harness, "detect_spacegroup", broken)
+        _, (bad,) = run_evaluation(config)
+        assert good.parse_status == "ok" and good.spacegroup_detected == 225
+        assert bad.parse_status == "check_error"
+        assert "RuntimeError: detection fault" in bad.error
+        assert bad.spacegroup_detected is None
+        for name in ("structural", "chemical", "composition_match", "e_hull",
+                     "r_target", "formula"):
+            assert getattr(bad, name) == getattr(good, name)
+        assert bad.structural == 1 and bad.e_hull is not None
+
     def test_parse_failures_stay_out_of_metrics(self, rocksalt, tmp_path):
         path = tmp_path / "samples.jsonl"
         write_jsonl(path, [sample_record("p0", rocksalt, "NaCl"),
@@ -319,6 +342,14 @@ class TestConfig:
         ini = tmp_path / "run.ini"
         ini.write_text(f"[run]\nsamples_path = {samples_path}\nbogus = 1\n")
         with pytest.raises(InputError):
+            load_config(str(ini))
+
+    def test_beta_property_is_unknown_key(self, tmp_path, samples_path):
+        """``evaluate`` scores no property, so the property weight is not a
+        run option."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\nbeta_property = 2\n")
+        with pytest.raises(InputError, match="unknown config key: beta_property"):
             load_config(str(ini))
 
 

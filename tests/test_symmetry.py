@@ -115,6 +115,19 @@ class TestTolerance:
         with pytest.raises(DetectionError, match="tolerance"):
             detect_spacegroup(cscl, tol=tol)
 
+    def test_rotation_of_no_finite_order_is_detection_error(self):
+        """The seed-1 ``screen`` cell ``fcc-Cu`` of the benchmark at tol 0.3:
+        the metric test admits an integer rotation of no finite order."""
+        with pytest.raises(DetectionError, match="no finite order"):
+            detect_spacegroup(ciflite.parse_ciflite(FCC_CU), 0.3)
+
+    def test_singular_conventional_basis_is_skipped(self):
+        """The seed-2 ``relax`` cell ``diamond-Si-8`` of the benchmark at tol
+        0.1 offers a singular conventional basis; it is skipped like any
+        other rejected candidate, and the cell falls back to P1."""
+        res = detect_spacegroup(ciflite.parse_ciflite(JITTERED_DIAMOND_8), 0.1)
+        assert (res.number, res.ambiguous) == (1, True)
+
 
 class TestInvariance:
     def test_supercell_same_group(self, cscl):
@@ -176,12 +189,12 @@ class TestOrbits:
 
     def test_lift_orbits_standalone(self, cscl):
         res = detect_spacegroup(cscl)
-        operations, orbits = res.lift()
-        assert operations == res.operations
+        mapped, orbits = _lift(cscl, res)
+        assert len(mapped) == 48 and mapped.all()
         assert orbits == res.orbits
         assert sorted(len(o) for o in orbits) == [1, 1]
 
-    def test_lift_runs_only_when_operations_are_read(self, monkeypatch):
+    def test_operations_add_no_mapper_call(self, monkeypatch):
         rocksalt = make_structure(
             (5.64, 5.64, 5.64, 90, 90, 90),
             [(el, xyz) for el, shift in (("Na", 0.0), ("Cl", 0.5))
@@ -196,24 +209,28 @@ class TestOrbits:
         # The pure-translation search and the primitive rotation search.
         assert len(sizes) == 2
         assert len(res.operations) == 192 and res.number == 225
-        # The lift: 48 rotations, each with the 4 pure translations.
-        assert sizes[2:] == [192]
-        assert res.operations is res.operations and len(sizes) == 3
+        assert res.operations is res.operations and len(sizes) == 2
+        # 48 rotations, each followed by the 4 pure translations.
+        rotations = [op.rotation for op in res.operations]
+        assert rotations == [w for w in rotations[::4] for _ in range(4)]
+        assert len(set(rotations)) == 48
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_orbits_are_the_lifts_in_order(self, seed):
-        """The orbits expanded from the primitive cell equal, order
-        included, those of the lifted operations' permutations (seed 1 in
-        ``TestGenericOrbits``)."""
+        """Every operation maps the cell onto itself, and the orbits
+        expanded from the primitive cell equal, order included, those of
+        the operations' permutations (seed 1 in ``TestGenericOrbits``)."""
         for num, s in generic_orbit_cells(seed):
             res = detect_spacegroup(s)
-            assert res.orbits == res.lift()[1], num
+            mapped, orbits = _lift(s, res)
+            assert mapped.all() and res.orbits == orbits, num
 
     def test_orbits_hold_the_lifts_on_jittered_supercells(self):
-        """At a tolerance near the jitter the lift may map fewer candidates
-        than the primitive search accepted. The orbits still partition the
-        sites, each lift orbit lies inside one of them, and where the lift
-        maps every candidate the two are equal."""
+        """At a tolerance near the jitter, mapping the input cell at that
+        tolerance may keep fewer operations than the primitive search
+        accepted. The orbits still partition the sites, each orbit of the
+        kept operations lies inside one of them, and where every operation
+        is kept the two are equal."""
         rng = np.random.default_rng(3)
         base = [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))]
         full = []
@@ -230,28 +247,41 @@ class TestOrbits:
                     except DetectionError:
                         continue
                     assert sorted(i for o in res.orbits for i in o) == list(range(s.num_sites))
-                    operations, lifted = res.lift()
+                    mapped, lifted = _lift(s, res, tol)
                     _assert_within(lifted, res.orbits)
-                    # ``res.lift`` binds the mapper, then the candidate rotations.
-                    full.append(len(operations) == len(res.lift.args[1]))
+                    full.append(mapped.all())
                     if full[-1]:
                         assert res.orbits == lifted, (n, tol)
         assert any(full) and not all(full)
 
     def test_jittered_cscl_orbits_are_the_primitive_ones(self):
         """The seed-3 ``relax`` cell ``cscl-CsCl-16`` of the benchmark at tol
-        0.1: the lift maps only some of the accepted operations and leaves 6
-        orbits; the primitive orbits give one Cs and two Cl orbits."""
+        0.1: mapping the input cell at that tolerance keeps only 4 of the 28
+        operations and leaves 6 orbits; the primitive orbits give one Cs and
+        two Cl orbits."""
         s = ciflite.parse_ciflite(JITTERED_CSCL_16)
         res = detect_spacegroup(s, 0.1)
         assert traces._orbit_counts(s, res) == {"Cl": 2, "Cs": 1}
-        _assert_within(res.lift()[1], res.orbits)
+        mapped, lifted = _lift(s, res, 0.1)
+        assert (len(mapped), mapped.sum(), len(lifted)) == (28, 4, 6)
+        _assert_within(lifted, res.orbits)
 
     def test_orbits_sorted_in_least_index_order(self):
         for num, s in generic_orbit_cells(0):
             orbits = detect_spacegroup(s).orbits
             assert all(list(o) == sorted(o) for o in orbits), num
             assert [o[0] for o in orbits] == sorted(o[0] for o in orbits), num
+
+
+def _lift(s, res, tol=1e-3):
+    """The input-cell oracle: maps each of ``res.operations`` on the sites
+    of ``s`` with the detection mapper at ``tol``. Returns which operations
+    map the cell onto itself, and the orbits of their permutations."""
+    mapper = detect._Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
+    perms = mapper.permutations(np.array([op.rotation for op in res.operations], dtype=float),
+                                np.array([op.translation for op in res.operations]))
+    mapped = perms[:, 0] >= 0
+    return mapped, detect._orbits(s.num_sites, perms[mapped])
 
 
 def _assert_within(inner, outer):
@@ -279,6 +309,28 @@ Cs 1 0.73583534 0.11666335 0.39243124
 Cs 1 0.22729560 0.10679454 0.39059188
 Cl 1 0.48497405 0.85920351 0.63874071
 Cl 1 0.48304005 0.36444985 0.64201941</CIF>"""
+
+
+FCC_CU = """<CIF>P1
+3.223202 3.223202 3.223202
+90.0000 90.0000 90.0000
+Cu 1 0.00000000 0.00000000 0.00000000
+Cu 1 0.00000000 0.50000000 0.50000000
+Cu 1 0.50000000 0.00000000 0.50000000
+Cu 1 0.50000000 0.50000000 0.00000000</CIF>"""
+
+
+JITTERED_DIAMOND_8 = """<CIF>P1
+5.430000 5.430000 5.430000
+90.0000 90.0000 90.0000
+Si 1 0.89549268 0.51529680 0.08866334
+Si 1 0.16508285 0.26958982 0.84065220
+Si 1 0.65438328 0.26924087 0.34212554
+Si 1 0.65498833 0.76288733 0.83761396
+Si 1 0.41759212 0.50552847 0.59575346
+Si 1 0.40340555 0.01407737 0.09225238
+Si 1 0.16183388 0.76547431 0.34357755
+Si 1 0.91759212 0.01782563 0.59149528</CIF>"""
 
 
 class TestHelpers:
@@ -808,8 +860,9 @@ class TestGenericOrbits:
 
     def test_orbits_are_the_lifts_in_order(self, detected):
         results, _ = detected
-        for num, res in results:
-            assert res.orbits == res.lift()[1], num
+        for (num, res), (_, s) in zip(results, generic_orbit_cells(1)):
+            mapped, orbits = _lift(s, res)
+            assert mapped.all() and res.orbits == orbits, num
 
     def test_integer_signature_partitions_like_fractions(self, detected):
         _, op_sets = detected
