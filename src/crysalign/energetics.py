@@ -308,10 +308,10 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
     return float(res.fun), decomposition
 
 
-def is_stable(e_hull: float, threshold: float = STABILITY_THRESHOLD) -> bool:
+def is_stable(e_hull: float) -> bool:
     if not math.isfinite(e_hull):
         raise ValueError("e_hull must be finite")
-    return e_hull < threshold
+    return e_hull < STABILITY_THRESHOLD
 
 
 @lru_cache(maxsize=1)

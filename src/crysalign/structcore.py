@@ -329,8 +329,13 @@ def all_pair_min_distance(s: CrystalStructure) -> float:
     """Minimum over all site pairs, including periodic self-images."""
     m = s.lattice.matrix()
     cart = s.frac_array() @ m
-    # A self-image one shortest basis vector away bounds the minimum.
-    radius = _RADIUS_MARGIN * float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
+    # A self-image one shortest basis vector away bounds the minimum, and so
+    # does packing: n points in volume V always hold a pair within
+    # (sqrt(2) V / n)^(1/3), the fcc spacing (Kepler bound; Hales, Ann. Math.
+    # 162, 1065, 2005). So the pair list grows with n, not with n * n.
+    shortest = float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
+    packing = (math.sqrt(2.0) * s.volume() / len(cart)) ** (1.0 / 3.0)
+    radius = _RADIUS_MARGIN * min(shortest, packing)
     i, j, offset = neighbour_pairs(s.lattice, cart, radius)
     norms = np.linalg.norm(cart[j] + offset - cart[i], axis=1)
     # Only a site's pair with itself at zero offset is left out: two sites
@@ -339,13 +344,16 @@ def all_pair_min_distance(s: CrystalStructure) -> float:
     return float(norms[~itself].min())
 
 
-def neighbour_shells(
-    s: CrystalStructure, factor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# A site's nearest-neighbour shell reaches out to this many times its
+# nearest distance.
+SHELL_FACTOR = 1.1
+
+
+def neighbour_shells(s: CrystalStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each site's nearest-neighbour shell: index arrays i, j and distances d.
 
     Row p is a contact from site i[p] to an image of site j[p], d[p] away,
-    with 1e-9 < d <= factor * (site i's nearest such distance) + 1e-9.
+    with 1e-9 < d <= SHELL_FACTOR * (site i's nearest such distance) + 1e-9.
     Rows run by i, then j, then the image's integer shift in the cell basis.
     """
     m = s.lattice.matrix()
@@ -354,7 +362,7 @@ def neighbour_shells(
     # A self-image one shortest basis vector away bounds every site's
     # nearest distance, so a search this wide holds every shell.
     shortest = float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
-    cap = _RADIUS_MARGIN * (factor * shortest + 1e-9)
+    cap = _RADIUS_MARGIN * (SHELL_FACTOR * shortest + 1e-9)
     # Start at 1.5 mean site spacings, which holds the whole shell of most
     # dense cells; widen until every site's nearest neighbour is inside,
     # then, if need be, out to the widest shell.
@@ -369,20 +377,26 @@ def neighbour_shells(
         far = d > 1e-9
         nearest = np.full(n, np.inf)
         np.minimum.at(nearest, i[far], d[far])
-        reach = factor * nearest.max() + 1e-9
+        reach = SHELL_FACTOR * nearest.max() + 1e-9
         if reach <= radius or radius >= cap:
             break
         radius = min(2.0 * radius, cap) if math.isinf(reach) else _RADIUS_MARGIN * reach
-    keep = far & (d <= factor * nearest[i] + 1e-9)
+    keep = far & (d <= SHELL_FACTOR * nearest[i] + 1e-9)
     order = np.lexsort((*shift[keep].T[::-1], j[keep], i[keep]))
     return i[keep][order], j[keep][order], d[keep][order]
 
 
-def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> Lattice:
+# Niggli reduction: comparisons allow this fraction of the geometric mean
+# squared edge, and a cell that needs more steps does not converge.
+NIGGLI_EPS = 1e-10
+NIGGLI_MAX_STEPS = 200
+
+
+def niggli_reduce(lattice: Lattice) -> Lattice:
     """Niggli-reduce a cell (Krivy-Gruber steps with stabilized comparisons).
 
     The steps start from the LLL-reduced basis of the same lattice, so a
-    nearly flat cell does not need more of them than ``max_iter``.
+    nearly flat cell does not need more of them than ``NIGGLI_MAX_STEPS``.
     """
     m = lattice.reduced_matrix
     a = float(m[0] @ m[0])
@@ -392,7 +406,7 @@ def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> 
     eta = 2.0 * float(m[0] @ m[2])
     zeta = 2.0 * float(m[0] @ m[1])
     scale = (a * b * c) ** (1.0 / 3.0)
-    tol = eps * scale
+    tol = NIGGLI_EPS * scale
 
     def lt(x, y):
         return x < y - tol
@@ -403,7 +417,7 @@ def niggli_reduce(lattice: Lattice, eps: float = 1e-10, max_iter: int = 200) -> 
     def eq(x, y):
         return abs(x - y) <= tol
 
-    for _ in range(max_iter):
+    for _ in range(NIGGLI_MAX_STEPS):
         # A1
         if gt(a, b) or (eq(a, b) and gt(abs(xi), abs(eta))):
             a, b = b, a

@@ -304,10 +304,9 @@ def _axes_summary(ops: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple, tuple
         if wi == I3:
             continue
         try:
-            order = groups.op_order(wi)
+            order, axis, _, _ = groups.rotation_info(wi)
         except ValueError as e:
             raise DetectionError(str(e)) from None
-        axis = groups.rotation_axis(wi)
         if order > axes.get(axis, (0,))[0]:
             axes[axis] = (order, wi)
     return axes
@@ -337,7 +336,7 @@ def _lattice_vectors(cell):
     return v, np.sqrt(_rowdot(v, v))
 
 
-def _shortest_along(cell, direction, tol):
+def _shortest_along(cell, direction):
     """Shortest of ``_VECS4`` pointing along ``direction``; on lengths within
     1e-9 the first in lexicographic order."""
     dn = direction / np.linalg.norm(direction)
@@ -386,7 +385,7 @@ def _conventional_candidates(
 
     if system == "monoclinic":
         (b_axis,) = [a for a, (o, _) in axes.items() if o == 2]
-        ub = _shortest_along(cell, axis_cart(b_axis), tol)
+        ub = _shortest_along(cell, axis_cart(b_axis))
         perp = _shortest_perp(cell, axis_cart(b_axis), tol)[:8]
         out = []
         for ua in perp:
@@ -403,7 +402,7 @@ def _conventional_candidates(
         dirs = [a for a, (o, _) in axes.items() if o >= 2]
         if len(dirs) != 3:
             raise DetectionError("orthorhombic cell without three 2-fold axes")
-        us = sorted((_shortest_along(cell, axis_cart(d), tol) for d in dirs),
+        us = sorted((_shortest_along(cell, axis_cart(d)) for d in dirs),
                     key=lambda u: np.linalg.norm(u @ cell))
         u = np.stack(us)
         if np.linalg.det(u @ cell) < 0:
@@ -413,7 +412,7 @@ def _conventional_candidates(
     if system in ("tetragonal", "trigonal", "hexagonal"):
         order = {"tetragonal": 4, "trigonal": 3, "hexagonal": 6}[system]
         c_axis = next(a for a, (o, _) in axes.items() if o == order)
-        uc = _shortest_along(cell, axis_cart(c_axis), tol)
+        uc = _shortest_along(cell, axis_cart(c_axis))
         rot = np.array(axes[c_axis][1])
         target = 0.0 if system == "tetragonal" else -0.5
         out = []
@@ -438,7 +437,7 @@ def _conventional_candidates(
         dirs = four if len(four) == 3 else [a for a, (o, _) in axes.items() if o == 2]
         if len(dirs) != 3:
             raise DetectionError("cubic cell without three principal axes")
-        us = [_shortest_along(cell, axis_cart(d), tol) for d in dirs]
+        us = [_shortest_along(cell, axis_cart(d)) for d in dirs]
         u = np.stack(us)
         if np.linalg.det(u @ cell) < 0:
             u[2] = -u[2]

@@ -25,10 +25,10 @@ I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # are 88 distinct triplets and its 2,609 signature items 32 distinct ones.
 PARSE_CACHE_SIZE = 256
 
-# Entries per memoized rotation invariant. The table's standard settings
-# hold 64 distinct integer rotations and detection in reduced bases meets
-# some dozens more; the bound only stops unusual input from growing the
-# caches for the life of the process.
+# Entries in the memoized rotation invariants (``rotation_info``). The
+# table's standard settings hold 64 distinct integer rotations and detection
+# in reduced bases meets some dozens more; the bound only stops unusual
+# input from growing the cache for the life of the process.
 ROTATION_CACHE_SIZE = 4096
 
 _TERM = re.compile(r"([+-]?)(\d*)([xyz])|([+-]?\d+(?:/\d+)?)")
@@ -68,7 +68,11 @@ def _matmul(a, b):
     )
 
 
-def close_ops(gens, cap: int = 200) -> list[tuple[tuple, tuple]]:
+# Most operations a closure may reach; the largest table group has 192.
+CLOSURE_CAP = 200
+
+
+def close_ops(gens) -> list[tuple[tuple, tuple]]:
     """Close generators under composition; translations mod 1 (exact).
 
     Internally translations are twelfths (integers mod 12), which is exact
@@ -100,7 +104,7 @@ def close_ops(gens, cap: int = 200) -> list[tuple[tuple, tuple]]:
                     ops.add((w, t))
                     new.append((w, t))
         frontier = new
-        if len(ops) > cap:
+        if len(ops) > CLOSURE_CAP:
             raise RuntimeError("operation closure exceeded cap")
     return sorted((w, tuple(Fraction(x, 12) for x in t)) for w, t in ops)
 
@@ -115,65 +119,39 @@ def _trace(w) -> int:
     return w[0][0] + w[1][1] + w[2][2]
 
 
-@lru_cache(maxsize=ROTATION_CACHE_SIZE)
-def op_order(w) -> int:
-    p = w
-    for n in range(1, 13):
-        if p == I3:
-            return n
-        p = _matmul(p, w)
-    raise ValueError("rotation part has no finite order <= 12")
+_AXIS_CLASS = {(0, 0, 1): "p", (0, 1, 1): "f", (1, 1, 1): "d"}
 
 
 @lru_cache(maxsize=ROTATION_CACHE_SIZE)
-def rotation_axis(w) -> tuple[int, int, int] | None:
-    """Primitive integer axis direction of a proper rotation (None for I)."""
-    if w == I3:
-        return None
-    n = op_order(w)
-    acc = np.zeros((3, 3), dtype=int)
-    p = np.array(I3)
-    wm = np.array(w)
-    for _ in range(n):
-        acc += p
-        p = p @ wm
-    for j in range(3):
-        col = acc[:, j]
-        if np.any(col):
-            g = np.gcd.reduce(np.abs(col[col != 0]))
-            v = tuple(int(x) for x in col // g)
-            for x in v:
-                if x:
-                    return v if x > 0 else tuple(-y for y in v)
-    return None
+def rotation_info(w) -> tuple[int, tuple[int, int, int] | None, str, np.ndarray]:
+    """Invariants of an integer rotation ``w``: its order, the primitive
+    integer axis of its proper part ``det(w) * w`` (None when that is I;
+    first nonzero entry positive), the axis direction class in the
+    conventional basis ("-", "p", "f", "d" or "o") and the mean of its
+    powers, which maps a translation to its component along the axis (the
+    intrinsic part). The projector is read-only, as it is shared.
 
-
-@lru_cache(maxsize=ROTATION_CACHE_SIZE)
-def axis_class(w) -> str:
-    """Direction class of an operation's axis in the conventional basis."""
-    d = _det(w)
-    wp = w if d > 0 else tuple(tuple(-x for x in row) for row in w)
-    if wp == I3:
-        return "-"
-    axis = rotation_axis(wp)
-    key = tuple(sorted(abs(x) for x in axis))
-    return {(0, 0, 1): "p", (0, 1, 1): "f", (1, 1, 1): "d"}.get(key, "o")
-
-
-@lru_cache(maxsize=ROTATION_CACHE_SIZE)
-def _projector(w) -> np.ndarray:
-    """Mean of the powers of ``w``: it maps a translation to its component
-    along the rotation axis (intrinsic part). Read-only, as it is shared."""
-    n = op_order(w)
-    wm = np.array(w)
-    proj = np.zeros((3, 3))
-    p = np.eye(3)
-    for _ in range(n):
-        proj += p
-        p = p @ wm
-    proj /= n
+    Raises ``ValueError`` when ``w`` has no finite order <= 12.
+    """
+    powers = [I3]
+    while (p := _matmul(powers[-1], w)) != I3:
+        if len(powers) == 12:
+            raise ValueError("rotation part has no finite order <= 12")
+        powers.append(p)
+    proj = np.sum(powers, axis=0) / len(powers)
     proj.setflags(write=False)
-    return proj
+    # The axis spans the kernel of det(w) * w - I, which has rank 2 unless
+    # the proper part is I: any two independent rows are normal to it.
+    m = _det(w) * np.array(w) - np.eye(3, dtype=int)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        axis = np.cross(m[a], m[b])
+        if axis.any():
+            axis //= np.gcd.reduce(axis)
+            if axis[np.flatnonzero(axis)[0]] < 0:
+                axis = -axis
+            key = tuple(sorted(np.abs(axis).tolist()))
+            return len(powers), tuple(axis.tolist()), _AXIS_CLASS.get(key, "o"), proj
+    return len(powers), None, "-", proj
 
 
 # Lattice points with coordinates in [-2, 2]: where ``signature`` looks for
@@ -212,7 +190,8 @@ def signature(ops) -> tuple:
         reps.setdefault(w, tr)
     # All representatives at once: the intrinsic translation, its residue
     # from every lattice point (both projected) and the nearest residue.
-    proj = np.array([_projector(w) for w in reps])
+    _, _, classes, projs = zip(*map(rotation_info, reps))
+    proj = np.array(projs)
     w_int = np.matmul(proj, np.array(list(reps.values()))[..., None])[..., 0]
     residues = np.matmul(lattice_pts, proj.transpose(0, 2, 1))
     np.subtract(w_int[:, None, :], residues, out=residues)
@@ -220,8 +199,8 @@ def signature(ops) -> tuple:
     best = residues[np.arange(len(reps)), nearest]
     twelfths = (np.round(best % 1.0 * 12) % 12).astype(int)
     canon = np.sort(np.minimum(twelfths, 12 - twelfths), axis=1)
-    items = [(_det(w), _trace(w), axis_class(w), c)
-             for w, c in zip(reps, map(tuple, canon.tolist()))]
+    items = [(_det(w), _trace(w), cls, c)
+             for w, cls, c in zip(reps, classes, map(tuple, canon.tolist()))]
     return (cclass, m, tuple(sorted(items)))
 
 

@@ -21,7 +21,6 @@ from .structcore import CrystalStructure, neighbour_shells
 METAL_GAP = 0.05          # eV, below: metal
 INSULATOR_GAP = 3.0       # eV, at or above: insulator
 ON_HULL_TOL = 1e-6        # eV/atom on the prompt's hull target
-SHELL_FACTOR = 1.1        # shell: out to this many times the nearest distance
 
 GEOMETRY_LABELS = {
     2: "linear",
@@ -88,7 +87,7 @@ def bond_statistics(s: CrystalStructure):
     Coordination is taken from each element's first site (deterministic);
     bond means pool every nearest-neighbor-shell contact of the pair.
     """
-    i, j, d = neighbour_shells(s, SHELL_FACTOR)
+    i, j, d = neighbour_shells(s)
     elems = s.elements()
     coordination: dict[str, tuple[str, int, str]] = {}
     pair_dists: dict[tuple[str, str], list[float]] = {}

@@ -24,18 +24,11 @@ class ConfigurationError(RuntimeError):
     """Missing or inconsistent check configuration (not an invalid structure)."""
 
 
-@dataclass(frozen=True)
-class ValidityThresholds:
-    min_pair_distance: float = 2.0   # A
-    min_volume: float = 4.0          # A^3
-    min_length: float = 1.1          # A
-    angle_range: tuple[float, float] = (20.0, 160.0)  # degrees
-
-    def __post_init__(self):
-        if min(self.min_pair_distance, self.min_volume, self.min_length) <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.angle_range[0] >= self.angle_range[1]:
-            raise ValueError("angle_range.low must be < angle_range.high")
+# Structural validity: every inequality is strict.
+MIN_PAIR_DISTANCE = 2.0          # A
+MIN_VOLUME = 4.0                 # A^3
+MIN_LENGTH = 1.1                 # A
+ANGLE_RANGE = (20.0, 160.0)      # degrees
 
 
 @dataclass(frozen=True)
@@ -78,18 +71,16 @@ class ValidityReport:
             raise ValueError("failed_checks must be non-empty iff a check failed")
 
 
-def check_structural(
-    s: CrystalStructure, t: ValidityThresholds = ValidityThresholds()
-) -> tuple[bool, list[str]]:
+def check_structural(s: CrystalStructure) -> tuple[bool, list[str]]:
     """Geometric validity: strict inequalities at every threshold."""
     reasons = []
-    if not all_pair_min_distance(s) > t.min_pair_distance:
+    if not all_pair_min_distance(s) > MIN_PAIR_DISTANCE:
         reasons.append("pair_distance")
-    if not s.volume() > t.min_volume:
+    if not s.volume() > MIN_VOLUME:
         reasons.append("volume")
-    if not all(x > t.min_length for x in s.lattice.lengths):
+    if not all(x > MIN_LENGTH for x in s.lattice.lengths):
         reasons.append("length")
-    lo, hi = t.angle_range
+    lo, hi = ANGLE_RANGE
     if not all(lo < ang < hi for ang in s.lattice.angles):
         reasons.append("angle")
     return (not reasons, reasons)
@@ -149,13 +140,12 @@ def build_report(
     s: CrystalStructure | None,
     target: Composition | None,
     table: OxidationTable,
-    thresholds: ValidityThresholds = ValidityThresholds(),
 ) -> ValidityReport:
     """Full validity report for one structure; ``s=None`` means unparseable."""
     if s is None:
         return ValidityReport(False, False, False,
                               ("parse", "structural", "chemical", "composition"))
-    structural, reasons = check_structural(s, thresholds)
+    structural, reasons = check_structural(s)
     chemical = check_chemical(s.composition(), table)
     comp_ok = target is None or check_composition_match(s.composition(), target)
     failed = list(reasons)

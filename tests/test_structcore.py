@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +139,78 @@ class TestDistances:
         assert shifts(m) > 1e6
         assert shifts(basis) < 5000
         assert all_pair_min_distance(s) == pytest.approx(short / 2, rel=1e-9)
+
+    def test_min_distance_of_a_large_random_cell(self):
+        s = _random_nacl(2000, seed=11)
+        assert all_pair_min_distance(s) == pytest.approx(_chunked_min_distance(s), rel=1e-12)
+
+    def test_min_distance_at_the_packing_bound(self):
+        """fcc spacing a / sqrt(2) is the packing bound itself: in the
+        primitive cell it is also the shortest lattice vector, in the
+        4-site conventional cell the bound alone sets the search radius."""
+        a = 4.05
+        primitive = CrystalStructure(Lattice(*[a / math.sqrt(2)] * 3, 60, 60, 60),
+                                     (Site("Al", (0.0, 0.0, 0.0)),))
+        conventional = CrystalStructure(Lattice(a, a, a, 90, 90, 90), tuple(
+            Site("Al", f) for f in ((0, 0, 0), (0, 0.5, 0.5), (0.5, 0, 0.5), (0.5, 0.5, 0))))
+        for s in (primitive, conventional):
+            assert all_pair_min_distance(s) == pytest.approx(a / math.sqrt(2), rel=1e-12)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+    def test_min_distance_memory_is_not_quadratic(self):
+        here = Path(__file__).resolve().parent
+        done = subprocess.run([sys.executable, "-c", _MIN_DISTANCE_PEAK,
+                               str(here.parent / "src"), str(here)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 100.0
+
+
+def _random_nacl(n, seed):
+    """n random Na/Cl sites in a cube of 20 A^3 per site."""
+    rng = np.random.default_rng(seed)
+    a = (20.0 * n) ** (1.0 / 3.0)
+    return CrystalStructure(Lattice(a, a, a, 90, 90, 90), tuple(
+        Site("Na" if k % 2 else "Cl", tuple(f)) for k, f in enumerate(rng.random((n, 3)).tolist())))
+
+
+def _chunked_min_distance(s, chunk=200):
+    """Minimum-image distance over every pair of an orthogonal cell, a block
+    of rows at a time, and the shortest self-image."""
+    m = s.lattice.matrix()
+    frac = s.frac_array()
+    best = min(s.lattice.lengths)
+    for lo in range(0, len(frac), chunk):
+        d = frac[None, :, :] - frac[lo:lo + chunk, None, :]
+        d -= np.round(d)
+        norm = np.linalg.norm(d @ m, axis=-1)
+        norm[np.arange(len(norm)), lo + np.arange(len(norm))] = math.inf
+        best = min(best, float(norm.min()))
+    return best
+
+
+# Peak-RSS rise, in MB, of the minimum distance of a 2,000-site random cell.
+# Address space is capped 1 GiB above the warm process, so a search that
+# grows with n * n fails here instead of taking the machine's memory.
+_MIN_DISTANCE_PEAK = """
+import resource, sys
+sys.path[:0] = sys.argv[1:3]
+from crysalign.structcore import CrystalStructure, Lattice, Site, all_pair_min_distance
+from test_structcore import _random_nacl
+
+def status_kb(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+s = _random_nacl(2000, seed=11)
+all_pair_min_distance(CrystalStructure(Lattice(4, 4, 4, 90, 90, 90), (Site("Na", (0, 0, 0)),)))
+cap = status_kb("VmSize") * 1024 + 2**30
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+before = status_kb("VmRSS")
+all_pair_min_distance(s)
+print((status_kb("VmHWM") - before) / 1024)
+"""
 
 
 def _brute_min_distance(s):

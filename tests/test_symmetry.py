@@ -527,9 +527,9 @@ class TestVectorizedSearch:
                 want = _shortest_along_loop(cell, direction)
                 if want is None:
                     with pytest.raises(DetectionError):
-                        detect._shortest_along(cell, direction, 1e-3)
+                        detect._shortest_along(cell, direction)
                 else:
-                    assert np.array_equal(detect._shortest_along(cell, direction, 1e-3), want)
+                    assert np.array_equal(detect._shortest_along(cell, direction), want)
                 for tol in (1e-3, 1e-1):
                     want = _shortest_perp_loop(cell, direction, tol)
                     if not want:
@@ -710,21 +710,126 @@ class TestArraySearches:
                 assert np.array_equal(got, want[:limit + 1])
 
 
+# The rotation invariants as computed before ``groups.rotation_info``, one
+# power loop each and uncached: the oracles for it and for
+# ``_signature_fractions``.
+def _op_order(w):
+    p = w
+    for n in range(1, 13):
+        if p == groups.I3:
+            return n
+        p = groups._matmul(p, w)
+    raise ValueError("rotation part has no finite order <= 12")
+
+
+def _rotation_axis(w):
+    """Primitive integer axis direction of a proper rotation (None for I)."""
+    if w == groups.I3:
+        return None
+    n = _op_order(w)
+    acc = np.zeros((3, 3), dtype=int)
+    p = np.array(groups.I3)
+    wm = np.array(w)
+    for _ in range(n):
+        acc += p
+        p = p @ wm
+    for j in range(3):
+        col = acc[:, j]
+        if np.any(col):
+            g = np.gcd.reduce(np.abs(col[col != 0]))
+            v = tuple(int(x) for x in col // g)
+            for x in v:
+                if x:
+                    return v if x > 0 else tuple(-y for y in v)
+    return None
+
+
+def _proper_part(w):
+    return w if groups._det(w) > 0 else tuple(tuple(-x for x in row) for row in w)
+
+
+def _axis_class(w):
+    wp = _proper_part(w)
+    if wp == groups.I3:
+        return "-"
+    key = tuple(sorted(abs(x) for x in _rotation_axis(wp)))
+    return {(0, 0, 1): "p", (0, 1, 1): "f", (1, 1, 1): "d"}.get(key, "o")
+
+
+def _projector(w):
+    n = _op_order(w)
+    wm = np.array(w)
+    proj = np.zeros((3, 3))
+    p = np.eye(3)
+    for _ in range(n):
+        proj += p
+        p = p @ wm
+    proj /= n
+    return proj
+
+
+def _assert_rotation_info(w):
+    """``rotation_info(w)`` equals the oracles, the projector to the bit, or
+    raises as the order oracle does."""
+    try:
+        order = _op_order(w)
+    except ValueError:
+        with pytest.raises(ValueError, match="no finite order"):
+            groups.rotation_info(w)
+        return False
+    got_order, axis, cls, proj = groups.rotation_info(w)
+    assert (got_order, axis, cls) == (order, _rotation_axis(_proper_part(w)), _axis_class(w)), w
+    assert np.array_equal(proj, _projector(w)), w
+    assert groups.rotation_info(w)[3] is proj
+    return True
+
+
 class TestRotationInvariants:
     @pytest.fixture(scope="class")
     def rotations(self):
         table = groups.load_group_table()
         return sorted({w for num in table for w, _ in groups.close_ops(table[num][1])})
 
+    @pytest.fixture(scope="class")
+    def reduced_cells(self):
+        """Every reduced primitive cell detection searches for a third of
+        the seed-0 generic-orbit cells."""
+        cells = []
+        real = detect._candidate_rotations
+
+        def recording(cell, tol):
+            cells.append(cell)
+            return real(cell, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_candidate_rotations", recording)
+            for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
+                detect_spacegroup(s)
+        return cells
+
     def test_memoized_invariants_match_uncached(self, rotations):
         assert len(rotations) == 64
         for w in rotations:
-            for fn in (groups.op_order, groups.rotation_axis, groups.axis_class):
-                assert fn(w) == fn.__wrapped__(w) == fn(w)
-            assert np.array_equal(groups._projector(w), groups._projector.__wrapped__(w))
+            assert _assert_rotation_info(w)
+
+    def test_candidate_rotations_match_uncached(self, rotations, reduced_cells):
+        """Every candidate rotation of the reduced cells, proper and improper,
+        at the default tolerance and at a loose one that admits integer
+        matrices of no finite order."""
+        seen = {}
+        for cell in reduced_cells:
+            for tol in (1e-3, 0.3):
+                for w in detect._candidate_rotations(cell, tol):
+                    w = tuple(map(tuple, w.tolist()))
+                    if w not in seen:
+                        seen[w] = _assert_rotation_info(w)
+        finite = [w for w, ok in seen.items() if ok]
+        assert set(finite) - set(rotations)
+        assert len(finite) < len(seen)
+        assert {groups._det(w) for w in finite} == {-1, 1}
 
     def test_cached_projector_is_read_only(self):
-        proj = groups._projector(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+        proj = groups.rotation_info(((0, -1, 0), (1, 0, 0), (0, 0, 1)))[3]
         with pytest.raises(ValueError):
             proj[0, 0] = 1.0
         assert np.array_equal(proj, np.diag([0.0, 0.0, 1.0]))
@@ -809,13 +914,13 @@ def _signature_fractions(ops):
         reps.setdefault(w, tr)
     items = []
     for w, tr in reps.items():
-        proj = groups._projector(w)
+        proj = _projector(w)
         w_int = proj @ np.array(tr)
         residues = w_int[None, :] - lattice_pts @ proj.T
         best = residues[np.argmin(np.einsum("ij,ij->i", residues, residues))]
         canon = tuple(sorted(min(f, 1 - f) for f in
                              (Fraction(round((float(x) % 1.0) * 12), 12) % 1 for x in best)))
-        items.append((groups._det(w), groups._trace(w), groups.axis_class(w), canon))
+        items.append((groups._det(w), groups._trace(w), _axis_class(w), canon))
     return (cclass, m, tuple(sorted(items)))
 
 

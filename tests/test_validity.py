@@ -7,7 +7,6 @@ import pytest
 from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
 from crysalign.validity import (
     OxidationTable,
-    ValidityThresholds,
     build_report,
     check_chemical,
     check_composition_match,
@@ -67,11 +66,10 @@ class TestStructural:
         assert not ok
 
     def test_extreme_angle_fails(self):
-        t = ValidityThresholds()
         s = CrystalStructure(
             Lattice(6, 6, 6, 15, 90, 90),
             (Site("Na", (0.0, 0.0, 0.0)),))
-        ok, failed = check_structural(s, t)
+        ok, failed = check_structural(s)
         assert not ok
         assert any("angle" in f for f in failed)
 
