@@ -62,8 +62,14 @@ class RunConfig:
     def __post_init__(self):
         if self.worker_count < 1:
             raise InputError("worker_count must be >= 1")
-        if not (math.isfinite(self.symmetry_tol) and self.symmetry_tol > 0):
-            raise InputError("symmetry_tol must be a positive finite number")
+        for name in ("symmetry_tol", "e0", "length_tol", "angle_tol", "site_tol"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise InputError(f"{name} must be a positive finite number")
+        for name in ("alpha_validity", "alpha_stability"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise InputError(f"{name} must be a finite number >= 0")
+        if not self.timeout_s >= 0:                     # NaN fails too
+            raise InputError("timeout_s must be a number >= 0")
         if not os.path.exists(self.samples_path):
             raise InputError(f"samples file not found: {self.samples_path}")
         if (self.reference_structures_path is not None
@@ -99,7 +105,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         elif kind == "float":
             kwargs[key] = float(raw)
         elif kind == "bool":
-            kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in parser.BOOLEAN_STATES:
+                raise InputError(f"{key} must be a boolean, got {raw!r}")
+            kwargs[key] = parser.BOOLEAN_STATES[raw.lower()]
         elif kind.startswith("str | None"):
             kwargs[key] = raw or None
         else:
@@ -327,17 +335,8 @@ def rows_to_csv(rows: list[EvaluationRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     names = [f.name for f in fields(EvaluationRow)]
     writer.writerow(names)
-    for r in rows:
-        record = []
-        for name in names:
-            v = getattr(r, name)
-            if v is None:
-                record.append("")
-            elif isinstance(v, float):
-                record.append(repr(v))
-            else:
-                record.append(v)
-        writer.writerow(record)
+    # None is written as an empty field, a float as its repr.
+    writer.writerows([getattr(r, name) for name in names] for r in rows)
     return buf.getvalue()
 
 

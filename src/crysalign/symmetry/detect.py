@@ -10,9 +10,9 @@ integral in the input basis, each followed by every pure translation, and
 its orbits are the orbits of the primitive operations, each primitive site
 replaced by its pure-translation class.
 
-Each search stage (pure translations, rotations) tests all of its candidate
-operations in one batch (``_Mapper.permutations``), with the same rules as
-one at a time: nearest site, first on a tie, within ``tol``.
+Both stages run one search (``_fitting_ops``): each rotation with each
+translation taking the first anchor site onto an anchor site, tested in chunks
+by the rules of one at a time: nearest site, first on a tie, within ``tol``.
 
 Symmetry operations act on column fractional coordinates: x' = W x + w.
 """
@@ -132,9 +132,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Upper bound on the float64 entries of one site-difference broadcast in
-# ``_Mapper.permutations``: the one-site screen and the full blocks each run
-# in chunks of at most this many, so a large cell's temporaries stay a few
-# times 2 MiB.
+# ``_Mapper.permutations``: the candidates' images and one-site screens and
+# the full blocks each run in chunks of at most this many, so a large cell's
+# temporaries (its fitting rows aside) stay a few times 2 MiB.
 MAP_CHUNK = 1 << 18
 
 
@@ -165,44 +165,48 @@ class _Mapper:
         x = d @ self.cell
         return np.sqrt((x * x).sum(axis=3))
 
-    def permutations(self, ws: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """One row per candidate ``(ws[k], ts[k])``: site i goes to the
-        nearest same-element site to ``w x_i + t`` (first on a tie). The row
-        is all -1 unless every site has its image within ``tol`` (a NaN
-        distance is no match) and no two sites go to the same one."""
-        perms = np.full((len(ws), len(self.frac)), -1, dtype=np.int32)
-        alive = np.arange(len(ws))
-        for idx in self.by_elem.values():
-            if not len(alive):
-                break
-            sites = self.frac[idx]
-            # 3 m floats per candidate in the screen, 3 m m in a full block.
-            step = max(1, MAP_CHUNK // (3 * len(idx)))
-            block = max(1, step // len(idx))
-            ok = np.zeros(len(alive), dtype=bool)
-            for lo in range(0, len(alive), step):
-                k = alive[lo:lo + step]
-                img = np.matmul(sites, ws[k].transpose(0, 2, 1)) + ts[k][:, None, :]
-                hits = np.arange(len(k))
-                if len(idx) > 1:
+    def permutations(self, ws: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates ``(ws[k], ts[k])`` that map the sites onto
+        themselves, ascending, and their permutations: site i goes to the
+        nearest same-element site to ``w x_i + t`` (first on a tie), each
+        within ``tol`` (a NaN distance is no match), no two to one site."""
+        n = len(self.frac)
+        # 3 n floats per candidate: the images of every site.
+        step = max(1, MAP_CHUNK // (3 * n))
+        fits, rows = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=np.int32)]
+        for lo in range(0, len(ws), step):
+            alive = np.arange(lo, min(lo + step, len(ws)))
+            perms = np.empty((len(alive), n), dtype=np.int32)
+            for idx in self.by_elem.values():
+                sites = self.frac[idx]
+                img = np.matmul(sites, ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
+                hits = np.arange(len(alive))
+                if len(idx) > 1 and len(alive) > 1:
                     # A candidate that fails mostly fails on any one site, so
                     # the last site's row alone (m distances, not m * m)
                     # screens the chunk. Not the first site: the rotation
                     # search builds its candidates to map the first anchor
-                    # site exactly. (With one site, that row is the block.)
+                    # site exactly. (With one site, that row is the block; a
+                    # lone candidate, mostly the fitting identity, gains nothing.)
                     near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
                     hits = hits[near]
+                # 3 m m floats per candidate in a full block.
+                block = max(1, MAP_CHUNK // (3 * len(idx) ** 2))
+                ok = np.zeros(len(alive), dtype=bool)
                 for b in range(0, len(hits), block):
                     hit = hits[b:b + block]
                     dist = self._distances(sites, img[hit])
                     image = idx[dist.argmin(axis=2)]
                     ordered = np.sort(image, axis=1)
-                    ok[lo + hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
-                                    & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
-                    perms[k[hit][:, None], idx] = image
-            perms[alive[~ok]] = -1
-            alive = alive[ok]
-        return perms
+                    ok[hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
+                               & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
+                    perms[alive[hit, None] - lo, idx] = image
+                alive = alive[ok]
+                if not len(alive):
+                    break
+            fits.append(alive)
+            rows.append(perms[alive - lo])
+        return np.concatenate(fits), np.concatenate(rows)
 
 
 def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -238,18 +242,21 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # detection
 
 
-def _pure_translations(mapper: _Mapper) -> tuple[list[np.ndarray], np.ndarray]:
-    """The pure translations, zero first, and the site permutation of each
-    nonzero one (one row each)."""
+def _fitting_ops(mapper: _Mapper, rots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of ``rots`` (the identity among them) with each translation
+    taking the first anchor site onto an anchor site: the rotation index,
+    translation and site permutation of each that fits, in candidate order."""
     idx = mapper.anchor_sites()
-    ts = (mapper.frac[idx[1:]] - mapper.frac[idx[0]]) % 1.0
-    ws = np.broadcast_to(np.eye(3), (len(ts), 3, 3))
-    perms = mapper.permutations(ws, ts)
-    fits = perms[:, 0] >= 0
-    return [np.zeros(3)] + list(ts[fits]), perms[fits]
+    x = mapper.frac[idx]
+    ts = ((x - np.matmul(rots, x[0])[:, None, :]) % 1.0).reshape(-1, 3)
+    fit, perms = mapper.permutations(np.repeat(rots, len(idx), axis=0), ts)
+    rot_of = fit // len(idx)
+    if not (rots[rot_of] == np.eye(3, dtype=int)).all(axis=(1, 2)).any():
+        raise DetectionError("identity operation missing")
+    return rot_of, ts[fit], perms
 
 
-def _primitive_transform(translations: list[np.ndarray]) -> np.ndarray:
+def _primitive_transform(translations: np.ndarray) -> np.ndarray:
     """Rows S (rational, as floats): primitive basis in original frac coords."""
     m = len(translations)
     if m == 1:
@@ -464,15 +471,21 @@ def _centering_vectors(ut_inv: np.ndarray, limit: int) -> np.ndarray:
     return np.array(centers)
 
 
+def _rounded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` rounded to integers, and which matrices are integral by
+    ``np.isclose(w, rounded, atol=1e-6)``, written out for speed."""
+    wi = np.round(w)
+    return wi.astype(int), (np.abs(w - wi) <= 1e-6 + 1e-5 * np.abs(wi)).all(axis=(1, 2))
+
+
 def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
     """Operation-set signature in the conventional basis ``u_conv @ cell``."""
     m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
     if m_conv == 0:
         raise DetectionError("singular conventional basis")
     ut_inv = np.linalg.inv(u_conv.T * 1.0)
-    w_c = ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T
-    w_ci = np.round(w_c).astype(int)
-    if not np.allclose(w_c, w_ci, atol=1e-6):
+    w_ci, integral = _rounded(ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T)
+    if not integral.all():
         raise DetectionError("non-integer rotation in conventional basis")
     centers = _centering_vectors(ut_inv, m_conv)
     if len(centers) != m_conv:
@@ -495,8 +508,9 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     frac0 = s.frac_array()
     elems = s.elements()
 
-    # Primitive cell.
-    translations, translation_perms = _pure_translations(_Mapper(cell0, frac0, elems, tol))
+    # Primitive cell: the identity's fits, the zero translation first.
+    _, translations, translation_perms = _fitting_ops(
+        _Mapper(cell0, frac0, elems, tol), np.eye(3, dtype=int)[None])
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     cell_p = s_mat @ cell0
@@ -508,7 +522,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
 
     frac_r = (frac0 @ np.linalg.inv(r_mat)) % 1.0
     # Fold the sites: keep the lowest index of each pure-translation class.
-    classes = _orbits(len(frac_r), translation_perms)
+    classes = _orbits(len(frac_r), translation_perms[1:])  # [0] is the identity
     keep = [c[0] for c in classes]
     if len(keep) * m != len(frac_r):
         raise DetectionError("site folding inconsistent with pure translations")
@@ -516,22 +530,12 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     elems_prim = tuple(elems[i] for i in keep)
     mapper = _Mapper(cell_r, frac_prim, elems_prim, tol)
 
-    # Space-group operations in the reduced primitive basis.
-    # Every rotation against every anchor site at once; each rotation keeps
-    # the first anchor site that fits.
-    anchor_sites = mapper.anchor_sites()
+    # Space-group operations in the reduced primitive basis: each rotation
+    # with its first fitting anchor site.
     rots = np.array(_candidate_rotations(cell_r, tol)).reshape(-1, 3, 3)
-    x0 = frac_prim[int(anchor_sites[0])]
-    ts = (frac_prim[anchor_sites] - np.matmul(rots, x0)[:, None, :]) % 1.0
-    perms = mapper.permutations(np.repeat(rots, len(anchor_sites), axis=0),
-                                ts.reshape(-1, 3)).reshape(len(rots), len(anchor_sites), -1)
-    fits = perms[:, :, 0] >= 0
-    first = fits.argmax(axis=1)
-    accepted = np.flatnonzero(fits.any(axis=1))
-    ops: list[tuple[np.ndarray, np.ndarray]] = [(rots[r], ts[r, first[r]]) for r in accepted]
-    prim_perms = perms[accepted, first[accepted]]
-    if not fits[(rots == np.eye(3, dtype=int)).all(axis=(1, 2))].any():
-        raise DetectionError("identity operation missing")
+    rot_of, ts, perms = _fitting_ops(mapper, rots)
+    accepted, first = np.unique(rot_of, return_index=True)
+    ops: list[tuple[np.ndarray, np.ndarray]] = list(zip(rots[accepted], ts[first]))
 
     # Conventional setting and signature.
     axes = _axes_summary(ops)
@@ -564,19 +568,15 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     # The operations in the input basis: each primitive operation whose
     # rotation is integral there, followed by every pure translation.
     rt = r_mat.T
-    rt_inv = np.linalg.inv(rt)
-    w_o = rt @ np.array([w for w, _ in ops]) @ rt_inv
-    w_oi = np.round(w_o).astype(int)
-    integral = np.isclose(w_o, w_oi, atol=1e-6).all(axis=(1, 2))
+    w_oi, integral = _rounded(rt @ np.array([w for w, _ in ops]) @ np.linalg.inv(rt))
     ambiguous = ambiguous or not integral.all()
-    extras = np.array(translations)
     ws = np.repeat(w_oi[integral], m, axis=0)
-    ts = np.array([((rt @ t) % 1.0 + extras) % 1.0
+    ts = np.array([((rt @ t) % 1.0 + translations) % 1.0
                    for (_, t), ok in zip(ops, integral) if ok]).reshape(-1, 3)
     # The input-cell orbits: each orbit of the primitive operations with
     # every primitive site replaced by its pure-translation class.
     orbits = tuple(tuple(sorted(i for q in o for i in classes[q]))
-                   for o in _orbits(len(keep), prim_perms[integral]))
+                   for o in _orbits(len(keep), perms[first[integral]]))
 
     return SpacegroupResult(
         number=number,

@@ -319,6 +319,36 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "e0 = 0", "e0 = -1", "e0 = nan", "e0 = inf",
+        "alpha_validity = -1", "alpha_validity = nan",
+        "alpha_stability = -1", "alpha_stability = inf",
+        "length_tol = 0", "angle_tol = -5", "site_tol = 0", "site_tol = nan",
+        "timeout_s = nan", "timeout_s = -1",
+    ])
+    def test_bad_setting_in_ini_is_input_error(self, tmp_path, samples_path, setting):
+        """Rejected before any sample runs: exit 2 and no output."""
+        from crysalign.cli import main
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\n{setting}\n")
+        assert main(["evaluate", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert not (tmp_path / "out").exists()
+
+    def test_booleans_follow_configparser(self, tmp_path, samples_path):
+        """configparser's spellings read as booleans; anything else is an
+        InputError, not a silent False."""
+        ini = tmp_path / "run.ini"
+        for raw, value in [("1", True), ("yes", True), ("True", True), ("on", True),
+                           ("0", False), ("no", False), ("FALSE", False), ("off", False),
+                           ("ture", None), ("2", None)]:
+            ini.write_text(f"[run]\nsamples_path = {samples_path}\nrelax_before_hull = {raw}\n")
+            if value is None:
+                with pytest.raises(InputError, match="relax_before_hull"):
+                    load_config(str(ini))
+            else:
+                assert load_config(str(ini)).relax_before_hull is value
+
     def test_load_ini(self, tmp_path, samples_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

@@ -278,10 +278,10 @@ def _lift(s, res, tol=1e-3):
     of ``s`` with the detection mapper at ``tol``. Returns which operations
     map the cell onto itself, and the orbits of their permutations."""
     mapper = detect._Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    perms = mapper.permutations(np.array([op.rotation for op in res.operations], dtype=float),
-                                np.array([op.translation for op in res.operations]))
-    mapped = perms[:, 0] >= 0
-    return mapped, detect._orbits(s.num_sites, perms[mapped])
+    fit, perms = mapper.permutations(np.array([op.rotation for op in res.operations], dtype=float),
+                                     np.array([op.translation for op in res.operations]))
+    mapped = np.isin(np.arange(len(res.operations)), fit)
+    return mapped, detect._orbits(s.num_sites, perms)
 
 
 def _assert_within(inner, outer):
@@ -499,10 +499,17 @@ def _permutation_loop(cell, frac, elems, tol, w, t, seen=None):
     return perm
 
 
-def _permutation_rows(cell, frac, elems, tol, ws, ts, seen=None):
-    """The loop's result per candidate, as ``_Mapper.permutations`` rows."""
+def _fitting_rows(cell, frac, elems, tol, ws, ts, seen=None):
+    """The loop's result as ``_Mapper.permutations`` returns it: the fitting
+    candidates, ascending, and their permutation rows."""
     rows = [_permutation_loop(cell, frac, elems, tol, w, t, seen) for w, t in zip(ws, ts)]
-    return np.array([[-1] * len(frac) if p is None else p for p in rows])
+    fit = [k for k, p in enumerate(rows) if p is not None]
+    return np.array(fit, dtype=int), np.array([rows[k] for k in fit]).reshape(len(fit), len(frac))
+
+
+def _assert_same_fits(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
 
 
 # (lattice, a space group whose standard setting fits it)
@@ -553,11 +560,10 @@ class TestVectorizedSearch:
                                for _ in (0, 1, 5)])
                 ts = np.array([(f[j] - w @ f[0]) % 1.0 for w in ws[::3]
                                for j in (0, 1, 5)])
-                want = _permutation_rows(cell, f, elems, tol, ws, ts)
-                got = detect._Mapper(cell, f, elems, tol).permutations(ws, ts)
-                assert np.array_equal(got, want)
-                matched += (want[:, 0] >= 0).sum()
-                unmatched += (want[:, 0] < 0).sum()
+                want = _fitting_rows(cell, f, elems, tol, ws, ts)
+                _assert_same_fits(detect._Mapper(cell, f, elems, tol).permutations(ws, ts), want)
+                matched += len(want[0])
+                unmatched += len(ws) - len(want[0])
         assert matched and unmatched
 
     def test_large_cell_screens_in_few_chunks(self, monkeypatch):
@@ -606,18 +612,28 @@ class TestVectorizedSearch:
         for frac, elems, tol in cases:
             ws = np.array([rots[k] for k in rng.integers(0, len(rots), 37)])
             ts = np.concatenate([rng.integers(0, 8, (30, 3)) / 8.0, rng.random((7, 3))])
-            want = _permutation_rows(cell, frac, elems, tol, ws, ts, seen)
-            got = detect._Mapper(cell, frac, elems, tol).permutations(ws, ts)
-            assert got.shape == (37, len(frac))
-            assert np.array_equal(got, want)
-            seen["mapped"] += (want[:, 0] >= 0).sum()
-            seen["rejected"] += (want[:, 0] < 0).sum()
+            want = _fitting_rows(cell, frac, elems, tol, ws, ts, seen)
+            _assert_same_fits(detect._Mapper(cell, frac, elems, tol).permutations(ws, ts), want)
+            seen["mapped"] += len(want[0])
+            seen["rejected"] += 37 - len(want[0])
         assert all(seen.values()), seen
 
     def test_no_candidates(self):
         mapper = detect._Mapper(np.eye(3), np.zeros((2, 3)), ("Na", "Cl"), 1e-3)
-        got = mapper.permutations(np.zeros((0, 3, 3)), np.zeros((0, 3)))
-        assert got.shape == (0, 2)
+        fit, rows = mapper.permutations(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        assert fit.shape == (0,) and rows.shape == (0, 2)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_large_cell_peak_memory(self):
+        """The mapper holds rows only for the operations that fit: on a
+        1,000-site random cubic cell the rotation search tries 48 rotations
+        times 500 anchor sites, and a row for each would be 96 MB."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", _DETECT_PEAK_RISE], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        number, rise_mb = done.stdout.split()
+        assert number == "1"
+        assert float(rise_mb) < 60
 
 
 # Reference loops: one candidate column and one centre at a time, as the
@@ -878,6 +894,27 @@ class TestReducedPrimitiveBasis:
             u = cell_r @ np.linalg.inv(cell_p)
             assert np.abs(u - np.round(u)).max() < 1e-9
             assert round(np.linalg.det(np.round(u))) == 1
+
+
+# Prints the detected number and the rise in peak resident memory (MB) that
+# detecting a seeded 1,000-site random Na/Cl cell in a cubic box causes.
+_DETECT_PEAK_RISE = """
+import numpy as np
+from crysalign.structcore import CrystalStructure, Lattice, Site
+from crysalign.symmetry import detect_spacegroup
+
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM"))
+
+rng = np.random.default_rng(0)
+s = CrystalStructure(Lattice(25, 25, 25, 90, 90, 90),
+                     tuple(Site(("Cl", "Na")[i % 2], tuple(p))
+                           for i, p in enumerate(rng.random((1000, 3)))))
+before = peak_kb()
+number = detect_spacegroup(s).number
+print(number, (peak_kb() - before) / 1024)
+"""
 
 
 class TestDeterminism:
