@@ -100,10 +100,12 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if key not in casts:
             raise InputError(f"unknown config key: {key}")
         kind = casts[key]
-        if kind == "int":
-            kwargs[key] = int(raw)
-        elif kind == "float":
-            kwargs[key] = float(raw)
+        if kind in ("int", "float"):
+            try:
+                kwargs[key] = int(raw) if kind == "int" else float(raw)
+            except ValueError:
+                noun = "an integer" if kind == "int" else "a number"
+                raise InputError(f"{key} must be {noun}, got {raw!r}") from None
         elif kind == "bool":
             if raw.lower() not in parser.BOOLEAN_STATES:
                 raise InputError(f"{key} must be a boolean, got {raw!r}")

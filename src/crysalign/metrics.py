@@ -19,8 +19,9 @@ class MatchConfig:
     site_tol: float = 0.03     # fractional, per coordinate
 
     def __post_init__(self):
-        if min(self.length_tol, self.angle_tol, self.site_tol) <= 0:
-            raise ValueError("matching tolerances must be positive")
+        for value in (self.length_tol, self.angle_tol, self.site_tol):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("matching tolerances must be positive finite numbers")
 
 
 @dataclass(frozen=True)

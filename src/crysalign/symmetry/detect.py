@@ -14,6 +14,14 @@ Both stages run one search (``_fitting_ops``): each rotation with each
 translation taking the first anchor site onto an anchor site, tested in chunks
 by the rules of one at a time: nearest site, first on a tie, within ``tol``.
 
+The conventional cell is read from the rotations' integer invariants
+(``groups.rotation_info``): each axis is the shortest lattice vector along
+it, the in-plane candidates are the small integer vectors its projector
+sends to 0, the second in-plane vector is a fixed power of the rotation
+applied to the first, and handedness is the sign of the integer determinant.
+The Cartesian cell only orders candidates by length; a system whose axes
+give no candidate falls back to triclinic.
+
 Symmetry operations act on column fractional coordinates: x' = W x + w.
 """
 
@@ -337,120 +345,82 @@ def _classify_system(axes: dict[tuple, tuple]) -> str:
     return "triclinic"
 
 
-def _lattice_vectors(cell):
-    """Cartesian images of ``_VECS4`` in ``cell`` and their lengths."""
-    v = _VECS4 @ cell
-    return v, np.sqrt(_rowdot(v, v))
+def _in_plane(cell: np.ndarray, rot: tuple) -> np.ndarray:
+    """Rows of ``_VECS4`` in the plane the proper rotation ``rot`` turns (its
+    projector sends them to 0), shortest in ``cell`` first (stable, so equal
+    lengths keep lexicographic order)."""
+    order, _, _, proj = groups.rotation_info(rot)
+    # order * proj is the sum of the rotation's powers, an integer matrix.
+    hits = np.flatnonzero(~(_VECS4 @ np.rint(order * proj).astype(int).T).any(axis=1))
+    # Taken from the images of all rows, so each length rounds (and ties)
+    # the same way whichever rows are hits.
+    v = (_VECS4 @ cell)[hits]
+    return _VECS4[hits[np.argsort(np.sqrt(_rowdot(v, v)), kind="stable")]]
 
 
-def _shortest_along(cell, direction):
-    """Shortest of ``_VECS4`` pointing along ``direction``; on lengths within
-    1e-9 the first in lexicographic order."""
-    dn = direction / np.linalg.norm(direction)
-    v, norm = _lattice_vectors(cell)
-    cross = np.cross(v / norm[:, None], dn)
-    hits = np.flatnonzero((np.sqrt(_rowdot(cross, cross)) < 1e-4)
-                          & (_rowdot(v, dn) > 0))
-    if not hits.size:
-        raise DetectionError("no lattice vector along symmetry axis")
-    best = hits[0]
-    for k in hits[1:]:
-        if norm[k] < norm[best] - 1e-9:
-            best = k
-    return _VECS4[best]
+# Powers k of a c-axis rotation of each order that turn a to the
+# conventional in-plane b: 90 degrees away for 4, 120 for 3 and 6.
+_B_POWERS = {4: (1, 3), 3: (1, 2), 6: (2, 4)}
 
 
-def _shortest_perp(cell, direction, tol):
-    """Rows of ``_VECS4`` perpendicular to ``direction``, shortest first
-    (stable, so equal lengths keep lexicographic order)."""
-    dn = direction / np.linalg.norm(direction)
-    v, norm = _lattice_vectors(cell)
-    hits = np.flatnonzero(np.abs(_rowdot(v, dn)) < 1e-4 * norm + tol)
-    if not hits.size:
-        raise DetectionError("no lattice vector perpendicular to symmetry axis")
-    return _VECS4[hits[np.argsort(norm[hits], kind="stable")]]
+def _conventional_candidates(cell: np.ndarray, axes: dict[tuple, tuple],
+                             system: str) -> list[np.ndarray]:
+    """Candidate integer row matrices U with conventional cell = U @ cell;
+    empty when the axes do not fit ``system``.
 
-
-def _conventional_candidates(
-    cell: np.ndarray,
-    axes: dict[tuple, tuple],
-    system: str,
-    tol: float,
-) -> list[np.ndarray]:
-    """Candidate integer row matrices U with conventional cell = U @ cell.
-
-    ``axes`` is the ``_axes_summary`` of the operations. Several settings
-    are returned where the axis choice is not forced (monoclinic a/c,
+    ``axes`` is the ``_axes_summary`` of the operations; each axis is the
+    primitive integer solution of W a = a, so the shortest lattice vector
+    along it. ``cell`` (right-handed, so U @ cell is when det U > 0) only
+    orders candidates by length. Several settings are
+    returned where the axis choice is not forced (monoclinic a/c,
     trigonal/hexagonal in-plane pair); the caller keeps the first one whose
     operation signature is known.
     """
-    def axis_cart(axis):
-        return np.array(axis, dtype=float) @ cell
-
     if system == "triclinic":
         return [np.eye(3, dtype=int)]
 
     if system == "monoclinic":
-        (b_axis,) = [a for a, (o, _) in axes.items() if o == 2]
-        ub = _shortest_along(cell, axis_cart(b_axis))
-        perp = _shortest_perp(cell, axis_cart(b_axis), tol)[:8]
+        ((b_axis, (_, rot)),) = axes.items()
+        ub = np.array(b_axis)
+        perp = _in_plane(cell, rot)[:8]
         out = []
         for ua in perp:
             for uc in perp:
-                if np.linalg.norm(np.cross(ua * 1.0, uc * 1.0)) < 1e-9:
-                    continue
                 u = np.stack([ua, ub, uc])
-                if np.linalg.det(u @ cell) < 0:
-                    u = np.stack([uc, ub, ua])
-                out.append(u)
+                det = groups._det(u)
+                if det:                              # 0 exactly when a || c
+                    out.append(u if det > 0 else np.stack([uc, ub, ua]))
         return out
-
-    if system == "orthorhombic":
-        dirs = [a for a, (o, _) in axes.items() if o >= 2]
-        if len(dirs) != 3:
-            raise DetectionError("orthorhombic cell without three 2-fold axes")
-        us = sorted((_shortest_along(cell, axis_cart(d)) for d in dirs),
-                    key=lambda u: np.linalg.norm(u @ cell))
-        u = np.stack(us)
-        if np.linalg.det(u @ cell) < 0:
-            u[2] = -u[2]
-        return [u]
 
     if system in ("tetragonal", "trigonal", "hexagonal"):
         order = {"tetragonal": 4, "trigonal": 3, "hexagonal": 6}[system]
-        c_axis = next(a for a, (o, _) in axes.items() if o == order)
-        uc = _shortest_along(cell, axis_cart(c_axis))
-        rot = np.array(axes[c_axis][1])
-        target = 0.0 if system == "tetragonal" else -0.5
+        c_axis, (_, rot) = next((a, v) for a, v in axes.items() if v[0] == order)
+        uc, w = np.array(c_axis), np.array(rot)
         out = []
-        # b is a rotation image of a, picked so the cell is right-handed
-        # with the conventional in-plane angle.
-        for ua in _shortest_perp(cell, axis_cart(c_axis), tol)[:6]:
-            for k in range(1, order):
-                ub = np.linalg.matrix_power(rot, k) @ ua
-                va, vb = ua @ cell, ub @ cell
-                cosab = va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
-                if abs(cosab - target) > 1e-4:
-                    continue
-                u = np.stack([ua, ub, uc])
-                if np.linalg.det(u @ cell) > 0:
+        # b is the rotation image of a at the conventional in-plane angle
+        # that makes the cell right-handed.
+        for ua in _in_plane(cell, rot)[:6]:
+            for k in _B_POWERS[order]:
+                u = np.stack([ua, np.linalg.matrix_power(w, k) @ ua, uc])
+                if groups._det(u) > 0:
                     out.append(u)
-        if not out:
-            raise DetectionError("could not orient in-plane axes")
         return out
 
-    if system == "cubic":
+    # Orthorhombic: the three 2-fold axes, shortest first; cubic: the three
+    # 4-fold axes, or else the three 2-fold ones.
+    if system == "orthorhombic":
+        dirs = [a for a, (o, _) in axes.items() if o >= 2]
+    else:
         four = [a for a, (o, _) in axes.items() if o == 4]
         dirs = four if len(four) == 3 else [a for a, (o, _) in axes.items() if o == 2]
-        if len(dirs) != 3:
-            raise DetectionError("cubic cell without three principal axes")
-        us = [_shortest_along(cell, axis_cart(d)) for d in dirs]
-        u = np.stack(us)
-        if np.linalg.det(u @ cell) < 0:
-            u[2] = -u[2]
-        return [u]
-
-    raise DetectionError(f"unknown system {system}")
+    if len(dirs) != 3:
+        return []
+    u = np.array(dirs)
+    if system == "orthorhombic":
+        u = u[np.argsort([np.linalg.norm(x @ cell) for x in u], kind="stable")]
+    if groups._det(u) < 0:
+        u[2] = -u[2]
+    return [u]
 
 
 def _centering_vectors(ut_inv: np.ndarray, limit: int) -> np.ndarray:
@@ -478,18 +448,19 @@ def _rounded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wi.astype(int), (np.abs(w - wi) <= 1e-6 + 1e-5 * np.abs(wi)).all(axis=(1, 2))
 
 
-def _conventional_signature(u_conv: np.ndarray, ops) -> tuple:
-    """Operation-set signature in the conventional basis ``u_conv @ cell``."""
-    m_conv = round(abs(np.linalg.det(u_conv * 1.0)))
+def _conventional_signature(u_conv: np.ndarray, ops) -> tuple | None:
+    """Operation-set signature in the conventional basis ``u_conv @ cell``;
+    None when the operations do not form a centred set there."""
+    m_conv = abs(int(groups._det(u_conv)))
     if m_conv == 0:
-        raise DetectionError("singular conventional basis")
+        return None
     ut_inv = np.linalg.inv(u_conv.T * 1.0)
     w_ci, integral = _rounded(ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T)
     if not integral.all():
-        raise DetectionError("non-integer rotation in conventional basis")
+        return None
     centers = _centering_vectors(ut_inv, m_conv)
     if len(centers) != m_conv:
-        raise DetectionError("centering count mismatch")
+        return None
     # The first centre is the zero vector; every other one is at least
     # 1e-6 from it mod 1.
     conv_ops = [(tuple(map(tuple, w)), tuple((ut_inv @ t) % 1.0))
@@ -542,22 +513,14 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     system = _classify_system(axes)
     ambiguous = False
     numbers = None
-    try:
-        candidates = _conventional_candidates(cell_r, axes, system, tol)
-    except DetectionError:
-        candidates = []
-    for u_conv in candidates:
-        try:
-            sig = _conventional_signature(u_conv, ops)
-        except DetectionError:
-            continue
-        numbers = signature_index().get(sig)
+    for u_conv in _conventional_candidates(cell_r, axes, system):
+        sig = _conventional_signature(u_conv, ops)
+        numbers = None if sig is None else signature_index().get(sig)
         if numbers is not None:
             break
     if numbers is None:
         # Conservative fallback: triclinic classification from the op set.
-        has_inv = any(np.array_equal(np.round(w).astype(int), -np.eye(3, dtype=int))
-                      for w, _ in ops)
+        has_inv = any(np.array_equal(w, -np.eye(3, dtype=int)) for w, _ in ops)
         numbers = (2,) if has_inv else (1,)
         ambiguous = len(ops) > (2 if has_inv else 1)
     number = max(numbers)

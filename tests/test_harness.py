@@ -335,6 +335,19 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("worker_count = 2.5", "worker_count must be an integer, got '2.5'"),
+        ("worker_count = two", "worker_count must be an integer, got 'two'"),
+        ("timeout_s = soon", "timeout_s must be a number, got 'soon'"),
+        ("symmetry_tol =", "symmetry_tol must be a number, got ''"),
+    ])
+    def test_bad_number_names_its_key(self, tmp_path, samples_path, setting, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\n{setting}\n")
+        with pytest.raises(InputError) as err:
+            load_config(str(ini))
+        assert str(err.value) == message
+
     def test_booleans_follow_configparser(self, tmp_path, samples_path):
         """configparser's spellings read as booleans; anything else is an
         InputError, not a silent False."""

@@ -390,3 +390,11 @@ class TestMatchConfig:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             MatchConfig(length_tol=0.0)
+
+    @pytest.mark.parametrize("name", ["length_tol", "angle_tol", "site_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tolerance_rejected(self, name, value):
+        """A NaN tolerance never fails a comparison and an infinite one
+        matches any two cells: both are refused."""
+        with pytest.raises(ValueError, match="positive finite"):
+            MatchConfig(**{name: value})

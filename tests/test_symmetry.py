@@ -522,29 +522,68 @@ def _random_cells(rng):
                       90, rng.uniform(92.0, 120.0), 90), 10
 
 
+@pytest.fixture(scope="module")
+def reduced_cells():
+    """Every reduced primitive cell detection searches for a third of the
+    seed-0 generic-orbit cells."""
+    cells = []
+    real = detect._candidate_rotations
+
+    def recording(cell, tol):
+        cells.append(cell)
+        return real(cell, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "_candidate_rotations", recording)
+        for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
+            detect_spacegroup(s)
+    return cells
+
+
 class TestVectorizedSearch:
-    def test_lattice_vector_searches_match_loops(self):
+    def test_rotation_axes_and_planes_match_loops(self, reduced_cells):
+        """On each cell, every proper rotation but I that keeps its metric at
+        tol 1e-3 has for axis the loop's shortest lattice vector along it.
+        Where it keeps the metric to 1e-6 (a near-rotation of a nearly
+        symmetric metric turns a plane the Cartesian test misses), its plane
+        holds the loop's perpendicular rows, each a meets its b = R^k a at
+        90 or 120 degrees, and every conventional candidate is right-handed."""
+        def proper(cell, tol):
+            return [tuple(map(tuple, w.tolist())) for w in detect._candidate_rotations(cell, tol)
+                    if round(np.linalg.det(w)) == 1 and not (w == np.eye(3)).all()]
+
         rng = np.random.default_rng(7)
-        axes = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
-                (1, 1, 1), (2, 1, 0)]
-        for lattice, _ in _random_cells(rng):
-            cell = lattice.matrix()
-            for direction in [np.array(a, dtype=float) @ cell for a in axes] + [
-                    rng.normal(size=3)]:
-                want = _shortest_along_loop(cell, direction)
-                if want is None:
-                    with pytest.raises(DetectionError):
-                        detect._shortest_along(cell, direction)
-                else:
-                    assert np.array_equal(detect._shortest_along(cell, direction), want)
-                for tol in (1e-3, 1e-1):
-                    want = _shortest_perp_loop(cell, direction, tol)
-                    if not want:
-                        with pytest.raises(DetectionError):
-                            detect._shortest_perp(cell, direction, tol)
-                    else:
-                        assert np.array_equal(detect._shortest_perp(cell, direction, tol),
-                                              np.array(want))
+        cells = [lattice.matrix() for lattice, _ in _random_cells(rng)] + reduced_cells
+        orders = set()
+        for cell in cells:
+            assert np.linalg.det(cell) > 0
+            exact = proper(cell, 1e-6)
+            loops = {}                      # the loops' results for each axis
+            for w in proper(cell, 1e-3):
+                order, axis, _, _ = groups.rotation_info(w)
+                if axis not in loops:
+                    direction = np.array(axis) @ cell
+                    loops[axis] = (_shortest_along_loop(cell, direction),
+                                   _shortest_perp_loop(cell, direction, 1e-3))
+                along, perp = loops[axis]
+                assert np.array_equal(along, axis)
+                if w not in exact:
+                    continue
+                orders.add(order)
+                plane = detect._in_plane(cell, w)
+                assert np.array_equal(plane, perp)
+                for ua in plane[:6] if order > 2 else ():
+                    for k in detect._B_POWERS[order]:
+                        va = ua @ cell
+                        vb = np.linalg.matrix_power(np.array(w), k) @ ua @ cell
+                        cos = va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
+                        assert cos == pytest.approx(0.0 if order == 4 else -0.5, abs=1e-9)
+            axes = detect._axes_summary([(np.array(w), None) for w in exact])
+            candidates = detect._conventional_candidates(cell, axes, detect._classify_system(axes))
+            assert candidates
+            for u in candidates:
+                assert np.linalg.det(u @ cell) > 0
+        assert orders == {2, 3, 4, 6}
 
     def test_permutation_matches_loop(self):
         rng = np.random.default_rng(11)
@@ -805,23 +844,6 @@ class TestRotationInvariants:
     def rotations(self):
         table = groups.load_group_table()
         return sorted({w for num in table for w, _ in groups.close_ops(table[num][1])})
-
-    @pytest.fixture(scope="class")
-    def reduced_cells(self):
-        """Every reduced primitive cell detection searches for a third of
-        the seed-0 generic-orbit cells."""
-        cells = []
-        real = detect._candidate_rotations
-
-        def recording(cell, tol):
-            cells.append(cell)
-            return real(cell, tol)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detect, "_candidate_rotations", recording)
-            for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
-                detect_spacegroup(s)
-        return cells
 
     def test_memoized_invariants_match_uncached(self, rotations):
         assert len(rotations) == 64
