@@ -34,13 +34,9 @@ CIF_CLOSE = "</CIF>"
 class ParseError(ValueError):
     """Positioned parse failure."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 @dataclass(frozen=True)
@@ -231,15 +227,23 @@ def load_samples(path) -> list[SampleRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"malformed JSON: {e.msg}", lineno) from None
+            except (ValueError, RecursionError) as e:
+                # A JSONDecodeError carries its reason in ``msg``; an integer
+                # too long to convert and a too deeply nested value raise
+                # without one.
+                raise ParseError(f"malformed JSON: {getattr(e, 'msg', e)}", lineno) from None
+            if not isinstance(obj, dict):
+                raise ParseError("sample must be a JSON object", lineno)
             for key in ("prompt_id", "prompt_text", "response_text"):
                 if key not in obj:
                     raise ParseError(f"missing key {key!r}", lineno)
-            records.append(SampleRecord(
-                prompt_id=str(obj["prompt_id"]),
-                prompt_text=str(obj["prompt_text"]),
-                response_text=str(obj["response_text"]),
-                line_number=lineno,
-            ))
+            try:
+                records.append(SampleRecord(
+                    prompt_id=str(obj["prompt_id"]),
+                    prompt_text=str(obj["prompt_text"]),
+                    response_text=str(obj["response_text"]),
+                    line_number=lineno,
+                ))
+            except ValueError as e:
+                raise ParseError(str(e), lineno) from None
     return records

@@ -25,6 +25,10 @@ STABILITY_THRESHOLD = 0.016  # eV/atom, strict upper bound for "stable"
 # short descent rarely rebuilds it, narrow enough to add few extra pairs.
 SKIN = 0.5
 
+# Pair-potential cutoff (A); every sigma in the pair table must be at most
+# half of it.
+CUTOFF = 6.0
+
 
 class ConfigurationError(ValueError):
     """Backend configuration is incomplete or inconsistent."""
@@ -62,52 +66,34 @@ class HullResult:
 class PairPotentialBackend:
     """Shifted truncated Lennard-Jones with Lorentz-Berthelot mixing.
 
-    ``pair_params`` maps *self* pairs (element,) or explicit pairs
-    (element_a, element_b) to (epsilon eV, sigma A). Missing cross pairs are
-    mixed from the self pairs.
+    ``pair_params`` maps an element or a pair of elements (a string, or a
+    tuple of one or two strings) to (epsilon eV, sigma A). Cross pairs that
+    are not given are mixed from the self pairs.
     """
 
-    def __init__(
-        self,
-        pair_params: dict,
-        cutoff: float = 6.0,
-        reference_energies: dict[str, float] | None = None,
-    ):
-        self._self: dict[str, tuple[float, float]] = {}
-        self._pairs: dict[frozenset, tuple[float, float]] = {}
+    def __init__(self, pair_params: dict, reference_energies: dict[str, float] | None = None):
+        self._params: dict[frozenset, tuple[float, float]] = {}
         for key, (eps, sigma) in pair_params.items():
+            names = [key] if isinstance(key, str) else list(key)
+            if not 1 <= len(names) <= 2:
+                raise ConfigurationError(f"pair key {key} must name one or two elements")
             if eps <= 0 or sigma <= 0:
                 raise ConfigurationError(f"nonpositive LJ parameters for {key}")
-            if isinstance(key, str):
-                self._self[key] = (float(eps), float(sigma))
-            elif len(key) == 1:
-                self._self[tuple(key)[0]] = (float(eps), float(sigma))
-            else:
-                a, b = key
-                if a == b:
-                    self._self[a] = (float(eps), float(sigma))
-                else:
-                    self._pairs[frozenset((a, b))] = (float(eps), float(sigma))
-        self.cutoff = float(cutoff)
+            if CUTOFF < 2.0 * sigma:
+                raise ConfigurationError(f"cutoff {CUTOFF} below 2*sigma for sigma={sigma}")
+            self._params[frozenset(names)] = (float(eps), float(sigma))
         self.reference_energies = dict(reference_energies or {})
-        for params in list(self._self.values()) + list(self._pairs.values()):
-            if self.cutoff < 2.0 * params[1]:
-                raise ConfigurationError(
-                    f"cutoff {self.cutoff} below 2*sigma for sigma={params[1]}"
-                )
 
     @classmethod
-    def from_text(cls, pair_text: str, ref_text: str = "", cutoff: float = 6.0):
+    def from_text(cls, pair_text: str, ref_text: str = ""):
         params: dict = {}
         for raw in pair_text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key_part, _, val_part = line.partition(":")
-            elems = key_part.split()
             eps, sigma = (float(x) for x in val_part.split())
-            key = elems[0] if len(elems) == 1 else tuple(elems)
-            params[key] = (eps, sigma)
+            params[tuple(key_part.split())] = (eps, sigma)
         refs: dict[str, float] = {}
         for raw in ref_text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -115,7 +101,7 @@ class PairPotentialBackend:
                 continue
             el, _, val = line.partition(":")
             refs[el.strip()] = float(val)
-        return cls(params, cutoff=cutoff, reference_energies=refs)
+        return cls(params, reference_energies=refs)
 
     @classmethod
     @lru_cache(maxsize=1)
@@ -127,14 +113,12 @@ class PairPotentialBackend:
         )
 
     def pair_parameters(self, a: str, b: str) -> tuple[float, float]:
-        if a == b and a in self._self:
-            return self._self[a]
-        key = frozenset((a, b))
-        if key in self._pairs:
-            return self._pairs[key]
+        params = self._params.get(frozenset((a, b)))
+        if params is not None:
+            return params
         try:
-            ea, sa = self._self[a]
-            eb, sb = self._self[b]
+            ea, sa = self._params[frozenset((a,))]
+            eb, sb = self._params[frozenset((b,))]
         except KeyError as exc:
             raise ConfigurationError(
                 f"no pair parameters for ({a}, {b})"
@@ -168,16 +152,15 @@ class PairKernel:
         table = np.array([[backend.pair_parameters(a, b) for b in species]
                           for a in species])
         self._eps, self._sig = table[..., 0], table[..., 1]
-        at_cut = self._sig / backend.cutoff
+        at_cut = self._sig / CUTOFF
         self._shift = 4.0 * self._eps * (at_cut ** 12 - at_cut ** 6)
         self._kind = np.array([species.index(el) for el in elements])
         self._lattice = s.lattice
-        self._cutoff = backend.cutoff
         self._skin = skin
         self._build(_cartesian(s))
 
     def _build(self, cart: np.ndarray) -> None:
-        i, j, offset = neighbour_pairs(self._lattice, cart, self._cutoff + self._skin)
+        i, j, offset = neighbour_pairs(self._lattice, cart, CUTOFF + self._skin)
         a, b = self._kind[i], self._kind[j]
         self._pairs = (i, j, offset, self._eps[a, b], self._sig[a, b], self._shift[a, b])
         self._built_at = cart.copy()
@@ -190,7 +173,7 @@ class PairKernel:
         i, j, offset, eps, sig, shift = self._pairs
         rel = cart[j] + offset - cart[i]
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-        inside = (dist > 1e-12) & (dist < self._cutoff)
+        inside = (dist > 1e-12) & (dist < CUTOFF)
         i, rel, dist = i[inside], rel[inside], dist[inside]
         eps, sig, shift = eps[inside], sig[inside], shift[inside]
         r6 = (sig / dist) ** 6

@@ -62,12 +62,14 @@ class RunConfig:
     def __post_init__(self):
         if self.worker_count < 1:
             raise InputError("worker_count must be >= 1")
-        for name in ("symmetry_tol", "e0", "length_tol", "angle_tol", "site_tol"):
+        for name in ("symmetry_tol", "e0"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise InputError(f"{name} must be a positive finite number")
-        for name in ("alpha_validity", "alpha_stability"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise InputError(f"{name} must be a finite number >= 0")
+        try:
+            self.match_config()
+            self.weights()
+        except ValueError as e:
+            raise InputError(str(e)) from None
         if not self.timeout_s >= 0:                     # NaN fails too
             raise InputError("timeout_s must be a number >= 0")
         if not os.path.exists(self.samples_path):
@@ -276,7 +278,7 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     try:
         samples = ciflite.load_samples(config.samples_path)
         reference = _load_reference(config.reference_structures_path)
-    except (OSError, ciflite.ParseError) as e:
+    except (OSError, UnicodeDecodeError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
     results = _pool_map(_evaluate_sample,

@@ -19,9 +19,10 @@ class MatchConfig:
     site_tol: float = 0.03     # fractional, per coordinate
 
     def __post_init__(self):
-        for value in (self.length_tol, self.angle_tol, self.site_tol):
+        for name in ("length_tol", "angle_tol", "site_tol"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError("matching tolerances must be positive finite numbers")
+                raise ValueError(f"{name} must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,7 @@ def novelty(batch: list[CrystalStructure],
 
 def is_novel(s: CrystalStructure, reference: list[CrystalStructure],
              cfg: MatchConfig = MatchConfig()) -> bool:
-    for r in reference:
-        if r.formula != s.formula:
-            continue
-        if structures_match(s, r, cfg):
-            return False
-    return True
+    return not any(structures_match(s, r, cfg) for r in reference)
 
 
 def sun_ratio(batch: list[CrystalStructure],

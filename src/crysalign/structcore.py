@@ -92,9 +92,7 @@ class Lattice:
         al, be, ga = (math.radians(x) for x in self.angles)
         ca, cb, cg = math.cos(al), math.cos(be), math.cos(ga)
         disc = 1.0 - ca * ca - cb * cb - cg * cg + 2.0 * ca * cb * cg
-        if disc <= 0:
-            return -1.0
-        return self.a * self.b * self.c * math.sqrt(disc)
+        return self.a * self.b * self.c * math.sqrt(max(disc, 0.0))
 
 
 def cell_matrix(lattice: Lattice) -> np.ndarray:
@@ -105,9 +103,9 @@ def cell_matrix(lattice: Lattice) -> np.ndarray:
     sg = math.sin(ga)
     cx = c * cb
     cy = c * (ca - cb * cg) / sg
+    # cz^2 = (V / (a b sin(gamma)))^2, at least 1e-8 c^2 for an accepted
+    # lattice (V / (abc) >= FLAT_CELL_RATIO), so the root is always real.
     cz_sq = c * c - cx * cx - cy * cy
-    if cz_sq <= 0:
-        raise GeometryError("angles produce a non-positive cell determinant")
     return np.array([
         [a, 0.0, 0.0],
         [b * cg, b * sg, 0.0],
@@ -208,9 +206,7 @@ class Composition:
         return sum(self.counts.values())
 
     def reduced(self) -> dict[str, int]:
-        g = math.gcd(*self.counts.values()) if len(self.counts) > 1 else next(
-            iter(self.counts.values())
-        )
+        g = math.gcd(*self.counts.values())
         return {el: n // g for el, n in sorted(self.counts.items())}
 
     def fractions(self) -> dict[str, float]:

@@ -137,14 +137,11 @@ def check_composition_match(generated: Composition, target: Composition) -> bool
 
 
 def build_report(
-    s: CrystalStructure | None,
+    s: CrystalStructure,
     target: Composition | None,
     table: OxidationTable,
 ) -> ValidityReport:
-    """Full validity report for one structure; ``s=None`` means unparseable."""
-    if s is None:
-        return ValidityReport(False, False, False,
-                              ("parse", "structural", "chemical", "composition"))
+    """Full validity report for one parsed structure."""
     structural, reasons = check_structural(s)
     chemical = check_chemical(s.composition(), table)
     comp_ok = target is None or check_composition_match(s.composition(), target)

@@ -212,3 +212,21 @@ class TestSamples:
         path.write_text(json.dumps({"prompt_id": "p0"}) + "\n")
         with pytest.raises(ParseError):
             load_samples(path)
+
+    @pytest.mark.parametrize("line", [
+        "123",
+        json.dumps("prompt_id prompt_text response_text"),
+        json.dumps(["prompt_id", "prompt_text", "response_text"]),
+        json.dumps({"prompt_id": "", "prompt_text": "x", "response_text": "y"}),
+        '{"prompt_id": ' + "1" * 5000 + ', "prompt_text": "x", "response_text": "y"}',
+        "[" * 100_000,
+    ], ids=["number", "string", "list", "empty-id", "long-integer", "deep-nesting"])
+    def test_bad_line_is_positioned_parse_error(self, tmp_path, line):
+        """Valid JSON that is not a usable sample object, and JSON the
+        decoder cannot take, name their line like malformed JSON does."""
+        path = tmp_path / "samples.jsonl"
+        good = json.dumps({"prompt_id": "p0", "prompt_text": "x", "response_text": "y"})
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(ParseError, match=r"\(line 2\)$") as info:
+            load_samples(path)
+        assert info.value.line == 2

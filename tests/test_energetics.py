@@ -1,11 +1,13 @@
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from crysalign import energetics
 from crysalign.energetics import (
+    CUTOFF,
     SKIN,
     ConfigurationError,
     CoverageError,
@@ -29,9 +31,9 @@ def backend():
     return PairPotentialBackend.load_default()
 
 
-def isolated_pair(backend, element, r):
+def isolated_pair(element, r):
     """Two atoms far from all periodic images: energy is one LJ contact."""
-    box = 4 * backend.cutoff
+    box = 4 * CUTOFF
     return make_structure(
         (box, box, box, 90, 90, 90),
         [(element, (0.0, 0.0, 0.0)), (element, (r / box, 0.0, 0.0))])
@@ -40,26 +42,26 @@ def isolated_pair(backend, element, r):
 def lj_pair_energy(backend, element, r):
     eps, sigma = backend.pair_parameters(element, element)
     phi = lambda d: 4 * eps * ((sigma / d) ** 12 - (sigma / d) ** 6)
-    return phi(r) - phi(backend.cutoff)
+    return phi(r) - phi(CUTOFF)
 
 
 class TestPairEnergy:
     def test_dimer_energy_exact(self, backend):
         r = 3.1
-        s = isolated_pair(backend, "Na", r)
+        s = isolated_pair("Na", r)
         expected = lj_pair_energy(backend, "Na", r) / 2
         assert backend.energy_per_atom(s) == pytest.approx(expected, rel=1e-12)
 
     def test_dimer_minimum_location(self, backend):
         eps, sigma = backend.pair_parameters("Na", "Na")
         r_star = 2 ** (1 / 6) * sigma
-        e_star = backend.energy_per_atom(isolated_pair(backend, "Na", r_star))
+        e_star = backend.energy_per_atom(isolated_pair("Na", r_star))
         for dr in (-0.01, 0.01):
             assert backend.energy_per_atom(
-                isolated_pair(backend, "Na", r_star + dr)) > e_star
+                isolated_pair("Na", r_star + dr)) > e_star
 
     def test_beyond_cutoff_is_zero(self, backend):
-        s = isolated_pair(backend, "Na", backend.cutoff * 1.5)
+        s = isolated_pair("Na", CUTOFF * 1.5)
         assert backend.energy_per_atom(s) == 0.0
 
     def test_lorentz_berthelot_mixing(self, backend):
@@ -84,6 +86,69 @@ class TestPairEnergy:
         s = make_structure((8, 8, 8, 90, 90, 90), [("Xe", (0, 0, 0))])
         with pytest.raises(ConfigurationError):
             backend.energy_per_atom(s)
+
+
+def split_pair_parameters(pair_params, a, b):
+    """Reference pair lookup: self pairs and cross pairs kept in two dicts,
+    each key spelling sorted into one of them by hand."""
+    self_pairs, cross_pairs = {}, {}
+    for key, params in pair_params.items():
+        if isinstance(key, str):
+            self_pairs[key] = params
+        elif len(key) == 1:
+            self_pairs[key[0]] = params
+        elif key[0] == key[1]:
+            self_pairs[key[0]] = params
+        else:
+            cross_pairs[frozenset(key)] = params
+    if a == b and a in self_pairs:
+        return self_pairs[a]
+    if frozenset((a, b)) in cross_pairs:
+        return cross_pairs[frozenset((a, b))]
+    (ea, sa), (eb, sb) = self_pairs[a], self_pairs[b]
+    return math.sqrt(ea * eb), 0.5 * (sa + sb)
+
+
+class TestPairTable:
+    def test_shipped_table_matches_split_lookup(self, backend):
+        text = (resources.files("crysalign.data") / "pair_potentials.txt").read_text()
+        params = {}
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                key, _, values = line.partition(":")
+                elems = key.split()
+                eps, sigma = (float(x) for x in values.split())
+                params[elems[0] if len(elems) == 1 else tuple(elems)] = (eps, sigma)
+        elements = sorted({el for key in params for el in
+                           ([key] if isinstance(key, str) else key)})
+        assert len(elements) > 30
+        for a in elements:
+            for b in elements:
+                assert backend.pair_parameters(a, b) == \
+                    split_pair_parameters(params, a, b), (a, b)
+
+    def test_every_key_spelling_accepted(self):
+        params = {"Na": (0.21, 2.3), ("Cl",): (0.17, 2.25), ("Mg", "Mg"): (0.24, 2.1),
+                  ("Na", "Cl"): (0.5, 2.6), ("Mg", "Na"): (0.3, 2.2)}
+        backend = PairPotentialBackend(params)
+        for a in ("Na", "Cl", "Mg"):
+            for b in ("Na", "Cl", "Mg"):
+                assert backend.pair_parameters(a, b) == \
+                    split_pair_parameters(params, a, b), (a, b)
+
+    @pytest.mark.parametrize("key", [("Na", "Cl", "Mg"), ("Na", "Na", "Na"), ()])
+    def test_key_of_other_length_rejected(self, key):
+        with pytest.raises(ConfigurationError):
+            PairPotentialBackend({"Na": (0.21, 2.3), key: (0.5, 2.6)})
+
+    def test_three_element_line_in_text_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PairPotentialBackend.from_text("Na: 0.21 2.3\nNa Cl Mg: 0.5 2.6\n")
+
+    def test_sigma_beyond_half_the_cutoff_rejected(self):
+        with pytest.raises(ConfigurationError, match="2\\*sigma"):
+            PairPotentialBackend({"Na": (0.21, 0.5 * CUTOFF + 0.1)})
 
 
 class TestForces:
@@ -129,15 +194,15 @@ def dense_energy_and_forces(backend, s):
     cell = s.lattice.matrix()
     cart = s.frac_array() @ cell
     widths = 1.0 / np.linalg.norm(np.linalg.inv(cell), axis=0)
-    counts = np.ceil(backend.cutoff / widths).astype(int) + 1
+    counts = np.ceil(CUTOFF / widths).astype(int) + 1
     grids = [np.arange(-c, c + 1) for c in counts]
     shifts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3) @ cell
     rel = cart[None, :, None, :] + shifts[None, None, :, :] - cart[:, None, None, :]
     dist = np.linalg.norm(rel, axis=-1)
-    mask = (dist > 1e-12) & (dist < backend.cutoff)
+    mask = (dist > 1e-12) & (dist < CUTOFF)
     d = np.where(mask, dist, 1.0)
     r6 = (sig[:, :, None] / d) ** 6
-    at_cut = sig / backend.cutoff
+    at_cut = sig / CUTOFF
     shift = 4.0 * eps * (at_cut ** 12 - at_cut ** 6)
     e = np.where(mask, 4.0 * eps[:, :, None] * (r6 ** 2 - r6) - shift[:, :, None], 0.0)
     dphi = np.where(mask, 4.0 * eps[:, :, None] * (-12.0 * r6 ** 2 + 6.0 * r6) / d, 0.0)
@@ -181,8 +246,8 @@ class TestPairListMatchesDense:
         assert np.abs(backend.forces(s)).max() < 1e-12
 
     def test_pair_straddling_the_cutoff(self, backend):
-        box = 4 * backend.cutoff
-        rc = backend.cutoff
+        box = 4 * CUTOFF
+        rc = CUTOFF
         s = make_structure((box, box, box, 90, 90, 90),
                            [("Na", (0.5, 0.5, 0.5)),
                             ("Na", (0.5 + (rc - 1e-6) / box, 0.5, 0.5)),
@@ -199,7 +264,7 @@ class TestPairListMatchesDense:
     def test_mixed_species_with_explicit_cross_pair(self):
         backend = PairPotentialBackend(
             {"Na": (0.21, 2.3), "Cl": (0.17, 2.25), "Mg": (0.24, 2.1),
-             ("Na", "Cl"): (0.5, 2.6)}, cutoff=6.0)
+             ("Na", "Cl"): (0.5, 2.6)})
         assert backend.pair_parameters("Cl", "Na") == (0.5, 2.6)
         rng = random.Random(4)
         s = make_structure((5.9, 6.3, 6.6, 84, 97, 103),
@@ -237,15 +302,15 @@ class TestVerletSkin:
 class TestRelax:
     def test_dimer_relaxes_to_lj_minimum(self, backend):
         eps, sigma = backend.pair_parameters("Na", "Na")
-        s = isolated_pair(backend, "Na", 2 ** (1 / 6) * sigma + 0.3)
+        s = isolated_pair("Na", 2 ** (1 / 6) * sigma + 0.3)
         relaxed = relax_positions(backend, s, max_steps=500, force_tol=1e-6)
-        box = 4 * backend.cutoff
+        box = 4 * CUTOFF
         r = abs(relaxed.sites[1].frac_coords[0] -
                 relaxed.sites[0].frac_coords[0]) * box
         assert r == pytest.approx(2 ** (1 / 6) * sigma, abs=1e-4)
 
     def test_energy_never_increases(self, backend):
-        s = isolated_pair(backend, "Na", 3.4)
+        s = isolated_pair("Na", 3.4)
         relaxed = relax_positions(backend, s, max_steps=50)
         assert backend.energy_per_atom(relaxed) <= \
             backend.energy_per_atom(s) + 1e-12
@@ -346,4 +411,4 @@ class TestData:
     def test_cutoff_covers_largest_sigma(self, backend):
         sigmas = [backend.pair_parameters(el, el)[1]
                   for el in ("Na", "Cl", "Cs", "Ca", "O")]
-        assert backend.cutoff >= 2 * max(sigmas)
+        assert CUTOFF >= 2 * max(sigmas)

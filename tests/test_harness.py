@@ -326,13 +326,16 @@ class TestConfig:
         "length_tol = 0", "angle_tol = -5", "site_tol = 0", "site_tol = nan",
         "timeout_s = nan", "timeout_s = -1",
     ])
-    def test_bad_setting_in_ini_is_input_error(self, tmp_path, samples_path, setting):
-        """Rejected before any sample runs: exit 2 and no output."""
+    def test_bad_setting_in_ini_is_input_error(self, tmp_path, samples_path, setting,
+                                               capsys):
+        """Rejected before any sample runs: exit 2, no output, and a message
+        that names the key."""
         from crysalign.cli import main
         ini = tmp_path / "run.ini"
         ini.write_text(f"[run]\nsamples_path = {samples_path}\n{setting}\n")
         assert main(["evaluate", "--config", str(ini),
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(setting.split()[0] + " must be")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting, message", [
@@ -537,6 +540,26 @@ class TestCli:
         from crysalign.cli import main
         assert main(["evaluate", "--samples", "/nonexistent.jsonl",
                      "--out", str(tmp_path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("line", [
+        "123",
+        '"prompt_id prompt_text response_text"',
+        '{"prompt_id": "", "prompt_text": "x", "response_text": "y"}',
+    ], ids=["number", "string", "empty-id"])
+    def test_sample_line_that_is_no_record_is_input_error(self, tmp_path, capsys, line):
+        from crysalign.cli import main
+        path = tmp_path / "samples.jsonl"
+        path.write_text(line + "\n")
+        assert main(["evaluate", "--samples", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip().endswith("(line 1)")
+
+    def test_samples_not_utf8_is_input_error(self, tmp_path):
+        from crysalign.cli import main
+        path = tmp_path / "samples.jsonl"
+        path.write_bytes(b"\xff\xfe\n")
+        assert main(["evaluate", "--samples", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
 
     def test_malformed_reference_is_input_error(self, samples_path, tmp_path):
         from crysalign.cli import main

@@ -396,5 +396,5 @@ class TestMatchConfig:
     def test_nonfinite_tolerance_rejected(self, name, value):
         """A NaN tolerance never fails a comparison and an infinite one
         matches any two cells: both are refused."""
-        with pytest.raises(ValueError, match="positive finite"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
             MatchConfig(**{name: value})

@@ -158,11 +158,6 @@ class TestReport:
         assert (r.structural, r.chemical, r.composition_match) == (True, True, True)
         assert not r.failed_checks
 
-    def test_unparsed_structure(self, oxidation_table):
-        r = build_report(None, Composition({"Na": 1, "Cl": 1}), oxidation_table)
-        assert (r.structural, r.chemical, r.composition_match) == \
-            (False, False, False)
-
     def test_no_target_composition(self, rocksalt, oxidation_table):
         # Unconstrained prompts count the composition check as satisfied.
         r = build_report(rocksalt, None, oxidation_table)
