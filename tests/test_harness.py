@@ -93,8 +93,8 @@ class TestHullMemo:
         """Eight distinct NaCl cells share one hull LP, and each batch
         starts with an empty memo."""
         calls = []
-        real = energetics.linprog
-        monkeypatch.setattr(energetics, "linprog",
+        real = energetics.simplex
+        monkeypatch.setattr(energetics, "simplex",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         path = tmp_path / "samples.jsonl"
         write_jsonl(path, [sample_record(f"p{k}", _rocksalt(5.4 + 0.05 * k), "NaCl")
@@ -554,12 +554,24 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert capsys.readouterr().err.strip().endswith("(line 1)")
 
-    def test_samples_not_utf8_is_input_error(self, tmp_path):
+    def test_samples_not_utf8_is_input_error(self, tmp_path, capsys):
         from crysalign.cli import main
         path = tmp_path / "samples.jsonl"
         path.write_bytes(b"\xff\xfe\n")
         assert main(["evaluate", "--samples", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"{path} is not UTF-8: ")
+
+    def test_reference_not_utf8_is_input_error(self, samples_path, tmp_path, capsys):
+        from crysalign.cli import main
+        ref = tmp_path / "ref.txt"
+        ref.write_bytes(b"<CIF>\xff</CIF>\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\n"
+                       f"reference_structures_path = {ref}\n")
+        assert main(["evaluate", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"{ref} is not UTF-8: ")
 
     def test_malformed_reference_is_input_error(self, samples_path, tmp_path):
         from crysalign.cli import main
@@ -593,6 +605,16 @@ class TestCli:
         assert main(["symmetry", str(path)]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["number"] == 221
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        """The hull runs on the in-package simplex, so no evaluating process
+        pays for scipy.optimize."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import crysalign.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.strip() == "False"
 
     def test_reward_subcommand(self, capsys):
         from crysalign.cli import main
