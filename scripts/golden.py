@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Write the golden CSVs: the pinned outputs of the benchmark workloads.
+
+For the ``screen`` and ``relax`` workloads of ``perfbench/workloads.py``,
+seeds 1-10, this evaluates each batch with one worker and the workload's own
+run settings (relaxation, timeout, reference file) and stores its
+``samples.csv`` and ``metrics.csv`` as ``tests/golden/<workload>-<seed>/``.
+``tests/test_golden.py`` regenerates them in process and compares bytes.
+
+A change that moves outputs on purpose reruns the script in the same commit,
+so that the ``git diff`` of ``tests/golden/`` records what moved:
+
+    python3 scripts/golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+for path in (SRC, ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+import oracles  # noqa: E402
+import workloads  # noqa: E402
+from crysalign import harness  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
+CASES = [(name, seed) for name in ("screen", "relax") for seed in range(1, 11)]
+FILES = ("samples.csv", "metrics.csv")
+
+
+def generate(name: str, seed: int, work_dir: Path) -> dict[str, bytes]:
+    """The CSV bytes of one workload batch, evaluated in this process."""
+    tables = oracles.Tables.load(SRC / "crysalign" / "data")
+    workload = workloads.WORKLOADS[name](seed, tables)
+    samples = work_dir / "samples.jsonl"
+    samples.write_text("".join(json.dumps(c.record()) + "\n" for c in workload.cases),
+                       encoding="utf-8")
+    reference = None
+    if workload.reference_text() is not None:
+        reference = work_dir / "reference.txt"
+        reference.write_text(workload.reference_text(), encoding="utf-8")
+    out = work_dir / "out"
+    config = harness.RunConfig(
+        samples_path=str(samples),
+        output_dir=str(out),
+        reference_structures_path=str(reference) if reference else None,
+        relax_before_hull=workload.relax,
+        timeout_s=workload.timeout_s,
+        worker_count=1,
+    )
+    report, rows = harness.run_evaluation(config)
+    harness.emit_report(report, rows, str(out))
+    return {f: (out / f).read_bytes() for f in FILES}
+
+
+def main() -> int:
+    for name, seed in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            written = generate(name, seed, Path(tmp))
+        target = GOLDEN / f"{name}-{seed}"
+        target.mkdir(parents=True, exist_ok=True)
+        for f, data in written.items():
+            (target / f).write_bytes(data)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
