@@ -35,6 +35,7 @@ class ParseError(ValueError):
     """Positioned parse failure."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason = message
         self.line = line
         super().__init__(message if line is None else f"{message} (line {line})")
 

@@ -299,9 +299,16 @@ def _load_reference(path: str | None):
         return []
     structures = []
     text = Path(path).read_text(encoding="utf-8")
+    lines_before = 0
     for chunk in text.split(ciflite.CIF_CLOSE):
         if ciflite.CIF_OPEN in chunk:
-            structures.append(ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE))
+            try:
+                structures.append(ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE))
+            except ciflite.ParseError as e:
+                # The chunk's line numbers count from its own start.
+                line = None if e.line is None else lines_before + e.line
+                raise ciflite.ParseError(f"{path}: {e.reason}", line) from None
+        lines_before += chunk.count("\n")
     return structures
 
 

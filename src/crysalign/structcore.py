@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Recognized element symbols, Z = 1..103.
 ELEMENTS = (
@@ -23,6 +22,12 @@ ELEMENTS = (
 ).split()
 ELEMENT_SET = frozenset(ELEMENTS)
 
+
+# Upper bound on the float64 entries of one distance broadcast: the pair
+# search here and the site mapper of symmetry detection run their site
+# differences in chunks of at most this many, so a large cell's temporaries
+# stay a few times 2 MiB.
+CHUNK = 1 << 18
 
 # Smallest accepted V / (abc), the volume of a cell with unit edges at its
 # angles. Below it the cell is flat to rounding: at 1.7e-16, the angles
@@ -51,8 +56,12 @@ class Lattice:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise GeometryError(f"lattice parameter {name} must be finite")
+            # Stored as Python floats, as ``Site`` stores its coordinates, so
+            # a numpy scalar never reaches the decimal writer.
+            object.__setattr__(self, name, float(value))
         for name in ("a", "b", "c"):
             if not getattr(self, name) > 0:
                 raise GeometryError(f"lattice length {name} must be > 0")
@@ -289,11 +298,14 @@ def neighbour_pairs(
     whose length is at most ``radius``; ``offset`` is a Cartesian lattice
     vector. The list is full: it holds (j, i, -offset) with each
     (i, j, offset), and (i, i, 0) for every site. Positions may lie
-    outside the cell.
+    outside the cell. Rows run by i, then by the shift of j's image, then
+    by j; the shift counts cells of the reduced basis from the one that
+    holds j, in lexicographic order.
 
-    The search runs over ``lattice.reduced_matrix``, so memory grows with
-    the number of pairs and of image points near the cell, never with
-    n * n * images.
+    The search runs over ``lattice.reduced_matrix``, testing each site
+    against every image near the cell in chunks of at most ``CHUNK``
+    floats, so memory grows with the number of pairs and of image points
+    near the cell, never with n * n * images.
     """
     basis = lattice.reduced_matrix
     inv = np.linalg.inv(basis)
@@ -308,10 +320,19 @@ def neighbour_pairs(
     image_frac = (mesh[:, None, :] + frac[None, :, :]).reshape(-1, 3)
     # only an image within reach of the cell can be within radius of a site
     near = np.flatnonzero((np.abs(image_frac - 0.5) <= 0.5 + reach).all(axis=1))
-    found = cKDTree(frac @ basis).sparse_distance_matrix(
-        cKDTree(image_frac[near] @ basis), radius, output_type="ndarray")
-    i = found["i"]
-    k, j = np.divmod(near[found["j"]], len(cart))
+    sites, images = frac @ basis, (image_frac[near] @ basis).T.copy()
+    # A chunk of sites against every near image, one coordinate at a time:
+    # its three squared differences take at most CHUNK floats.
+    step = max(1, CHUNK // (3 * len(near)))
+    rows, cols = [], []
+    for lo in range(0, len(sites), step):
+        part = sites[lo:lo + step]
+        sq = sum((images[k] - part[:, k, None]) ** 2 for k in range(3))
+        row, col = np.nonzero(sq <= radius * radius)
+        rows.append(row + lo)
+        cols.append(col)
+    i = np.concatenate(rows)
+    k, j = np.divmod(near[np.concatenate(cols)], len(cart))
     offset = (mesh[k] + whole[i] - whole[j]) @ basis
     return i, j, offset
 

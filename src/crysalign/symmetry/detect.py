@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .. import structcore
 from ..structcore import CrystalStructure, Lattice, reduced_basis
 from . import groups
 from .groups import I3, signature, signature_index, load_group_table
@@ -139,13 +140,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # structure mapping
 
 
-# Upper bound on the float64 entries of one site-difference broadcast in
-# ``_Mapper.permutations``: the candidates' images and one-site screens and
-# the full blocks each run in chunks of at most this many, so a large cell's
-# temporaries (its fitting rows aside) stay a few times 2 MiB.
-MAP_CHUNK = 1 << 18
-
-
 class _Mapper:
     """Tests whether candidate ops map the site set onto itself."""
 
@@ -180,7 +174,7 @@ class _Mapper:
         within ``tol`` (a NaN distance is no match), no two to one site."""
         n = len(self.frac)
         # 3 n floats per candidate: the images of every site.
-        step = max(1, MAP_CHUNK // (3 * n))
+        step = max(1, structcore.CHUNK // (3 * n))
         fits, rows = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=np.int32)]
         for lo in range(0, len(ws), step):
             alive = np.arange(lo, min(lo + step, len(ws)))
@@ -199,7 +193,7 @@ class _Mapper:
                     near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
                     hits = hits[near]
                 # 3 m m floats per candidate in a full block.
-                block = max(1, MAP_CHUNK // (3 * len(idx) ** 2))
+                block = max(1, structcore.CHUNK // (3 * len(idx) ** 2))
                 ok = np.zeros(len(alive), dtype=bool)
                 for b in range(0, len(hits), block):
                     hit = hits[b:b + block]

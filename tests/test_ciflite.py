@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,14 @@ class TestWrite:
         lines = write_ciflite(s).splitlines()
         assert lines[1].split()[0] == "4.123457"
         assert lines[3].split()[2] == "0.00000001"
+
+    def test_numpy_scalar_lattice_round_trips(self):
+        params = np.array([4.0, 4.5, 5.25, 90.0, 100.5, 90.0])
+        s = CrystalStructure(Lattice(*params), (Site("Na", (0.0, 0.25, 0.5)),))
+        parsed = parse_ciflite(write_ciflite(s))
+        assert parsed.lattice == s.lattice
+        assert parsed.sites == s.sites
+        assert all(type(x) is float for x in (*s.lattice.lengths, *s.lattice.angles))
 
 
 @st.composite

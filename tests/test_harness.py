@@ -583,6 +583,21 @@ class TestCli:
         assert main(["evaluate", "--config", str(ini),
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
 
+    def test_malformed_reference_names_path_and_file_line(self, samples_path, tmp_path,
+                                                          capsys):
+        from crysalign.cli import main
+        ref = tmp_path / "ref.txt"
+        good = "<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0</CIF>\n"
+        # The second cell's lengths are on file line 6, its chunk's line 3.
+        ref.write_text(good + good.replace("5.6 5.6", "-5.6 5.6", 1))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples_path}\n"
+                       f"reference_structures_path = {ref}\n")
+        assert main(["evaluate", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == (
+            f"{ref}: lattice length a must be > 0 (line 6)")
+
     def test_evaluate_ok(self, samples_path, tmp_path, capsys):
         from crysalign.cli import main
         code = main(["evaluate", "--samples", samples_path,
@@ -606,15 +621,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["number"] == 221
 
-    def test_cli_import_leaves_scipy_optimize_out(self):
-        """The hull runs on the in-package simplex, so no evaluating process
-        pays for scipy.optimize."""
+    def test_cli_import_leaves_scipy_out(self):
+        """The hull runs on the in-package simplex and the pair search on
+        numpy, so no evaluating process pays for any scipy module."""
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import crysalign.cli; "
-                "print('scipy.optimize' in sys.modules)")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(__file__).resolve().parent.parent / "src")
         done = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, check=True, timeout=60)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_reward_subcommand(self, capsys):
         from crysalign.cli import main

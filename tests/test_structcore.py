@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crysalign import structcore
 from crysalign.structcore import (
     FLAT_CELL_RATIO,
     Composition,
@@ -230,7 +231,10 @@ def _brute_min_distance(s):
 
 
 class TestNeighbourPairs:
-    def test_pairs_match_brute_force_for_positions_outside_the_cell(self):
+    # A one-float chunk bound puts every site in a chunk of its own.
+    @pytest.mark.parametrize("chunk", [structcore.CHUNK, 1])
+    def test_pairs_match_brute_force_for_positions_outside_the_cell(self, monkeypatch, chunk):
+        monkeypatch.setattr(structcore, "CHUNK", chunk)
         rng = np.random.default_rng(5)
         lattice = Lattice(4.2, 5.1, 6.3, 70, 105, 80)
         m = lattice.matrix()
@@ -249,6 +253,21 @@ class TestNeighbourPairs:
         # offsets are lattice vectors to rounding
         frac = np.linalg.solve(m.T, offset.T).T
         assert np.abs(frac - np.round(frac)).max() < 1e-9
+
+    def test_rows_run_by_site_then_image_then_partner(self):
+        """Rows come by i, then by the integer shift of j's image in the
+        reduced basis (counted from the cell that holds j, compared
+        lexicographically), then by j."""
+        rng = np.random.default_rng(8)
+        lattice = Lattice(4.2, 5.1, 6.3, 70, 105, 80)
+        inv = np.linalg.inv(lattice.reduced_matrix)
+        cart = rng.uniform(-1.5, 2.5, size=(6, 3)) @ lattice.matrix()
+        i, j, offset = neighbour_pairs(lattice, cart, 6.0)
+        whole = np.floor(cart @ inv)
+        shift = np.round(offset @ inv) - whole[i] + whole[j]
+        keys = [(a, *m, b) for a, m, b in zip(i.tolist(), shift.astype(int).tolist(), j.tolist())]
+        assert len(keys) > 100
+        assert keys == sorted(set(keys))
 
 
 def _gram_schmidt(b):

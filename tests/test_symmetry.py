@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crysalign import ciflite, traces
+from crysalign import ciflite, structcore, traces
 from crysalign.structcore import CrystalStructure, Lattice, Site, reduced_basis
 from crysalign.symmetry import (
     DetectionError,
@@ -617,15 +617,15 @@ class TestVectorizedSearch:
                             lambda self, *a: calls.append(1) or distances(self, *a))
         res = detect_spacegroup(s)
         assert len(calls) <= 100
-        monkeypatch.setattr(detect, "MAP_CHUNK", 1)
+        monkeypatch.setattr(structcore, "CHUNK", 1)
         assert detect_spacegroup(s) == res
         assert res.number == 1 and len(res.orbits) == 200
 
-    @pytest.mark.parametrize("chunk", [1, 200, 1000, detect.MAP_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 200, 1000, structcore.CHUNK])
     def test_permutations_match_loop_on_edge_cases(self, monkeypatch, chunk):
         """Ties, duplicate and NaN sites, non-injective maps and large
         tolerances, in chunks that do not divide the candidate count."""
-        monkeypatch.setattr(detect, "MAP_CHUNK", chunk)
+        monkeypatch.setattr(structcore, "CHUNK", chunk)
         rng = np.random.default_rng(19)
         cell = np.diag([4.0, 4.0, 4.0])
         # Dyadic coordinates in a cell of exact lengths: images half-way
