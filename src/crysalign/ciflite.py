@@ -220,7 +220,8 @@ def extract_response_parts(text: str) -> tuple[str | None, str | None]:
 
 
 def load_samples(path) -> list[SampleRecord]:
-    """Load JSONL sample records, order-preserving, with line diagnostics."""
+    """Load JSONL sample records, order-preserving; an error names the path
+    and the line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -232,12 +233,13 @@ def load_samples(path) -> list[SampleRecord]:
                 # A JSONDecodeError carries its reason in ``msg``; an integer
                 # too long to convert and a too deeply nested value raise
                 # without one.
-                raise ParseError(f"malformed JSON: {getattr(e, 'msg', e)}", lineno) from None
+                raise ParseError(f"{path}: malformed JSON: {getattr(e, 'msg', e)}",
+                                 lineno) from None
             if not isinstance(obj, dict):
-                raise ParseError("sample must be a JSON object", lineno)
+                raise ParseError(f"{path}: sample must be a JSON object", lineno)
             for key in ("prompt_id", "prompt_text", "response_text"):
                 if key not in obj:
-                    raise ParseError(f"missing key {key!r}", lineno)
+                    raise ParseError(f"{path}: missing key {key!r}", lineno)
             try:
                 records.append(SampleRecord(
                     prompt_id=str(obj["prompt_id"]),
@@ -246,5 +248,5 @@ def load_samples(path) -> list[SampleRecord]:
                     line_number=lineno,
                 ))
             except ValueError as e:
-                raise ParseError(str(e), lineno) from None
+                raise ParseError(f"{path}: {e}", lineno) from None
     return records

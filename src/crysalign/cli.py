@@ -41,12 +41,11 @@ def _cmd_reward(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    refs = list(energetics.load_reference_phases())
     candidate = energetics.PhaseEntry(
         Composition.from_formula(args.formula), args.energy, "candidate"
     )
     try:
-        result = energetics.energy_above_hull(candidate, refs)
+        result = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
     except energetics.CoverageError as e:
         print(str(e), file=sys.stderr)
         return harness.EXIT_INPUT

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -63,6 +63,21 @@ class PhaseEntry:
     def __post_init__(self):
         if not math.isfinite(self.energy_per_atom):
             raise ValueError("phase energy must be finite")
+
+
+class PhaseSet(tuple):
+    """Reference phases as a tuple that hashes its members once.
+
+    ``hull_energy`` is memoized on its reference set, so a plain tuple would
+    rehash every phase on each call, a memo hit included.
+    """
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -148,29 +163,38 @@ class PairKernel:
     """Energy and forces of one fixed cell from a Verlet pair list.
 
     The list holds every (i, j, image) pair within cutoff + skin of the
-    positions it was last built at, with each pair's LJ parameters taken
-    from a species-by-species table. While no atom has moved more than half
-    the skin since, every pair now inside the cutoff is still on the list,
-    so the list is rebuilt only when some atom has moved farther.
+    positions it was last built at, with each pair's [4 eps, sigma, shift]
+    row taken from a species-pair table. While no atom has moved more than
+    half the skin since, every pair now inside the cutoff is still on the
+    list, so the list is rebuilt only when some atom has moved farther.
+
+    A call gathers with ``take`` and selects the pairs inside the cutoff
+    once, since numpy's fancy indexing costs more per call than the
+    arithmetic on a small cell. The forces come from one ``bincount`` over
+    (site, axis) slots, which adds each slot's terms in pair order.
     """
 
     def __init__(self, backend: PairPotentialBackend, s: CrystalStructure, skin: float):
         elements = s.elements()
         species = sorted(set(elements))
         table = np.array([[backend.pair_parameters(a, b) for b in species]
-                          for a in species])
-        self._eps, self._sig = table[..., 0], table[..., 1]
-        at_cut = self._sig / CUTOFF
-        self._shift = 4.0 * self._eps * (at_cut ** 12 - at_cut ** 6)
+                          for a in species]).reshape(-1, 2)
+        eps, sig = table[:, 0], table[:, 1]
+        at_cut = sig / CUTOFF
+        # 4 eps is exact, so the kernel's eps4 * (r12 - r6) is
+        # 4.0 * eps * (r6 ** 2 - r6) to the bit.
+        self._table = np.stack([4.0 * eps, sig,
+                                4.0 * eps * (at_cut ** 12 - at_cut ** 6)], axis=1)
         self._kind = np.array([species.index(el) for el in elements])
+        self._species = len(species)
         self._lattice = s.lattice
         self._skin = skin
         self._build(_cartesian(s))
 
     def _build(self, cart: np.ndarray) -> None:
         i, j, offset = neighbour_pairs(self._lattice, cart, CUTOFF + self._skin)
-        a, b = self._kind[i], self._kind[j]
-        self._pairs = (i, j, offset, self._eps[a, b], self._sig[a, b], self._shift[a, b])
+        pair = self._kind.take(i) * self._species + self._kind.take(j)
+        self._pairs = (i, j, offset, self._table.take(pair, axis=0))
         self._built_at = cart.copy()
 
     def __call__(self, cart: np.ndarray) -> tuple[float, np.ndarray]:
@@ -178,20 +202,24 @@ class PairKernel:
         moved = cart - self._built_at
         if np.einsum("ij,ij->i", moved, moved).max() > (0.5 * self._skin) ** 2:
             self._build(cart)
-        i, j, offset, eps, sig, shift = self._pairs
-        rel = cart[j] + offset - cart[i]
+        i, j, offset, params = self._pairs
+        rel = cart.take(j, axis=0)
+        rel += offset
+        rel -= cart.take(i, axis=0)
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-        inside = (dist > 1e-12) & (dist < CUTOFF)
-        i, rel, dist = i[inside], rel[inside], dist[inside]
-        eps, sig, shift = eps[inside], sig[inside], shift[inside]
+        keep = ((dist > 1e-12) & (dist < CUTOFF)).nonzero()[0]
+        i, rel, dist = i.take(keep), rel.take(keep, axis=0), dist.take(keep)
+        eps4, sig, shift = params.take(keep, axis=0).T
         r6 = (sig / dist) ** 6
-        energy = 0.5 * float(np.sum(4.0 * eps * (r6 ** 2 - r6) - shift)) / len(cart)
+        r12 = r6 ** 2
+        energy = 0.5 * float((eps4 * (r12 - r6) - shift).sum()) / len(cart)
         # dphi/dr = 4 eps (-12 sig^12 / r^13 + 6 sig^6 / r^7); the force on i
         # from the pair is -dphi/dr * d r / d x_i = dphi/dr * rel / r.
-        dphi = 4.0 * eps * (-12.0 * r6 ** 2 + 6.0 * r6) / dist
-        forces = np.stack([np.bincount(i, dphi / dist * rel[:, k], minlength=len(cart))
-                           for k in range(3)], axis=1)
-        return energy, forces
+        dphi = eps4 * (-12.0 * r12 + 6.0 * r6)
+        rel *= (dphi / dist / dist)[:, None]
+        slots = (3 * i)[:, None] + np.arange(3)
+        forces = np.bincount(slots.ravel(), rel.ravel(), minlength=3 * len(cart))
+        return energy, forces.reshape(-1, 3)
 
 
 def relax_positions(
@@ -215,9 +243,11 @@ def relax_positions(
     for _ in range(max_steps):
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError("relaxation passed its deadline")
-        if not np.all(np.isfinite(f)):
-            raise RelaxationError("non-finite forces")
+        # max keeps an inf and propagates a NaN, so one read of fmax also
+        # decides whether every force is finite.
         fmax = float(np.abs(f).max()) if f.size else 0.0
+        if not math.isfinite(fmax):
+            raise RelaxationError("non-finite forces")
         if fmax < force_tol:
             break
         if fmax > 1e6:
@@ -247,11 +277,14 @@ def formation_energy(backend: PairPotentialBackend, s: CrystalStructure) -> floa
     return backend.energy_per_atom(s) - ref
 
 
-def energy_above_hull(candidate: PhaseEntry, refs: list[PhaseEntry]) -> HullResult:
+def energy_above_hull(candidate: PhaseEntry,
+                      refs: tuple[PhaseEntry, ...] | list[PhaseEntry]) -> HullResult:
     """Hull distance: the candidate's energy less ``hull_energy`` at its
-    composition."""
+    composition. Pass ``refs`` as a ``PhaseSet`` to hash it only once."""
     fractions = tuple(candidate.composition.fractions().items())
-    fun, decomposition = hull_energy(fractions, tuple(refs))
+    if not isinstance(refs, PhaseSet):
+        refs = PhaseSet(refs)
+    fun, decomposition = hull_energy(fractions, refs)
     return HullResult(e_hull=candidate.energy_per_atom - fun, decomposition=decomposition)
 
 
@@ -373,7 +406,7 @@ def is_stable(e_hull: float) -> bool:
 
 
 @lru_cache(maxsize=1)
-def load_reference_phases() -> tuple[PhaseEntry, ...]:
+def load_reference_phases() -> PhaseSet:
     """Curated surrogate phase set: label, formula, energy per atom."""
     text = (resources.files("crysalign.data") / "reference_phases.txt").read_text()
     entries = []
@@ -387,4 +420,4 @@ def load_reference_phases() -> tuple[PhaseEntry, ...]:
             energy_per_atom=float(energy),
             label=label,
         ))
-    return tuple(entries)
+    return PhaseSet(entries)

@@ -210,7 +210,7 @@ def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None
             s = energetics.relax_positions(backend, s, deadline=deadline)
         ef = energetics.formation_energy(backend, s)
         candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
-        hull = energetics.energy_above_hull(candidate, list(energetics.load_reference_phases()))
+        hull = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
         return max(hull.e_hull, 0.0), ""
     except TimeoutError:
         return None, "timeout"

@@ -320,7 +320,7 @@ def neighbour_pairs(
     image_frac = (mesh[:, None, :] + frac[None, :, :]).reshape(-1, 3)
     # only an image within reach of the cell can be within radius of a site
     near = np.flatnonzero((np.abs(image_frac - 0.5) <= 0.5 + reach).all(axis=1))
-    sites, images = frac @ basis, (image_frac[near] @ basis).T.copy()
+    sites, images = frac @ basis, (image_frac.take(near, axis=0) @ basis).T.copy()
     # A chunk of sites against every near image, one coordinate at a time:
     # its three squared differences take at most CHUNK floats.
     step = max(1, CHUNK // (3 * len(near)))
@@ -332,8 +332,9 @@ def neighbour_pairs(
         rows.append(row + lo)
         cols.append(col)
     i = np.concatenate(rows)
-    k, j = np.divmod(near[np.concatenate(cols)], len(cart))
-    offset = (mesh[k] + whole[i] - whole[j]) @ basis
+    # take gathers rows at less cost per call than fancy indexing
+    k, j = np.divmod(near.take(np.concatenate(cols)), len(cart))
+    offset = (mesh.take(k, axis=0) + whole.take(i, axis=0) - whole.take(j, axis=0)) @ basis
     return i, j, offset
 
 

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from crysalign.energetics import (
     PairKernel,
     PairPotentialBackend,
     PhaseEntry,
+    PhaseSet,
+    RelaxationError,
     STABILITY_THRESHOLD,
     energy_above_hull,
     formation_energy,
@@ -23,7 +27,7 @@ from crysalign.energetics import (
     load_reference_phases,
     relax_positions,
 )
-from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
+from crysalign.structcore import Composition, CrystalStructure, Lattice, Site, neighbour_pairs
 
 from conftest import make_structure
 
@@ -301,6 +305,151 @@ class TestVerletSkin:
         assert 1 <= rebuilds < 7
 
 
+class FancyIndexKernel:
+    """Reference: the pair kernel as it was before its gathers moved to
+    ``take``, with fancy indexing, six boolean masks and one ``bincount``
+    per axis. ``PairKernel`` does the same arithmetic in the same order, so
+    the two must agree to the bit."""
+
+    def __init__(self, backend, s, skin):
+        elements = s.elements()
+        species = sorted(set(elements))
+        table = np.array([[backend.pair_parameters(a, b) for b in species]
+                          for a in species])
+        self._eps, self._sig = table[..., 0], table[..., 1]
+        at_cut = self._sig / CUTOFF
+        self._shift = 4.0 * self._eps * (at_cut ** 12 - at_cut ** 6)
+        self._kind = np.array([species.index(el) for el in elements])
+        self._lattice = s.lattice
+        self._skin = skin
+        self._build(s.frac_array() @ s.lattice.matrix())
+
+    def _build(self, cart):
+        i, j, offset = neighbour_pairs(self._lattice, cart, CUTOFF + self._skin)
+        a, b = self._kind[i], self._kind[j]
+        self._pairs = (i, j, offset, self._eps[a, b], self._sig[a, b], self._shift[a, b])
+        self._built_at = cart.copy()
+
+    def __call__(self, cart):
+        moved = cart - self._built_at
+        if np.einsum("ij,ij->i", moved, moved).max() > (0.5 * self._skin) ** 2:
+            self._build(cart)
+        i, j, offset, eps, sig, shift = self._pairs
+        rel = cart[j] + offset - cart[i]
+        dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        inside = (dist > 1e-12) & (dist < CUTOFF)
+        i, rel, dist = i[inside], rel[inside], dist[inside]
+        eps, sig, shift = eps[inside], sig[inside], shift[inside]
+        r6 = (sig / dist) ** 6
+        energy = 0.5 * float(np.sum(4.0 * eps * (r6 ** 2 - r6) - shift)) / len(cart)
+        dphi = 4.0 * eps * (-12.0 * r6 ** 2 + 6.0 * r6) / dist
+        forces = np.stack([np.bincount(i, dphi / dist * rel[:, k], minlength=len(cart))
+                           for k in range(3)], axis=1)
+        return energy, forces
+
+
+def assert_kernels_agree(backend, s, skin, steps=1, seed=0):
+    """``PairKernel`` and ``FancyIndexKernel`` on the same positions, first at
+    s and then after each of ``steps - 1`` random moves of 0.3 skin per
+    atom: equal energies and equal force arrays at every call."""
+    cart = s.frac_array() @ s.lattice.matrix()
+    kernel, reference = PairKernel(backend, s, skin), FancyIndexKernel(backend, s, skin)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        energy, forces = kernel(cart)
+        want_energy, want_forces = reference(cart)
+        assert energy == want_energy
+        assert np.array_equal(forces, want_forces)
+        move = rng.normal(size=cart.shape)
+        cart = cart + 0.3 * SKIN * move / np.linalg.norm(move, axis=1)[:, None]
+    return forces
+
+
+def relax_cells():
+    """The structures of the ``relax`` benchmark workload, seeds 1 to 3."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import oracles
+    import workloads
+    tables = oracles.Tables.load(resources.files("crysalign.data"))
+    for seed in (1, 2, 3):
+        for case in workloads.relax(seed, tables).cases:
+            cell = case.cell
+            yield f"{case.prompt_id}-{seed}", make_structure(
+                (*cell.lengths, *cell.angles), cell.sites)
+
+
+class TestKernelMatchesFancyIndexKernel:
+    @pytest.mark.parametrize("skin", [0.0, SKIN])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_cells(self, backend, skin, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(3.5, 7.5, size=3)
+        angles = rng.uniform(70, 110, size=3)
+        elements = rng.choice(["Na", "Cl", "Mg", "O"], size=int(rng.integers(1, 9)))
+        s = make_structure((*lengths, *angles),
+                           [(str(el), tuple(rng.random(3))) for el in elements])
+        assert_kernels_agree(backend, s, skin, steps=6, seed=seed)
+
+    @pytest.mark.parametrize("skin", [0.0, SKIN])
+    def test_site_with_no_partner_inside_the_cutoff(self, backend, skin):
+        box = 4 * CUTOFF
+        s = make_structure((box, box, box, 90, 90, 90),
+                           [("Na", (0.1, 0.1, 0.1)), ("Cl", (0.1 + 2.8 / box, 0.1, 0.1)),
+                            ("Mg", (0.6, 0.6, 0.6))])
+        forces = assert_kernels_agree(backend, s, skin)
+        assert forces[2].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("skin", [0.0, SKIN])
+    def test_pair_straddling_the_cutoff(self, backend, skin):
+        box = 4 * CUTOFF
+        s = make_structure((box, box, box, 90, 90, 90),
+                           [("Na", (0.5, 0.5, 0.5)),
+                            ("Na", (0.5 + (CUTOFF - 1e-6) / box, 0.5, 0.5)),
+                            ("Na", (0.5, 0.5 + (CUTOFF + 1e-6) / box, 0.5))])
+        assert_kernels_agree(backend, s, skin)
+
+    def test_calls_right_after_a_rebuild(self, backend, rocksalt, monkeypatch):
+        builds = []
+        build = energetics.neighbour_pairs
+        monkeypatch.setattr(energetics, "neighbour_pairs",
+                            lambda *a: builds.append(1) or build(*a))
+        # 0.3 skin per step passes the half-skin rebuild distance every
+        # second step, so calls run both on reused lists and on fresh ones.
+        assert_kernels_agree(backend, jittered(rocksalt, 2, 0.02), SKIN, steps=8)
+        assert len(builds) >= 3
+
+    def test_relaxation_of_the_relax_workload(self, backend, monkeypatch):
+        cells = list(relax_cells())
+        assert len(cells) == 21
+        relaxed = [relax_positions(backend, s) for _, s in cells]
+        monkeypatch.setattr(energetics, "PairKernel", FancyIndexKernel)
+        for (name, s), got in zip(cells, relaxed):
+            want = relax_positions(backend, s)
+            assert np.array_equal(got.frac_array(), want.frac_array()), name
+
+
+class TestRelaxationErrors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("other", [0.0, 1e7])
+    def test_non_finite_forces(self, backend, monkeypatch, bad, other):
+        """A non-finite force is reported as such, also beside a force past
+        the explosion bound."""
+        def broken(self, cart):
+            forces = np.full(cart.shape, other)
+            forces[-1, 1] = bad
+            return 0.0, forces
+
+        monkeypatch.setattr(PairKernel, "__call__", broken)
+        with pytest.raises(RelaxationError, match="^non-finite forces$"):
+            relax_positions(backend, isolated_pair("Na", 3.4))
+
+    def test_force_explosion(self, backend):
+        with pytest.raises(RelaxationError, match="^force explosion$"):
+            relax_positions(backend, isolated_pair("Na", 0.3))
+
+
 class TestRelax:
     def test_dimer_relaxes_to_lj_minimum(self, backend):
         eps, sigma = backend.pair_parameters("Na", "Na")
@@ -376,6 +525,24 @@ class TestHull:
         again = energy_above_hull(entry("Na2Cl2", -1.75), low)
         assert again.e_hull == pytest.approx(0.25)
         assert [(reduced(r), w) for r, w in again.decomposition] == [("ClNa", 1.0)]
+        info = energetics.hull_energy.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_memo_hit_on_the_loaded_set_hashes_no_phase(self, monkeypatch):
+        refs = load_reference_phases()
+        candidate = entry("NaCl", -1.5)
+        energetics.hull_energy.cache_clear()
+        first = energy_above_hull(candidate, refs)
+        hashed = []
+        phase_hash = PhaseEntry.__hash__
+        monkeypatch.setattr(PhaseEntry, "__hash__",
+                            lambda phase: hashed.append(phase) or phase_hash(phase))
+        assert energy_above_hull(candidate, refs) == first
+        assert hashed == []
+        # A different set gets its own solve, which hashes each of its phases.
+        other = PhaseSet(refs + (entry("NaCl", -3.0),))
+        assert energy_above_hull(candidate, other).e_hull == pytest.approx(1.5)
+        assert len(hashed) == len(other)
         info = energetics.hull_energy.cache_info()
         assert (info.hits, info.misses) == (1, 2)
 

@@ -554,6 +554,15 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert capsys.readouterr().err.strip().endswith("(line 1)")
 
+    def test_malformed_samples_name_path_and_line(self, tmp_path, capsys):
+        from crysalign.cli import main
+        path = tmp_path / "samples.jsonl"
+        path.write_text("123\n")
+        assert main(["evaluate", "--samples", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == (
+            f"{path}: sample must be a JSON object (line 1)")
+
     def test_samples_not_utf8_is_input_error(self, tmp_path, capsys):
         from crysalign.cli import main
         path = tmp_path / "samples.jsonl"
