@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_UP, Decimal
 
 from .structcore import (
     Composition,
@@ -71,12 +72,14 @@ class SampleRecord:
             raise ValueError("prompt_id must be non-empty")
 
 
+# The writer's precisions (angles, lengths, coordinates) and their quanta.
+_QUANTA = {places: Decimal(1).scaleb(-places) for places in (4, 6, 8)}
+
+
 def _fixed(value: float, places: int) -> str:
     """Fixed-point formatting, round-half-away-from-zero (decimal-exact)."""
-    from decimal import Decimal, ROUND_HALF_UP
-
-    q = Decimal(1).scaleb(-places)
-    return format(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP), f".{places}f")
+    return format(Decimal(repr(value)).quantize(_QUANTA[places], rounding=ROUND_HALF_UP),
+                  f".{places}f")
 
 
 def parse_ciflite(text: str) -> CrystalStructure:
@@ -146,11 +149,10 @@ def write_ciflite(s: CrystalStructure) -> str:
     out.append(" ".join(_fixed(x, 6) for x in s.lattice.lengths))
     out.append(" ".join(_fixed(x, 4) for x in s.lattice.angles))
     for site in s.sites:
-        # Coordinates just below 1 would render as 1.0 at 8 decimals and
-        # re-wrap to 0 on the next parse; fold them before formatting.
-        coords = " ".join(
-            "0.00000000" if _fixed(x, 8) == "1.00000000" else _fixed(x, 8)
-            for x in site.frac_coords)
+        coords = [_fixed(x, 8) for x in site.frac_coords]
+        # Coordinates just below 1 render as 1.0 at 8 decimals and would
+        # re-wrap to 0 on the next parse; fold them here.
+        coords = " ".join("0.00000000" if c == "1.00000000" else c for c in coords)
         out.append(f"{site.element} 1 {coords}")
     return "\n".join(out) + CIF_CLOSE
 

@@ -1,12 +1,15 @@
 """Batch evaluation pipeline: parse, check, score, aggregate, report.
 
-Each sample is one task: parse, validity, space-group detection, trace
-consistency, then (for a structurally valid cell) energy and hull distance,
-and the reward. With more than one worker the tasks run on a process pool
-that is kept for the life of the process and reused by every batch with the
-same worker count; results come back in sample order, so output is
-identical for any worker count. The batch metrics are computed from the
-finished rows in this process.
+Each task is a chunk of consecutive samples: the whole batch with one
+worker, else the pool's chunk size. Every sample of it is parsed and checked
+(validity, space-group detection, trace consistency), then the structurally
+valid cells relax together, each within its own ``timeout_s`` budget, and
+each gets its energy, hull distance and reward. A row depends on its own
+sample alone, not on the chunk it ran in. With more than one worker the
+tasks run on a process pool that is kept for the life of the process and
+reused by every batch with the same worker count; results come back in
+sample order, so output is identical for any worker count. The batch
+metrics are computed from the finished rows in this process.
 
 The workers fork when the pool is made, so they do not see state this
 process changes afterwards: a monkeypatch or a replaced table reaches the
@@ -21,7 +24,6 @@ import csv
 import io
 import math
 import os
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -143,27 +145,53 @@ class EvaluationRow:
     error: str = ""
 
 
-def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
-    """One sample from parse to reward: the finished row, and the parsed
-    structure for the batch metrics, or ``None`` when the row has no
-    validity report. A failing check becomes the row's status and error."""
-    index, rec, config = args
+def _evaluate_chunk(args) -> list[tuple[EvaluationRow, CrystalStructure | None]]:
+    """The samples of one task, each to its finished row and its parsed
+    structure for the batch metrics (``None`` when the row has no validity
+    report): every sample's checks, then one relaxation of the chunk's
+    structurally valid cells, then each hull distance and reward. A row
+    depends on its own sample alone (``energetics.relax_positions``)."""
+    items, config = args
+    checked = [_check_sample(index, rec, config) for index, rec in items]
+    hulls = iter(_hull_distances([s for _, s, report in checked
+                                  if s is not None and report.structural], config))
+    results = []
+    for found, s, report in checked:
+        if s is None:
+            results.append((found, None))
+            continue
+        e_hull, hull_error = next(hulls) if report.structural else (None, "")
+        found["error"] = found["error"] or hull_error
+        breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
+        results.append((EvaluationRow(
+            structural=int(report.structural), chemical=int(report.chemical),
+            composition_match=int(report.composition_match),
+            e_hull=e_hull, r_target=breakdown.r_target, formula=s.formula, **found), s))
+    return results
+
+
+def _check_sample(index, rec, config):
+    """One sample's parse, validity, detection and trace checks. Returns
+    (row, None, None) when the row has no validity report, else the row's
+    fields found so far, the structure and its report. A failing check
+    becomes the row's status and error."""
     try:
         constraints = ciflite.parse_prompt(rec.prompt_text)
         trace_text, cif_text = ciflite.extract_response_parts(rec.response_text)
         if cif_text is None:
-            return EvaluationRow(index, rec.prompt_id, "missing_cif"), None
+            return EvaluationRow(index, rec.prompt_id, "missing_cif"), None, None
         s = ciflite.parse_ciflite(cif_text)
     except ciflite.ParseError as e:
-        return EvaluationRow(index, rec.prompt_id, "parse_error", error=str(e)), None
+        return EvaluationRow(index, rec.prompt_id, "parse_error", error=str(e)), None, None
     try:
         report = validity.build_report(s, constraints.formula,
                                        validity.OxidationTable.load_default())
     except Exception:
         error = _traceback_line()
-        return EvaluationRow(index, rec.prompt_id, "check_error", error=error), None
+        return EvaluationRow(index, rec.prompt_id, "check_error", error=error), None, None
     # Checks after the report: a raise keeps what was found before it.
-    found: dict = {"parse_status": "ok", "error": ""}
+    found: dict = {"index": index, "prompt_id": rec.prompt_id,
+                   "parse_status": "ok", "error": ""}
     try:
         try:
             sym = detect_spacegroup(s, config.symmetry_tol)
@@ -182,40 +210,35 @@ def _evaluate_sample(args) -> tuple[EvaluationRow, CrystalStructure | None]:
     except Exception:
         found["parse_status"] = "check_error"
         found["error"] = _traceback_line()
-    e_hull = None
-    if report.structural:
-        e_hull, hull_error = _hull_distance(s, config)
-        found["error"] = found["error"] or hull_error
-    breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
-    row = EvaluationRow(
-        index=index, prompt_id=rec.prompt_id,
-        structural=int(report.structural), chemical=int(report.chemical),
-        composition_match=int(report.composition_match),
-        e_hull=e_hull, r_target=breakdown.r_target, formula=s.formula, **found,
-    )
-    return row, s
+    return found, s, report
 
 
 def _traceback_line() -> str:
     return traceback.format_exc(limit=1).replace("\n", " ")
 
 
-def _hull_distance(s: CrystalStructure, config: RunConfig) -> tuple[float | None, str]:
-    """Energy above hull, or ``None`` and the reason; the relaxation
-    deadline starts here."""
-    deadline = time.monotonic() + config.timeout_s
+def _hull_distances(structures: list[CrystalStructure],
+                    config: RunConfig) -> list[tuple[float | None, str]]:
+    """Each structure's energy above hull, or ``None`` and the reason. With
+    ``relax_before_hull`` all of them relax first, together, each within a
+    budget of ``timeout_s``."""
     backend = energetics.PairPotentialBackend.load_default()
-    try:
-        if config.relax_before_hull:
-            s = energetics.relax_positions(backend, s, deadline=deadline)
-        ef = energetics.formation_energy(backend, s)
-        candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
-        hull = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
-        return max(hull.e_hull, 0.0), ""
-    except TimeoutError:
-        return None, "timeout"
-    except Exception as e:
-        return None, f"{type(e).__name__}: {e}"
+    if config.relax_before_hull:
+        structures = energetics.relax_positions(backend, structures, budget_s=config.timeout_s)
+    out = []
+    for s in structures:
+        try:
+            if isinstance(s, Exception):
+                raise s
+            ef = energetics.formation_energy(backend, s)
+            candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
+            hull = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
+            out.append((max(hull.e_hull, 0.0), ""))
+        except TimeoutError:
+            out.append((None, "timeout"))
+        except Exception as e:
+            out.append((None, f"{type(e).__name__}: {e}"))
+    return out
 
 
 # The kept pool (its workers fork on the first batch it runs), its worker
@@ -259,7 +282,7 @@ def _pool_map(fn, items, worker_count):
     if worker_count == 1 or len(items) <= 1:
         return [_in_batch(task) for task in tasks]
     signature_index()
-    chunksize = max(1, len(items) // (worker_count * 4))
+    chunksize = _chunk_size(len(items), worker_count)
     for attempt in (1, 2):
         if _pool is None or _pool_workers != worker_count:
             _drop_pool()
@@ -274,6 +297,10 @@ def _pool_map(fn, items, worker_count):
                 raise
 
 
+def _chunk_size(count: int, worker_count: int) -> int:
+    return max(1, count // (worker_count * 4))
+
+
 def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[EvaluationRow]]:
     path = config.samples_path
     try:
@@ -285,9 +312,14 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
-    results = _pool_map(_evaluate_sample,
-                        [(i, rec, config) for i, rec in enumerate(samples)],
-                        config.worker_count)
+    # One task per chunk of samples, of the pool's chunk size or the whole
+    # batch with one worker; a chunk's structures relax together.
+    items = list(enumerate(samples))
+    size = max(1, len(items) if config.worker_count == 1
+               else _chunk_size(len(items), config.worker_count))
+    chunks = [(items[lo:lo + size], config) for lo in range(0, len(items), size)]
+    results = [result for chunk in _pool_map(_evaluate_chunk, chunks, config.worker_count)
+               for result in chunk]
     rows = [row for row, _ in results]
     scored = [(s, row.e_hull) for row, s in results if s is not None]
     report = _build_metric_report(rows, scored, reference, config.match_config())

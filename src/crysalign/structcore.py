@@ -316,11 +316,20 @@ def neighbour_pairs(
     # the norm of a column of inv: how far, in cell units, a pair can reach
     reach = radius * np.linalg.norm(inv, axis=0)
     counts = np.ceil(reach).astype(int) + 1
-    mesh = np.indices(2 * counts + 1).reshape(3, -1).T - counts
-    image_frac = (mesh[:, None, :] + frac[None, :, :]).reshape(-1, 3)
-    # only an image within reach of the cell can be within radius of a site
-    near = np.flatnonzero((np.abs(image_frac - 0.5) <= 0.5 + reach).all(axis=1))
-    sites, images = frac @ basis, (image_frac.take(near, axis=0) @ basis).T.copy()
+    # Only an image within reach of the cell can be within radius of a site.
+    # The test holds per axis, so one (2c + 1) x n mask per axis, broadcast
+    # to (mesh cell, site) rows, finds the near images without forming the
+    # coordinates of the rest. The masks are cut from one over the widest
+    # shift range.
+    top = counts.max()
+    within = np.abs((np.arange(-top, top + 1)[:, None, None] + frac) - 0.5) <= 0.5 + reach
+    ok = [within[top - c:top + c + 1, :, k] for k, c in enumerate(counts.tolist())]
+    near = np.flatnonzero(ok[0][:, None, None] & ok[1][None, :, None] & ok[2][None, None])
+    cell, site = np.divmod(near, len(frac))
+    # each near row's shift, in cells of the reduced basis
+    shift = np.stack(np.unravel_index(cell, 2 * counts + 1), axis=1) - counts
+    image_frac = shift + frac.take(site, axis=0)
+    sites, images = frac @ basis, (image_frac @ basis).T.copy()
     # A chunk of sites against every near image, one coordinate at a time:
     # its three squared differences take at most CHUNK floats.
     step = max(1, CHUNK // (3 * len(near)))
@@ -331,10 +340,10 @@ def neighbour_pairs(
         row, col = np.nonzero(sq <= radius * radius)
         rows.append(row + lo)
         cols.append(col)
-    i = np.concatenate(rows)
+    i, col = np.concatenate(rows), np.concatenate(cols)
     # take gathers rows at less cost per call than fancy indexing
-    k, j = np.divmod(near.take(np.concatenate(cols)), len(cart))
-    offset = (mesh.take(k, axis=0) + whole.take(i, axis=0) - whole.take(j, axis=0)) @ basis
+    j = site.take(col)
+    offset = (shift.take(col, axis=0) + whole.take(i, axis=0) - whole.take(j, axis=0)) @ basis
     return i, j, offset
 
 

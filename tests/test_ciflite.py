@@ -124,6 +124,46 @@ class TestWrite:
         assert all(type(x) is float for x in (*s.lattice.lengths, *s.lattice.angles))
 
 
+def _fixed_per_call(value, places):
+    from decimal import Decimal, ROUND_HALF_UP
+
+    q = Decimal(1).scaleb(-places)
+    return format(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP), f".{places}f")
+
+
+def write_ciflite_per_call(s):
+    """Reference: the writer as it was when it built its quantizer on every
+    call and formatted each coordinate twice."""
+    out = [CIF_OPEN + "P1"]
+    out.append(" ".join(_fixed_per_call(x, 6) for x in s.lattice.lengths))
+    out.append(" ".join(_fixed_per_call(x, 4) for x in s.lattice.angles))
+    for site in s.sites:
+        coords = " ".join(
+            "0.00000000" if _fixed_per_call(x, 8) == "1.00000000" else _fixed_per_call(x, 8)
+            for x in site.frac_coords)
+        out.append(f"{site.element} 1 {coords}")
+    return "\n".join(out) + CIF_CLOSE
+
+
+class TestWriterMatchesPerCallFormatter:
+    def test_edge_values(self):
+        # half units at every precision, coordinates a rounding away from 1
+        # and a tiny one
+        for coords in ((0.000000005, 0.999999995, 0.99999999499),
+                       (0.999999996, 1e-300, 0.123456785),
+                       (0.5, 0.25, 0.0)):
+            s = CrystalStructure(
+                Lattice(4.1234565, 4.0000005, 1e3 / 3, 90.00005, 100.00015, 89.99995),
+                (Site("Na", coords), Site("Cl", tuple(1.0 - c for c in coords))))
+            assert write_ciflite(s) == write_ciflite_per_call(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_structures(self, data):
+        s = data.draw(structures())
+        assert write_ciflite(s) == write_ciflite_per_call(s)
+
+
 @st.composite
 def structures(draw):
     n = draw(st.integers(1, 6))

@@ -226,6 +226,16 @@ def assert_matches_dense(backend, s):
     assert np.abs(backend.forces(s) - forces).max() <= 1e-12 * f_scale
 
 
+def one_cell(kernel, s):
+    """``kernel`` called on the one cell s: positions to (energy, forces)."""
+    cell = kernel.add(s)
+
+    def call(cart):
+        (energy,), (forces,) = kernel([cell], [cart])
+        return energy, forces
+    return call
+
+
 def jittered(s, seed, amount):
     rng = np.random.default_rng(seed)
     frac = s.frac_array() + rng.uniform(-amount, amount, size=(s.num_sites, 3))
@@ -262,8 +272,8 @@ class TestPairListMatchesDense:
         # the inside pair pulls along x only; the outside one adds nothing,
         # also from a list whose skin holds it
         energy, _, e_scale, f_scale = dense_energy_and_forces(backend, s)
-        for kernel in (PairKernel(backend, s, skin=0.0), PairKernel(backend, s, skin=SKIN)):
-            e, f = kernel(s.frac_array() @ s.lattice.matrix())
+        for skin in (0.0, SKIN):
+            e, f = one_cell(PairKernel(backend, skin), s)(s.frac_array() @ s.lattice.matrix())
             assert abs(e - energy) <= 1e-12 * e_scale
             assert f[0][0] > 0 and f[0][1] == 0.0 and f[2].tolist() == [0.0, 0.0, 0.0]
 
@@ -287,11 +297,11 @@ class TestVerletSkin:
                             lambda *a: builds.append(1) or build(*a))
         s = jittered(rocksalt, 2, 0.02)
         cart = s.frac_array() @ s.lattice.matrix()
-        kernel = PairKernel(backend, s, skin=SKIN)
+        kernel = one_cell(PairKernel(backend, SKIN), s)
         rng = np.random.default_rng(7)
         rebuilds = 0
         for step in range(8):
-            fresh = PairKernel(backend, s, skin=0.0)(cart)
+            fresh = one_cell(PairKernel(backend, 0.0), s)(cart)
             before = len(builds)
             reused = kernel(cart)
             rebuilds += len(builds) - before
@@ -304,12 +314,33 @@ class TestVerletSkin:
             cart = cart + 0.3 * SKIN * move / np.linalg.norm(move, axis=1)[:, None]
         assert 1 <= rebuilds < 7
 
+    def test_each_cell_rebuilds_on_its_own_drift(self, backend, rocksalt, monkeypatch):
+        builds = []
+        build = energetics.neighbour_pairs
+        monkeypatch.setattr(energetics, "neighbour_pairs",
+                            lambda *a: builds.append(a[0]) or build(*a))
+        cells = [jittered(rocksalt, 3, 0.02), isolated_pair("Na", 3.4)]
+        kernel = PairKernel(backend, SKIN)
+        ids = [kernel.add(s) for s in cells]
+        carts = [s.frac_array() @ s.lattice.matrix() for s in cells]
+        assert len(builds) == 2
+        # a move past half the skin for one atom of the first cell only
+        carts[0] = carts[0].copy()
+        carts[0][3] += [0.4 * SKIN, 0.2 * SKIN, 0.3 * SKIN]
+        energies, forces = kernel(ids, carts)
+        assert builds[2:] == [cells[0].lattice]
+        for s, cart, energy, f in zip(cells, carts, energies, forces):
+            fresh = one_cell(PairKernel(backend, 0.0), s)(cart)
+            assert energy == pytest.approx(fresh[0], rel=1e-12, abs=1e-14)
+            np.testing.assert_allclose(f, fresh[1], rtol=1e-12, atol=1e-12)
 
-class FancyIndexKernel:
-    """Reference: the pair kernel as it was before its gathers moved to
-    ``take``, with fancy indexing, six boolean masks and one ``bincount``
-    per axis. ``PairKernel`` does the same arithmetic in the same order, so
-    the two must agree to the bit."""
+
+class FancyIndexCell:
+    """Reference: the pair kernel of one cell as it was before its gathers
+    moved to ``take`` and before cells shared a call, with fancy indexing,
+    six boolean masks and one ``bincount`` per axis. ``PairKernel`` does
+    the same arithmetic in the same order, so the two must agree to the
+    bit."""
 
     def __init__(self, backend, s, skin):
         elements = s.elements()
@@ -348,12 +379,63 @@ class FancyIndexKernel:
         return energy, forces
 
 
+class FancyIndexKernel:
+    """``FancyIndexCell`` behind ``PairKernel``'s interface: a call
+    evaluates each of its cells on its own."""
+
+    def __init__(self, backend, skin):
+        self._backend, self._skin, self._cells = backend, skin, []
+
+    def add(self, s):
+        self._cells.append(FancyIndexCell(self._backend, s, self._skin))
+        return len(self._cells) - 1
+
+    def release(self, cell):
+        self._cells[cell] = None
+
+    def __call__(self, cells, carts):
+        results = [self._cells[k](cart) for k, cart in zip(cells, carts)]
+        return [energy for energy, _ in results], [forces for _, forces in results]
+
+
+def relax_alone(backend, s, max_steps=200, force_tol=1e-3):
+    """Reference: one structure's descent as it ran before structures
+    relaxed in lockstep, on its own ``FancyIndexCell``; raises where the
+    lockstep descent returns the exception."""
+    inv = np.linalg.inv(s.lattice.matrix())
+    start = s.frac_array() @ s.lattice.matrix()
+    cart = start
+    kernel = FancyIndexCell(backend, s, SKIN)
+    energy, f = kernel(cart)
+    step = 0.05
+    for _ in range(max_steps):
+        if not np.all(np.isfinite(f)):
+            raise RelaxationError("non-finite forces")
+        fmax = float(np.abs(f).max())
+        if fmax < force_tol:
+            break
+        if fmax > 1e6:
+            raise RelaxationError("force explosion")
+        for _ in range(30):
+            trial_cart = cart + step * f
+            trial_energy, trial_f = kernel(trial_cart)
+            if trial_energy <= energy:
+                cart, energy, f = trial_cart, trial_energy, trial_f
+                step *= 1.2
+                break
+            step *= 0.5
+        else:
+            break
+    return s if cart is start else s.with_coords(cart @ inv)
+
+
 def assert_kernels_agree(backend, s, skin, steps=1, seed=0):
     """``PairKernel`` and ``FancyIndexKernel`` on the same positions, first at
     s and then after each of ``steps - 1`` random moves of 0.3 skin per
     atom: equal energies and equal force arrays at every call."""
     cart = s.frac_array() @ s.lattice.matrix()
-    kernel, reference = PairKernel(backend, s, skin), FancyIndexKernel(backend, s, skin)
+    kernel = one_cell(PairKernel(backend, skin), s)
+    reference = one_cell(FancyIndexKernel(backend, skin), s)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         energy, forces = kernel(cart)
@@ -365,19 +447,39 @@ def assert_kernels_agree(backend, s, skin, steps=1, seed=0):
     return forces
 
 
-def relax_cells():
-    """The structures of the ``relax`` benchmark workload, seeds 1 to 3."""
+def bench_workload(name, seed):
+    """A benchmark workload, built as ``perfbench/run.py`` builds it."""
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     if str(bench) not in sys.path:
         sys.path.insert(0, str(bench))
     import oracles
     import workloads
     tables = oracles.Tables.load(resources.files("crysalign.data"))
+    return workloads.WORKLOADS[name](seed, tables)
+
+
+def relax_cells():
+    """The structures of the ``relax`` benchmark workload, seeds 1 to 3."""
     for seed in (1, 2, 3):
-        for case in workloads.relax(seed, tables).cases:
+        for case in bench_workload("relax", seed).cases:
             cell = case.cell
             yield f"{case.prompt_id}-{seed}", make_structure(
                 (*cell.lengths, *cell.angles), cell.sites)
+
+
+def screen_cells():
+    """The structurally valid structures of the seed-1 ``screen`` workload,
+    the cells an evaluation with relaxation relaxes."""
+    from crysalign import ciflite, validity
+
+    table = validity.OxidationTable.load_default()
+    for case in bench_workload("screen", 1).cases:
+        try:
+            s = ciflite.parse_ciflite(ciflite.extract_response_parts(case.response_text)[1] or "")
+        except ciflite.ParseError:
+            continue
+        if validity.build_report(s, None, table).structural:
+            yield case.prompt_id, s
 
 
 class TestKernelMatchesFancyIndexKernel:
@@ -420,14 +522,115 @@ class TestKernelMatchesFancyIndexKernel:
         assert_kernels_agree(backend, jittered(rocksalt, 2, 0.02), SKIN, steps=8)
         assert len(builds) >= 3
 
+    @pytest.mark.parametrize("skin", [0.0, SKIN])
+    def test_cells_sharing_calls(self, backend, skin):
+        """Seeded cells in one kernel, each step calling a shuffled subset
+        of them at moved positions: every cell's energy and forces equal
+        its reference kernel's, whichever cells share the call."""
+        rng = np.random.default_rng(21)
+        cells = []
+        for _ in range(6):
+            lengths = rng.uniform(3.5, 7.5, size=3)
+            angles = rng.uniform(70, 110, size=3)
+            elements = rng.choice(["Na", "Cl", "Mg", "O"], size=int(rng.integers(1, 9)))
+            cells.append(make_structure((*lengths, *angles),
+                                        [(str(el), tuple(rng.random(3))) for el in elements]))
+        kernel, reference = PairKernel(backend, skin), FancyIndexKernel(backend, skin)
+        assert [kernel.add(s) for s in cells] == [reference.add(s) for s in cells]
+        carts = [s.frac_array() @ s.lattice.matrix() for s in cells]
+        for _ in range(8):
+            chosen = rng.permutation(len(cells))[:int(rng.integers(1, len(cells) + 1))].tolist()
+            got = kernel(chosen, [carts[k] for k in chosen])
+            want = reference(chosen, [carts[k] for k in chosen])
+            assert got[0] == want[0]
+            for f, g in zip(got[1], want[1]):
+                assert np.array_equal(f, g)
+            for k in chosen:
+                move = rng.normal(size=carts[k].shape)
+                carts[k] = carts[k] + 0.3 * SKIN * move / np.linalg.norm(move, axis=1)[:, None]
+
     def test_relaxation_of_the_relax_workload(self, backend, monkeypatch):
-        cells = list(relax_cells())
+        names, cells = zip(*relax_cells())
         assert len(cells) == 21
-        relaxed = [relax_positions(backend, s) for _, s in cells]
+        relaxed = relax_positions(backend, list(cells))
         monkeypatch.setattr(energetics, "PairKernel", FancyIndexKernel)
-        for (name, s), got in zip(cells, relaxed):
-            want = relax_positions(backend, s)
+        for name, got, want in zip(names, relaxed, relax_positions(backend, list(cells))):
             assert np.array_equal(got.frac_array(), want.frac_array()), name
+
+
+def same_outcome(a, b):
+    """Two relaxation results are the same structure to the bit, or the
+    same kind of exception with the same message."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return np.array_equal(a.frac_array(), b.frac_array()) and a.lattice == b.lattice
+
+
+class TestLockstep:
+    """A structure's relaxation does not depend on which structures relax
+    beside it, and equals its descent alone on the reference kernel."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        cells = list(relax_cells()) + list(screen_cells())
+        assert len(cells) == 21 + 33
+        return cells + [
+            ("close-pair", isolated_pair("Na", 0.3)),
+            ("no-pair-table", make_structure((5.0, 5.0, 5.0, 90, 90, 90),
+                                             [("Xe", (0.0, 0.0, 0.0)),
+                                              ("Na", (0.5, 0.5, 0.5))])),
+        ]
+
+    @pytest.fixture(scope="class")
+    def alone(self, backend, cells):
+        return [relax_positions(backend, [s])[0] for _, s in cells]
+
+    def test_alone_matches_the_descent_of_one_structure(self, backend, cells, alone):
+        for (name, s), got in zip(cells, alone):
+            try:
+                want = relax_alone(backend, s)
+            except Exception as exc:
+                want = exc
+            assert same_outcome(got, want), name
+        assert_relaxation_error(alone[-2], "force explosion")
+        assert isinstance(alone[-1], ConfigurationError)
+
+    def test_full_batch(self, backend, cells, alone):
+        together = relax_positions(backend, [s for _, s in cells])
+        for (name, _), got, want in zip(cells, together, alone):
+            assert same_outcome(got, want), name
+
+    def test_sites_in_descent_stay_within_the_bound(self, backend, cells, alone, monkeypatch):
+        """With room for 20 sites, structures join as others leave, and
+        each still gets its outcome alone."""
+        monkeypatch.setattr(energetics, "LOCKSTEP_SITES", 20)
+        called = []
+        evaluate = PairKernel.__call__
+
+        def counted(kernel, ids, carts):
+            called.append(sum(map(len, carts)))
+            return evaluate(kernel, ids, carts)
+
+        monkeypatch.setattr(PairKernel, "__call__", counted)
+        together = relax_positions(backend, [s for _, s in cells])
+        for (name, _), got, want in zip(cells, together, alone):
+            assert same_outcome(got, want), name
+        assert max(s.num_sites for _, s in cells) < max(called) <= 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_sub_batches(self, backend, cells, alone, seed):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(cells)).tolist()
+        while order:
+            size = int(rng.integers(1, 12))
+            batch, order = order[:size], order[size:]
+            for k, got in zip(batch, relax_positions(backend, [cells[k][1] for k in batch])):
+                assert same_outcome(got, alone[k]), cells[k][0]
+
+
+def assert_relaxation_error(result, message):
+    assert isinstance(result, RelaxationError)
+    assert str(result) == message
 
 
 class TestRelaxationErrors:
@@ -435,26 +638,35 @@ class TestRelaxationErrors:
     @pytest.mark.parametrize("other", [0.0, 1e7])
     def test_non_finite_forces(self, backend, monkeypatch, bad, other):
         """A non-finite force is reported as such, also beside a force past
-        the explosion bound."""
-        def broken(self, cart):
-            forces = np.full(cart.shape, other)
-            forces[-1, 1] = bad
-            return 0.0, forces
+        the explosion bound; the cell relaxing beside it is not touched."""
+        healthy = isolated_pair("Na", 3.6)
+        (alone,) = relax_positions(backend, [healthy])
+        evaluate = PairKernel.__call__
+
+        def broken(self, cells, carts):
+            energies, forces = evaluate(self, cells, carts)
+            if 0 in cells:
+                at = cells.index(0)
+                energies[at] = 0.0
+                forces[at] = np.full(carts[at].shape, other)
+                forces[at][-1, 1] = bad
+            return energies, forces
 
         monkeypatch.setattr(PairKernel, "__call__", broken)
-        with pytest.raises(RelaxationError, match="^non-finite forces$"):
-            relax_positions(backend, isolated_pair("Na", 3.4))
+        failed, relaxed = relax_positions(backend, [isolated_pair("Na", 3.4), healthy])
+        assert_relaxation_error(failed, "non-finite forces")
+        assert np.array_equal(relaxed.frac_array(), alone.frac_array())
 
     def test_force_explosion(self, backend):
-        with pytest.raises(RelaxationError, match="^force explosion$"):
-            relax_positions(backend, isolated_pair("Na", 0.3))
+        (result,) = relax_positions(backend, [isolated_pair("Na", 0.3)])
+        assert_relaxation_error(result, "force explosion")
 
 
 class TestRelax:
     def test_dimer_relaxes_to_lj_minimum(self, backend):
         eps, sigma = backend.pair_parameters("Na", "Na")
         s = isolated_pair("Na", 2 ** (1 / 6) * sigma + 0.3)
-        relaxed = relax_positions(backend, s, max_steps=500, force_tol=1e-6)
+        (relaxed,) = relax_positions(backend, [s], max_steps=500, force_tol=1e-6)
         box = 4 * CUTOFF
         r = abs(relaxed.sites[1].frac_coords[0] -
                 relaxed.sites[0].frac_coords[0]) * box
@@ -462,7 +674,7 @@ class TestRelax:
 
     def test_energy_never_increases(self, backend):
         s = isolated_pair("Na", 3.4)
-        relaxed = relax_positions(backend, s, max_steps=50)
+        (relaxed,) = relax_positions(backend, [s], max_steps=50)
         assert backend.energy_per_atom(relaxed) <= \
             backend.energy_per_atom(s) + 1e-12
 

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestReducedBasisOnce:
                                 lambda cell, module=module, real=real:
                                 counts.__setitem__(module, counts[module] + 1) or real(cell))
         config = RunConfig(samples_path=__file__)
-        results = [harness._evaluate_sample((k, rec, config)) for k, rec in enumerate(records)]
+        results = harness._evaluate_chunk((list(enumerate(records)), config))
         assert all(row.site_match is not None and row.e_hull is not None
                    for row, _ in results)
         structures = [s for _, s in results]
@@ -484,12 +485,14 @@ class TestParseBoundary:
 
 class TestTimeout:
     def test_deadline_holds_inside_relaxation(self, monkeypatch, rocksalt, tmp_path):
+        """A zero budget ends the relaxation after its first merged
+        evaluation."""
         calls = []
         evaluate = energetics.PairKernel.__call__
 
-        def counted(kernel, cart):
+        def counted(kernel, cells, carts):
             calls.append(1)
-            return evaluate(kernel, cart)
+            return evaluate(kernel, cells, carts)
 
         monkeypatch.setattr(energetics.PairKernel, "__call__", counted)
         rng = random.Random(3)
@@ -508,6 +511,55 @@ class TestTimeout:
         assert rows[0].e_hull is None
         assert rows[0].structural == 1
         assert len(calls) <= 1
+
+    def test_budget_holds_per_sample_in_a_shared_relaxation(self, monkeypatch, tmp_path):
+        """On a clock that a merged evaluation advances by one tick per
+        site it evaluates, cells that each finish within ``timeout_s``
+        alone also finish together, and a budget one of them runs out of
+        alone times that one out together too."""
+        clock = [0.0]
+        evaluate = energetics.PairKernel.__call__
+        relax = energetics.relax_positions
+        relaxed_at = []
+
+        def ticking(kernel, cells, carts):
+            clock[0] += sum(len(cart) for cart in carts)
+            return evaluate(kernel, cells, carts)
+
+        def timed_relax(*args, **kwargs):
+            result = relax(*args, **kwargs)
+            relaxed_at.append(clock[0])
+            return result
+
+        monkeypatch.setattr(energetics.PairKernel, "__call__", ticking)
+        monkeypatch.setattr(energetics, "relax_positions", timed_relax)
+        monkeypatch.setattr(energetics, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        records = [sample_record(f"p{k}", _rocksalt(5.5 + 0.05 * k, 0.01 * (k + 1)), "NaCl")
+                   for k in range(4)]
+
+        def evaluate_batch(batch, timeout_s):
+            path = tmp_path / "samples.jsonl"
+            write_jsonl(path, batch)
+            _, rows = run_evaluation(RunConfig(samples_path=str(path), timeout_s=timeout_s))
+            return rows
+
+        # each cell's relaxation time alone, in ticks
+        needs = []
+        for record in records:
+            clock[0] = 0.0
+            (row,) = evaluate_batch([record], 1e9)
+            assert row.error == "" and row.e_hull is not None
+            needs.append(relaxed_at[-1])
+        assert len(set(needs)) > 1
+        clock[0] = 0.0
+        rows = evaluate_batch(records, max(needs) + 1.0)
+        assert [r.error for r in rows] == [""] * len(records)
+        # The shared relaxation outlasts the budget, so a deadline for the
+        # whole of it would have timed cells out.
+        assert relaxed_at[-1] > 2 * max(needs)
+        short = sorted(needs)[-2] + 1.0
+        rows = evaluate_batch(records, short)
+        assert [r.error == "timeout" for r in rows] == [n >= short for n in needs]
 
 
 class TestEmit:

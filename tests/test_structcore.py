@@ -270,6 +270,77 @@ class TestNeighbourPairs:
         assert keys == sorted(set(keys))
 
 
+def _image_array_neighbour_pairs(lattice, cart, radius):
+    """Reference: the pair search as it was when it formed every image of
+    every site in a (mesh * n, 3) array and filtered it with ``.all``.
+    ``neighbour_pairs`` keeps the same near images in the same order, so the
+    two must agree to the bit."""
+    basis = lattice.reduced_matrix
+    inv = np.linalg.inv(basis)
+    frac = cart @ inv
+    whole = np.floor(frac)
+    frac -= whole
+    reach = radius * np.linalg.norm(inv, axis=0)
+    counts = np.ceil(reach).astype(int) + 1
+    mesh = np.indices(2 * counts + 1).reshape(3, -1).T - counts
+    image_frac = (mesh[:, None, :] + frac[None, :, :]).reshape(-1, 3)
+    near = np.flatnonzero((np.abs(image_frac - 0.5) <= 0.5 + reach).all(axis=1))
+    sites, images = frac @ basis, (image_frac.take(near, axis=0) @ basis).T.copy()
+    step = max(1, structcore.CHUNK // (3 * len(near)))
+    rows, cols = [], []
+    for lo in range(0, len(sites), step):
+        part = sites[lo:lo + step]
+        sq = sum((images[k] - part[:, k, None]) ** 2 for k in range(3))
+        row, col = np.nonzero(sq <= radius * radius)
+        rows.append(row + lo)
+        cols.append(col)
+    i = np.concatenate(rows)
+    k, j = np.divmod(near.take(np.concatenate(cols)), len(cart))
+    offset = (mesh.take(k, axis=0) + whole.take(i, axis=0) - whole.take(j, axis=0)) @ basis
+    return i, j, offset
+
+
+class TestNeighbourPairsMatchImageArray:
+    @staticmethod
+    def assert_same(lattice, cart, radius):
+        got = neighbour_pairs(lattice, cart, radius)
+        want = _image_array_neighbour_pairs(lattice, cart, radius)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("chunk", [structcore.CHUNK, 1])
+    def test_seeded_cells(self, monkeypatch, chunk):
+        monkeypatch.setattr(structcore, "CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        for s in seeded_skewed_cells(20):
+            cart = s.frac_array() @ s.lattice.matrix()
+            for radius in (0.5, 3.0, 6.5):
+                self.assert_same(s.lattice, cart, radius)
+            # sites up to two cells outside the cell
+            outside = rng.uniform(-2.0, 3.0, size=(4, 3)) @ s.lattice.matrix()
+            self.assert_same(s.lattice, outside, 6.5)
+
+    def test_radius_below_the_shortest_lattice_vector(self):
+        for s in seeded_skewed_cells(20):
+            cart = s.frac_array() @ s.lattice.matrix()
+            shortest = float(np.linalg.norm(s.lattice.reduced_matrix, axis=1).min())
+            i, j, offset = self.assert_same(s.lattice, cart, 0.999 * shortest)
+            # no self-image reaches that far, so a site pairs only with itself
+            assert not offset[i == j].any()
+
+    @pytest.mark.parametrize("chunk", [structcore.CHUNK, 1])
+    def test_one_site_cells(self, monkeypatch, chunk):
+        monkeypatch.setattr(structcore, "CHUNK", chunk)
+        for params in ((3.3, 3.5, 3.9, 75, 82, 68), (2.1, 7.9, 3.0, 120, 100, 95)):
+            lattice = Lattice(*params)
+            cart = np.array([[0.3, 0.6, 0.1]]) @ lattice.matrix()
+            for radius in (1.0, 6.0):
+                i, j, _ = self.assert_same(lattice, cart, radius)
+                assert (i == 0).all() and (j == 0).all()
+
+
 def _gram_schmidt(b):
     """Orthogonalised rows and the coefficients mu[r, q] of ``b``."""
     ortho = b.astype(float).copy()
