@@ -71,9 +71,14 @@ def result(s, tol) -> dict:
             "operations": [[op.rotation, op.translation] for op in res.operations]}
 
 
+def line(name, s, tol) -> str:
+    """The dump line of one case, without its newline."""
+    return json.dumps({"case": name, **result(s, tol)})
+
+
 def main() -> int:
     for name, s, tol in cases():
-        print(json.dumps({"case": name, **result(s, tol)}), flush=True)
+        print(line(name, s, tol), flush=True)
     return 0
 
 

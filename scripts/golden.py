@@ -5,7 +5,10 @@ For the ``screen`` and ``relax`` workloads of ``perfbench/workloads.py``,
 seeds 1-10, this evaluates each batch with one worker and the workload's own
 run settings (relaxation, timeout, reference file) and stores its
 ``samples.csv`` and ``metrics.csv`` as ``tests/golden/<workload>-<seed>/``.
-``tests/test_golden.py`` regenerates them in process and compares bytes.
+It also writes ``tests/golden/detection.txt``: one line per case of
+``scripts/compare_detection.py``, holding the case name and a SHA-256 prefix
+of its JSON line. ``tests/test_golden.py`` regenerates both in process and
+compares them.
 
 A change that moves outputs on purpose reruns the script in the same commit,
 so that the ``git diff`` of ``tests/golden/`` records what moved:
@@ -15,6 +18,7 @@ so that the ``git diff`` of ``tests/golden/`` records what moved:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -22,10 +26,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-for path in (SRC, ROOT / "perfbench"):
+for path in (SRC, ROOT / "perfbench", ROOT / "scripts"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+import compare_detection  # noqa: E402
 import oracles  # noqa: E402
 import workloads  # noqa: E402
 from crysalign import harness  # noqa: E402
@@ -33,6 +38,9 @@ from crysalign import harness  # noqa: E402
 GOLDEN = ROOT / "tests" / "golden"
 CASES = [(name, seed) for name in ("screen", "relax") for seed in range(1, 11)]
 FILES = ("samples.csv", "metrics.csv")
+DETECTION = GOLDEN / "detection.txt"
+# Hex digits of each detection line's SHA-256 kept in the pin.
+DIGEST_CHARS = 16
 
 
 def generate(name: str, seed: int, work_dir: Path) -> dict[str, bytes]:
@@ -60,6 +68,15 @@ def generate(name: str, seed: int, work_dir: Path) -> dict[str, bytes]:
     return {f: (out / f).read_bytes() for f in FILES}
 
 
+def detection_lines() -> list[str]:
+    """One line per detection dump case: its name and its line's digest."""
+    lines = []
+    for name, s, tol in compare_detection.cases():
+        digest = hashlib.sha256(compare_detection.line(name, s, tol).encode()).hexdigest()
+        lines.append(f"{name}\t{digest[:DIGEST_CHARS]}\n")
+    return lines
+
+
 def main() -> int:
     for name, seed in CASES:
         with tempfile.TemporaryDirectory() as tmp:
@@ -68,6 +85,7 @@ def main() -> int:
         target.mkdir(parents=True, exist_ok=True)
         for f, data in written.items():
             (target / f).write_bytes(data)
+    DETECTION.write_text("".join(detection_lines()), encoding="utf-8")
     return 0
 
 

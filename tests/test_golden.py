@@ -1,4 +1,5 @@
-"""The pinned outputs: every golden CSV regenerates to the same bytes.
+"""The pinned outputs: every golden CSV regenerates to the same bytes, and
+every case of the detection dump to the same digest.
 
 ``scripts/golden.py`` wrote ``tests/golden/``; a change that moves outputs
 on purpose reruns it, and the ``git diff`` of those files is the record.
@@ -51,3 +52,19 @@ def test_outputs_match_golden(name, seed, tmp_path):
         if got != want:
             problems += [f"{name}-{seed}/{f} {line}" for line in _differences(want, got)]
     assert not problems, "\n".join(problems)
+
+
+def test_detection_matches_golden():
+    """Each case's dump line hashes as pinned; a failure names every case
+    that differs, is missing or is new."""
+    want = golden.DETECTION.read_text(encoding="utf-8")
+    got = "".join(golden.detection_lines())
+    if got == want:
+        return
+    old = dict(line.split("\t") for line in want.splitlines())
+    new = dict(line.split("\t") for line in got.splitlines())
+    problems = ([f"{name} differs" for name in old if name in new and old[name] != new[name]]
+                + [f"{name} missing" for name in old if name not in new]
+                + [f"{name} new" for name in new if name not in old])
+    assert not problems, f"{len(problems)} cases:\n" + "\n".join(problems)
+    pytest.fail("same cases and digests in a different order")
