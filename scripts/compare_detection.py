@@ -17,6 +17,9 @@ detection is checked by running it in two checkouts and comparing the dumps:
     python3 scripts/compare_detection.py > new.jsonl
     (cd ../parent && python3 scripts/compare_detection.py > old.jsonl)
     diff ../parent/old.jsonl new.jsonl
+
+``scripts/golden.py`` pins a digest of each line in
+``tests/golden/detection.txt``, which the tier-1 golden test checks.
 """
 
 from __future__ import annotations

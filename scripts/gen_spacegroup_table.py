@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SYMBOLS = Path(__file__).resolve().parent / "hall_symbols.txt"
 OUT = ROOT / "src" / "crysalign" / "data" / "spacegroup_generators.txt"
@@ -235,7 +237,8 @@ def build_table() -> tuple[str, int, int]:
         if any(w == neg(I3) for w, _ in ops):
             n_centro += 1
         gen_strs = ";".join(op_to_triplet(w, t) for w, t in gens)
-        sig = groups.format_signature(groups.signature(ops))
+        sig = groups.format_signature(groups.signature(
+            np.array([w for w, _ in ops]), np.array([t for _, t in ops], dtype=float)))
         lines_out.append(f"{num}\t{hm}\t{gen_strs}\t{sig}")
     assert n_centro == 92, n_centro  # textbook count of centrosymmetric groups
     text = (

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import ciflite, energetics, grpo, harness, metrics, rewards, traces, validity
 from .structcore import Composition, reduced_formula
 from .symmetry import DetectionError, detect_spacegroup

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -178,6 +178,13 @@ def _cartesian(s: CrystalStructure) -> np.ndarray:
 _AXES = np.arange(3)
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared length of each row of ``x``, summed in a fixed order,
+    (x0^2 + x2^2) + x1^2, that no numpy build or CPU can reorder."""
+    s = x * x
+    return (s[:, 0] + s[:, 2]) + s[:, 1]
+
+
 class _Merged(NamedTuple):
     """The pair lists of the cells of a call, end to end: site indices
     count through the cells in call order, and cell k holds sites
@@ -281,7 +288,7 @@ class PairKernel:
         if merged is None or merged.cells != cells:
             merged = self._merge(cells)
         moved = cart - merged.built_at
-        drift = np.maximum.reduceat(np.einsum("ij,ij->i", moved, moved), merged.first[:-1])
+        drift = np.maximum.reduceat(_squared_norms(moved), merged.first[:-1])
         stale = np.flatnonzero(drift > (0.5 * self._skin) ** 2).tolist()
         for p in stale:
             k = cells[p]
@@ -293,7 +300,7 @@ class PairKernel:
         rel = cart.take(j, axis=0)
         rel += offset
         rel -= cart.take(i, axis=0)
-        dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        dist = np.sqrt(_squared_norms(rel))
         keep = ((dist > 1e-12) & (dist < CUTOFF)).nonzero()[0]
         rel, dist = rel.take(keep, axis=0), dist.take(keep)
         eps4, sig, shift = params.take(keep, axis=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -89,11 +89,17 @@ class Lattice:
         return cell_matrix(self)
 
     @cached_property
+    def lll_basis(self) -> np.ndarray:
+        """``reduced_basis`` of the cell matrix, computed once per lattice;
+        read-only."""
+        t = reduced_basis(self.matrix())
+        t.setflags(write=False)
+        return t
+
+    @cached_property
     def reduced_matrix(self) -> np.ndarray:
-        """``reduced_basis(m) @ m`` for the cell matrix ``m``, computed once
-        per lattice; read-only."""
-        m = self.matrix()
-        basis = reduced_basis(m) @ m
+        """``lll_basis @ m`` for the cell matrix ``m``; read-only."""
+        basis = self.lll_basis @ self.matrix()
         basis.setflags(write=False)
         return basis
 

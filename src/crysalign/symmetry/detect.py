@@ -10,6 +10,14 @@ integral in the input basis, each followed by every pure translation, and
 its orbits are the orbits of the primitive operations, each primitive site
 replaced by its pure-translation class.
 
+Work is done once. A cell with no pure translation but the zero one is its
+own primitive cell, so detection takes its lattice's cached LLL basis
+(``Lattice.lll_basis``, shared with the neighbour searches) instead of
+reducing it again. A set whose rotations have no axis holds only I and -I;
+its signature can only be P1 or P-1, so it skips the conventional cell and
+the signature and is numbered 1 or 2 directly. The operations travel as one
+int array of rotations and one float array of translations.
+
 Both stages run one search (``_fitting_ops``): each rotation with each
 translation taking the first anchor site onto an anchor site, tested in chunks
 by the rules of one at a time: nearest site, first on a tie, within ``tol``.
@@ -35,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .. import structcore
-from ..structcore import CrystalStructure, Lattice, reduced_basis
+from ..structcore import CrystalStructure, reduced_basis
 from . import groups
 from .groups import I3, signature, signature_index, load_group_table
 
@@ -302,12 +310,13 @@ def _candidate_rotations(cell: np.ndarray, tol: float) -> list[np.ndarray]:
     return list(w[np.round(np.abs(np.linalg.det(w * 1.0))) == 1])
 
 
-def _axes_summary(ops: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple, tuple]:
-    """Distinct proper-rotation axes of the Laue class: axis -> (its highest
-    order, the first proper rotation of that order about it)."""
+def _axes_summary(rots: np.ndarray) -> dict[tuple, tuple]:
+    """Distinct proper-rotation axes of the Laue class of the rotations:
+    axis -> (its highest order, the first proper rotation of that order
+    about it)."""
     axes: dict[tuple, tuple] = {}
-    for w, _ in ops:
-        wi = tuple(map(tuple, w.tolist()))
+    for w in rots.tolist():
+        wi = tuple(map(tuple, w))
         if groups._det(wi) < 0:
             wi = tuple(tuple(-x for x in row) for row in wi)
         if wi == I3:
@@ -435,6 +444,12 @@ def _centering_vectors(ut_inv: np.ndarray, limit: int) -> np.ndarray:
     return np.array(centers)
 
 
+def _images_mod1(mat: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``(mat @ t) % 1.0`` for each row t of ``ts``, in one stacked product
+    whose rows equal the products taken one at a time to the bit."""
+    return np.matmul(mat, ts[..., None])[..., 0] % 1.0
+
+
 def _rounded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``w`` rounded to integers, and which matrices are integral by
     ``np.isclose(w, rounded, atol=1e-6)``, written out for speed."""
@@ -442,14 +457,15 @@ def _rounded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wi.astype(int), (np.abs(w - wi) <= 1e-6 + 1e-5 * np.abs(wi)).all(axis=(1, 2))
 
 
-def _conventional_signature(u_conv: np.ndarray, ops) -> tuple | None:
-    """Operation-set signature in the conventional basis ``u_conv @ cell``;
-    None when the operations do not form a centred set there."""
+def _conventional_signature(u_conv: np.ndarray, rots: np.ndarray,
+                            ts: np.ndarray) -> tuple | None:
+    """Signature of the operations ``(rots[k], ts[k])`` in the conventional
+    basis ``u_conv @ cell``; None when they do not form a centred set there."""
     m_conv = abs(int(groups._det(u_conv)))
     if m_conv == 0:
         return None
     ut_inv = np.linalg.inv(u_conv.T * 1.0)
-    w_ci, integral = _rounded(ut_inv @ np.array([w for w, _ in ops]) @ u_conv.T)
+    w_ci, integral = _rounded(ut_inv @ rots @ u_conv.T)
     if not integral.all():
         return None
     centers = _centering_vectors(ut_inv, m_conv)
@@ -457,10 +473,8 @@ def _conventional_signature(u_conv: np.ndarray, ops) -> tuple | None:
         return None
     # The first centre is the zero vector; every other one is at least
     # 1e-6 from it mod 1.
-    conv_ops = [(tuple(map(tuple, w)), tuple((ut_inv @ t) % 1.0))
-                for w, (_, t) in zip(w_ci.tolist(), ops)]
-    conv_ops += [(I3, tuple(c)) for c in centers[1:].tolist()]
-    return signature(conv_ops)
+    return signature(np.concatenate([w_ci, np.broadcast_to(I3, (m_conv - 1, 3, 3))]),
+                     np.concatenate([_images_mod1(ut_inv, ts), centers[1:]]))
 
 
 def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResult:
@@ -478,8 +492,9 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         _Mapper(cell0, frac0, elems, tol), np.eye(3, dtype=int)[None])
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
-    cell_p = s_mat @ cell0
-    u_red = reduced_basis(cell_p)
+    # A primitive input (s_mat = I) takes its lattice's own reduction, copied
+    # as row 2 may be negated.
+    u_red = s.lattice.lll_basis.copy() if m == 1 else reduced_basis(s_mat @ cell0)
     if np.linalg.det(u_red * 1.0) < 0:
         u_red[2] = -u_red[2]                         # keep the basis right-handed
     r_mat = u_red @ s_mat                            # reduced prim in orig frac
@@ -500,23 +515,24 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     rots = np.array(_candidate_rotations(cell_r, tol)).reshape(-1, 3, 3)
     rot_of, ts, perms = _fitting_ops(mapper, rots)
     accepted, first = np.unique(rot_of, return_index=True)
-    ops: list[tuple[np.ndarray, np.ndarray]] = list(zip(rots[accepted], ts[first]))
+    op_rots, op_ts = rots[accepted], ts[first]
 
-    # Conventional setting and signature.
-    axes = _axes_summary(ops)
+    # Conventional setting and signature. With no axis every rotation is I
+    # or -I, whose signature can only be P1 or P-1: the fallback's answer.
+    axes = _axes_summary(op_rots)
     system = _classify_system(axes)
     ambiguous = False
     numbers = None
-    for u_conv in _conventional_candidates(cell_r, axes, system):
-        sig = _conventional_signature(u_conv, ops)
+    for u_conv in _conventional_candidates(cell_r, axes, system) if axes else ():
+        sig = _conventional_signature(u_conv, op_rots, op_ts)
         numbers = None if sig is None else signature_index().get(sig)
         if numbers is not None:
             break
     if numbers is None:
         # Conservative fallback: triclinic classification from the op set.
-        has_inv = any(np.array_equal(w, -np.eye(3, dtype=int)) for w, _ in ops)
+        has_inv = (op_rots == -np.eye(3, dtype=int)).all(axis=(1, 2)).any()
         numbers = (2,) if has_inv else (1,)
-        ambiguous = len(ops) > (2 if has_inv else 1)
+        ambiguous = len(op_rots) > (2 if has_inv else 1)
     number = max(numbers)
     if len(numbers) > 1:
         ambiguous = True
@@ -525,11 +541,11 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
     # The operations in the input basis: each primitive operation whose
     # rotation is integral there, followed by every pure translation.
     rt = r_mat.T
-    w_oi, integral = _rounded(rt @ np.array([w for w, _ in ops]) @ np.linalg.inv(rt))
+    w_oi, integral = _rounded(rt @ op_rots @ np.linalg.inv(rt))
     ambiguous = ambiguous or not integral.all()
     ws = np.repeat(w_oi[integral], m, axis=0)
-    ts = np.array([((rt @ t) % 1.0 + translations) % 1.0
-                   for (_, t), ok in zip(ops, integral) if ok]).reshape(-1, 3)
+    t_oi = _images_mod1(rt, op_ts[integral])
+    ts = ((t_oi[:, None, :] + translations) % 1.0).reshape(-1, 3)
     # The input-cell orbits: each orbit of the primitive operations with
     # every primitive site replaced by its pure-translation class.
     orbits = tuple(tuple(sorted(i for q in o for i in classes[q]))

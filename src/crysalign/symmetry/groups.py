@@ -160,17 +160,16 @@ _BOX = np.array(list(np.ndindex(5, 5, 5)), dtype=float) - 2.0
 _BOX.setflags(write=False)
 
 
-def signature(ops) -> tuple:
+def signature(rotations: np.ndarray, translations: np.ndarray) -> tuple:
     """Setting-independent signature of a conventional-cell operation set.
 
-    ``ops`` are (rotation rows, translation) with translations as floats or
-    Fractions in [0, 1); the set must include centering translations. Each
-    canonical intrinsic translation is a sorted triple of integer twelfths.
+    One operation per row: ``rotations`` is an (n, 3, 3) integer array and
+    ``translations`` an (n, 3) float array in [0, 1); the set must include
+    centering translations. Each canonical intrinsic translation is a sorted
+    triple of integer twelfths.
     """
-    ops = [(tuple(tuple(int(x) for x in row) for row in w),
-            tuple(float(t) for t in tr)) for w, tr in ops]
-    centerings = [np.array(tr) for w, tr in ops
-                  if w == I3 and any(abs(t) > 1e-6 for t in tr)]
+    pure = (rotations == I3).all(axis=(1, 2)) & (np.abs(translations) > 1e-6).any(axis=1)
+    centerings = translations[pure]
     m = len(centerings) + 1
     if m == 1:
         cclass = "P"
@@ -185,14 +184,15 @@ def signature(ops) -> tuple:
         cclass = f"?{m}"
 
     lattice_pts = np.concatenate([_BOX] + [_BOX + c for c in centerings])
-    reps: dict[tuple, tuple] = {}
-    for w, tr in ops:
-        reps.setdefault(w, tr)
+    # Each distinct rotation -> the index of its first operation.
+    reps: dict[tuple, int] = {}
+    for k, w in enumerate(rotations.tolist()):
+        reps.setdefault(tuple(map(tuple, w)), k)
     # All representatives at once: the intrinsic translation, its residue
     # from every lattice point (both projected) and the nearest residue.
     _, _, classes, projs = zip(*map(rotation_info, reps))
     proj = np.array(projs)
-    w_int = np.matmul(proj, np.array(list(reps.values()))[..., None])[..., 0]
+    w_int = np.matmul(proj, translations[list(reps.values())][..., None])[..., 0]
     residues = np.matmul(lattice_pts, proj.transpose(0, 2, 1))
     np.subtract(w_int[:, None, :], residues, out=residues)
     nearest = np.einsum("rij,rij->ri", residues, residues).argmin(axis=1)

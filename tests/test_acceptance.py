@@ -37,12 +37,11 @@ from crysalign.rewards import (
     range_reward,
     stability_reward,
 )
-from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
+from crysalign.structcore import Composition, CrystalStructure, Site
 from crysalign.symmetry import detect_spacegroup
 from crysalign.toytask import A_GRID, build_lattice_task
 from crysalign.traces import parse_trace, synthesize_trace, trace_consistency
 from crysalign.validity import (
-    OxidationTable,
     ValidityReport,
     check_chemical,
     find_oxidation_assignment,

@@ -16,8 +16,6 @@ from crysalign.ciflite import (
 )
 from crysalign.structcore import CrystalStructure, GeometryError, Lattice, Site
 
-from conftest import CALCITE_BLOCK
-
 
 SIMPLE_BLOCK = """<CIF>P1
 4.110000 4.110000 4.110000

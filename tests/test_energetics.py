@@ -27,7 +27,7 @@ from crysalign.energetics import (
     load_reference_phases,
     relax_positions,
 )
-from crysalign.structcore import Composition, CrystalStructure, Lattice, Site, neighbour_pairs
+from crysalign.structcore import Composition, neighbour_pairs
 
 from conftest import make_structure
 

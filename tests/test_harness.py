@@ -26,7 +26,7 @@ from crysalign.harness import (
     rows_to_csv,
     run_evaluation,
 )
-from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
+from crysalign.structcore import Composition
 
 from conftest import make_structure, sample_record, write_jsonl
 
@@ -112,12 +112,14 @@ class TestHullMemo:
 class TestReducedBasisOnce:
     def test_one_reduction_per_lattice(self, monkeypatch, oxidation_table):
         """Validity, detection, the trace shells, relaxation, the energy and
-        clustering reduce each parsed lattice once; detection reduces its
-        primitive cell once more."""
+        clustering reduce each parsed lattice once. Detection takes that
+        reduction for the two jittered cells, which are primitive, and
+        reduces the primitive cell of the exact rock salt (four pure
+        translations) once more."""
         from crysalign import ciflite, metrics, structcore, traces
         from crysalign.symmetry import detect
 
-        cells = [_rocksalt(5.64, 0.01), _rocksalt(5.64, 0.012)]
+        cells = [_rocksalt(5.64, 0.01), _rocksalt(5.64, 0.012), _rocksalt(5.64)]
         records = []
         for k, s in enumerate(cells):
             sym = detect.detect_spacegroup(s)
@@ -136,9 +138,9 @@ class TestReducedBasisOnce:
         assert all(row.site_match is not None and row.e_hull is not None
                    for row, _ in results)
         structures = [s for _, s in results]
-        uniq, _, _ = metrics.discovery_rates(structures, [0.0, 0.0], [])
-        assert uniq == 0.5
-        assert counts == {structcore: 2, detect: 2}
+        uniq, _, _ = metrics.discovery_rates(structures, [0.0] * 3, [])
+        assert uniq == 1 / 3
+        assert counts == {structcore: 3, detect: 1}
 
 
 def _hull_memo_size(_):

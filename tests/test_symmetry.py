@@ -21,9 +21,15 @@ from crysalign.symmetry import (
 from crysalign.symmetry import detect, groups
 
 from conftest import make_structure
-from orbit_cells import generic_orbit_cells, orbit_structure
+from orbit_cells import generic_orbit_cells, lattice_for, orbit_structure
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _op_arrays(ops):
+    """(rotation, translation) pairs as ``groups.signature`` takes them: one
+    int array of rotations and one float array of translations."""
+    return np.array([w for w, _ in ops]), np.array([t for _, t in ops], dtype=float)
 
 
 def _table_script():
@@ -415,7 +421,7 @@ class TestGroupTable:
     def test_stored_signatures_match_the_closed_groups(self, closed):
         index: dict[tuple, list[int]] = {}
         for num, ops in closed.items():
-            index.setdefault(groups.signature(ops), []).append(num)
+            index.setdefault(groups.signature(*_op_arrays(ops)), []).append(num)
         assert groups.signature_index() == {sig: tuple(nums) for sig, nums in index.items()}
 
     def test_setup_closes_no_group(self):
@@ -578,7 +584,7 @@ class TestVectorizedSearch:
                         vb = np.linalg.matrix_power(np.array(w), k) @ ua @ cell
                         cos = va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
                         assert cos == pytest.approx(0.0 if order == 4 else -0.5, abs=1e-9)
-            axes = detect._axes_summary([(np.array(w), None) for w in exact])
+            axes = detect._axes_summary(np.array(exact))
             candidates = detect._conventional_candidates(cell, axes, detect._classify_system(axes))
             assert candidates
             for u in candidates:
@@ -888,16 +894,19 @@ print(res.number, repr(res.operations), repr(res.orbits))
 
 class TestReducedPrimitiveBasis:
     def test_detection_basis_is_right_handed(self):
-        """Detection reduces the primitive cell with the shared LLL, which
-        may return a left-handed basis; the basis it searches has det +1."""
-        real_reduce, real_mapper = detect.reduced_basis, detect._Mapper
+        """Detection reduces the primitive cell with the shared LLL (a
+        primitive input through its lattice's cached basis), which may
+        return a left-handed basis; the basis it searches has det +1."""
+        real_mapper = detect._Mapper
         primitive, reduced, signs = [], [], []
 
-        def reducing(cell):
-            u = real_reduce(cell)
-            primitive.append(cell)
-            signs.append(round(np.linalg.det(u)))
-            return u
+        def reducing(real_reduce):
+            def reduce(cell):
+                u = real_reduce(cell)
+                primitive.append(cell)
+                signs.append(round(np.linalg.det(u)))
+                return u
+            return reduce
 
         class Recording(real_mapper):
             def __init__(self, cell, *args):
@@ -906,7 +915,8 @@ class TestReducedPrimitiveBasis:
                 super().__init__(cell, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detect, "reduced_basis", reducing)
+            for module in (structcore, detect):
+                mp.setattr(module, "reduced_basis", reducing(module.reduced_basis))
             mp.setattr(detect, "_Mapper", Recording)
             for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
                 detect_spacegroup(s)
@@ -916,6 +926,71 @@ class TestReducedPrimitiveBasis:
             u = cell_r @ np.linalg.inv(cell_p)
             assert np.abs(u - np.round(u)).max() < 1e-9
             assert round(np.linalg.det(np.round(u))) == 1
+
+
+class _NoAxes(dict):
+    """An axis summary that enters the conventional-candidate loop even when
+    it is empty: the signature route that a set of I and -I skips."""
+
+    def __bool__(self):
+        return True
+
+
+def _inversion_cells():
+    """(number, tol, cell): seeded P1 and P-1 cells of two generic orbits,
+    at a tight and a loose tolerance."""
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        for number in (1, 2):
+            s = orbit_structure(lattice_for(number, rng), number, rng)
+            for tol in (1e-3, 0.1):
+                yield number, tol, s
+
+
+class TestRepeatedWorkSkipped:
+    def test_inversion_short_circuit_matches_signature_route(self):
+        """A set of I and -I skips the signature; it gets the number,
+        ``ambiguous``, orbits and operations the signature route gives."""
+        real_axes, real_signature = detect._axes_summary, detect.signature
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "signature", lambda *a: calls.append(1) or real_signature(*a))
+            short = [(number, detect_spacegroup(s, tol))
+                     for number, tol, s in _inversion_cells()]
+            assert not calls
+            mp.setattr(detect, "_axes_summary", lambda rots: _NoAxes(real_axes(rots)))
+            routed = [detect_spacegroup(s, tol) for _, tol, s in _inversion_cells()]
+            assert len(calls) == len(routed)
+        assert len(short) == 32
+        for (number, a), b in zip(short, routed):
+            assert a.number == b.number == number and not a.ambiguous and not b.ambiguous
+            assert a == b and a.operations == b.operations
+
+    def test_stacked_translations_equal_products_one_at_a_time(self):
+        """Every translation set detection maps between bases, on seeded
+        cells and on seeded random and rational matrices, equals the
+        per-operation ``(mat @ t) % 1.0`` to the bit."""
+        real = detect._images_mod1
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_images_mod1",
+                       lambda mat, ts: seen.append((mat, ts)) or real(mat, ts))
+            for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
+                detect_spacegroup(s)
+        # One set in the input basis for each of the 76 cells, and one for
+        # each of the 77 conventional signatures taken.
+        assert len(seen) == 76 + 77
+        rng = np.random.default_rng(3)
+        for k in range(200):
+            if k % 2:
+                u = rng.integers(-2, 3, size=(3, 3))
+                mat = np.linalg.inv(u.T * 1.0) if round(np.linalg.det(u)) else np.eye(3)
+            else:
+                mat = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+            seen.append((mat, rng.random((k % 40, 3))))
+        for mat, ts in seen:
+            want = np.array([(mat @ t) % 1.0 for t in ts]).reshape(-1, 3)
+            assert np.array_equal(real(mat, ts), want)
 
 
 # Prints the detected number and the rise in peak resident memory (MB) that
@@ -994,13 +1069,13 @@ class TestGenericOrbits:
     @pytest.fixture(scope="class")
     def detected(self):
         """(number, result) per cell, and every conventional operation set
-        detection passed to ``signature``."""
+        detection passed to ``signature``, as (rotation, translation) pairs."""
         op_sets = []
         real = detect.signature
 
-        def recording(ops):
-            op_sets.append(list(ops))
-            return real(ops)
+        def recording(rotations, translations):
+            op_sets.append(list(zip(rotations, translations)))
+            return real(rotations, translations)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "signature", recording)
@@ -1033,7 +1108,8 @@ class TestGenericOrbits:
         closed = [groups.close_ops(gens) for _, gens, _ in groups.load_group_table().values()]
         forward, backward = {}, {}
         for ops in closed + op_sets:
-            old, new = _signature_fractions(ops), groups.signature(ops)
+            old, new = _signature_fractions(ops), groups.signature(*_op_arrays(ops))
             assert forward.setdefault(old, new) == new
             assert backward.setdefault(new, old) == old
-        assert len(op_sets) >= 226 and len(forward) >= 210
+        # The P1 and P-1 cells no longer reach ``signature``.
+        assert len(op_sets) >= 224 and len(forward) >= 210

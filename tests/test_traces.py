@@ -12,7 +12,6 @@ from crysalign.traces import (
     band_gap_class,
     bond_statistics,
     parse_trace,
-    render_trace,
     synthesize_trace,
     trace_consistency,
 )

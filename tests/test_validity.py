@@ -2,11 +2,8 @@ import itertools
 import random
 import time
 
-import pytest
-
 from crysalign.structcore import Composition, CrystalStructure, Lattice, Site
 from crysalign.validity import (
-    OxidationTable,
     build_report,
     check_chemical,
     check_composition_match,
