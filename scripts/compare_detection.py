@@ -69,9 +69,10 @@ def result(s, tol) -> dict:
         res = detect_spacegroup(s, tol)
     except Exception as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
+    ws, ts = res.op_arrays
     return {"number": res.number, "symbol": res.symbol, "ambiguous": res.ambiguous,
             "orbits": res.orbits,
-            "operations": [[op.rotation, op.translation] for op in res.operations]}
+            "operations": [[w, t] for w, t in zip(ws.tolist(), ts.tolist())]}
 
 
 def line(name, s, tol) -> str:

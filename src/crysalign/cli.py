@@ -65,7 +65,7 @@ def _cmd_symmetry(args) -> int:
         "number": result.number,
         "symbol": result.symbol,
         "crystal_system": result.crystal_system,
-        "n_operations": len(result.operations),
+        "n_operations": len(result.op_arrays[0]),
         "n_orbits": len(result.orbits),
         "ambiguous": result.ambiguous,
     }))

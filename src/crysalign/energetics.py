@@ -6,7 +6,9 @@ energy is continuous at the cutoff, with Lorentz-Berthelot mixing for pairs
 that are not parameterized explicitly. Its one kernel evaluates several
 cells per call, and ``relax_positions`` relaxes a list of structures in
 lockstep, one call per descent iteration for all that still descend; each
-structure gets the bits it would get alone.
+structure gets the bits it would get alone. A structure's Cartesian
+positions are built once, on the structure (``CrystalStructure.cart``):
+its pair list, a single-point energy and its descent all start from them.
 """
 
 from __future__ import annotations
@@ -166,12 +168,8 @@ class PairPotentialBackend:
 
     def _single_point(self, s: CrystalStructure) -> tuple[float, np.ndarray]:
         kernel = PairKernel(self, skin=0.0)
-        (energy,), (forces,) = kernel([kernel.add(s)], [_cartesian(s)])
+        (energy,), (forces,) = kernel([kernel.add(s)], [s.cart])
         return energy, forces
-
-
-def _cartesian(s: CrystalStructure) -> np.ndarray:
-    return s.frac_array() @ s.lattice.matrix()
 
 
 # The force slot of (site i, axis k) is 3 i + k.
@@ -246,11 +244,10 @@ class PairKernel:
         # 4.0 * eps * (r6 ** 2 - r6) to the bit.
         table = np.stack([4.0 * eps, sig, 4.0 * eps * (at_cut ** 12 - at_cut ** 6)])
         cell = (np.array([species.index(el) for el in elements]), len(species), table, s.lattice)
-        cart = _cartesian(s)
-        pairs = self._pair_list(cell, cart)
+        pairs = self._pair_list(cell, s.cart)
         self._cells.append(cell)
         self._lists.append(pairs)
-        self._built_at.append(cart)
+        self._built_at.append(s.cart)
         return len(self._cells) - 1
 
     def release(self, cell: int) -> None:
@@ -395,7 +392,7 @@ def _descent(s: CrystalStructure, max_steps: int, force_tol: float):
     evaluate next and is sent back their energy, forces and whether the
     structure's time budget is spent; it returns the relaxed structure."""
     inv = np.linalg.inv(s.lattice.matrix())
-    start = _cartesian(s)
+    start = s.cart
     cart = start
     energy, f, expired = yield cart
     step = 0.05
@@ -456,8 +453,8 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
     minimize sum w_i E_i subject to sum w_i x_i,e = x_cand,e and w >= 0;
     the weights then sum to 1 automatically because atomic fractions do.
     Memoized on both arguments, since the LP depends on nothing else; a
-    raise is not memoized. ``harness._in_batch`` clears the memo on the
-    first task of each batch, in whichever process runs it.
+    raise is not memoized. ``harness._hull_distances`` clears the memo when
+    it starts, so a memo lives for one task in whichever process runs it.
     """
     target = dict(fractions)
     elements = sorted(target)

@@ -1,7 +1,7 @@
 """Batch evaluation pipeline: parse, check, score, aggregate, report.
 
 Each task is a chunk of consecutive samples: the whole batch with one
-worker, else the pool's chunk size. Every sample of it is parsed and checked
+worker, else a quarter of each worker's share. Every sample of it is parsed and checked
 (validity, space-group detection, trace consistency), then the structurally
 valid cells relax together, each within its own ``timeout_s`` budget, and
 each gets its energy, hull distance and reward. A row depends on its own
@@ -221,7 +221,9 @@ def _hull_distances(structures: list[CrystalStructure],
                     config: RunConfig) -> list[tuple[float | None, str]]:
     """Each structure's energy above hull, or ``None`` and the reason. With
     ``relax_before_hull`` all of them relax first, together, each within a
-    budget of ``timeout_s``."""
+    budget of ``timeout_s``. The hull memo starts empty, so it holds the
+    LPs of this task alone."""
+    energetics.hull_energy.cache_clear()
     backend = energetics.PairPotentialBackend.load_default()
     if config.relax_before_hull:
         structures = energetics.relax_positions(backend, structures, budget_s=config.timeout_s)
@@ -241,24 +243,10 @@ def _hull_distances(structures: list[CrystalStructure],
     return out
 
 
-# The kept pool (its workers fork on the first batch it runs), its worker
-# count and the number of batches this process has run. In a worker,
-# ``_worker_batch`` is the batch of its last task.
+# The kept pool (its workers fork on the first batch it runs) and its
+# worker count.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
-_batches = 0
-_worker_batch = 0
-
-
-def _in_batch(args):
-    """One task of batch ``batch``: the first task of a new batch empties
-    this process's hull memo, so every batch starts cold in every worker."""
-    global _worker_batch
-    batch, fn, item = args
-    if batch != _worker_batch:
-        energetics.hull_energy.cache_clear()
-        _worker_batch = batch
-    return fn(item)
 
 
 def _drop_pool() -> None:
@@ -273,32 +261,25 @@ def _pool_map(fn, items, worker_count):
     # Load the tables (each loader caches its result per process) and, for
     # a pool, the signature index in this process, so the workers of a new
     # pool inherit them instead of each loading its own.
-    global _batches, _pool, _pool_workers
+    global _pool, _pool_workers
     validity.OxidationTable.load_default()
     energetics.PairPotentialBackend.load_default()
     energetics.load_reference_phases()
-    _batches += 1
-    tasks = [(_batches, fn, item) for item in items]
     if worker_count == 1 or len(items) <= 1:
-        return [_in_batch(task) for task in tasks]
+        return [fn(item) for item in items]
     signature_index()
-    chunksize = _chunk_size(len(items), worker_count)
     for attempt in (1, 2):
         if _pool is None or _pool_workers != worker_count:
             _drop_pool()
             _pool, _pool_workers = ProcessPoolExecutor(max_workers=worker_count), worker_count
         try:
-            return list(_pool.map(_in_batch, tasks, chunksize=chunksize))
+            return list(_pool.map(fn, items))
         except BrokenProcessPool:
             # A worker died, between batches or during this one: the batch
             # runs once more on a fresh pool, and a second break is raised.
             _drop_pool()
             if attempt == 2:
                 raise
-
-
-def _chunk_size(count: int, worker_count: int) -> int:
-    return max(1, count // (worker_count * 4))
 
 
 def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[EvaluationRow]]:
@@ -312,11 +293,11 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     except (OSError, ciflite.ParseError) as e:
         raise InputError(str(e)) from e
 
-    # One task per chunk of samples, of the pool's chunk size or the whole
-    # batch with one worker; a chunk's structures relax together.
+    # One task per chunk of samples, a quarter of each worker's share or the
+    # whole batch with one worker; a chunk's structures relax together.
     items = list(enumerate(samples))
     size = max(1, len(items) if config.worker_count == 1
-               else _chunk_size(len(items), config.worker_count))
+               else len(items) // (config.worker_count * 4))
     chunks = [(items[lo:lo + size], config) for lo in range(0, len(items), size)]
     results = [result for chunk in _pool_map(_evaluate_chunk, chunks, config.worker_count)
                for result in chunk]
@@ -332,7 +313,8 @@ def _load_reference(path: str | None):
     structures = []
     text = Path(path).read_text(encoding="utf-8")
     lines_before = 0
-    for chunk in text.split(ciflite.CIF_CLOSE):
+    *blocks, tail = text.split(ciflite.CIF_CLOSE)
+    for chunk in blocks:
         if ciflite.CIF_OPEN in chunk:
             try:
                 structures.append(ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE))
@@ -341,6 +323,9 @@ def _load_reference(path: str | None):
                 line = None if e.line is None else lines_before + e.line
                 raise ciflite.ParseError(f"{path}: {e.reason}", line) from None
         lines_before += chunk.count("\n")
+    if ciflite.CIF_OPEN in tail:
+        line = lines_before + tail.count("\n", 0, tail.index(ciflite.CIF_OPEN)) + 1
+        raise ciflite.ParseError(f"{path}: missing {ciflite.CIF_CLOSE} marker", line)
     return structures
 
 

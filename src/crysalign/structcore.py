@@ -184,6 +184,14 @@ class CrystalStructure:
         species.setflags(write=False)
         return species
 
+    @cached_property
+    def cart(self) -> np.ndarray:
+        """Cartesian site positions, ``frac_array() @ lattice.matrix()``,
+        built once per structure; read-only."""
+        cart = self.frac_array() @ self.lattice.matrix()
+        cart.setflags(write=False)
+        return cart
+
     def frac_array(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
 
@@ -360,8 +368,7 @@ _RADIUS_MARGIN = 1.0 + 1e-9
 
 def all_pair_min_distance(s: CrystalStructure) -> float:
     """Minimum over all site pairs, including periodic self-images."""
-    m = s.lattice.matrix()
-    cart = s.frac_array() @ m
+    cart = s.cart
     # A self-image one shortest basis vector away bounds the minimum, and so
     # does packing: n points in volume V always hold a pair within
     # (sqrt(2) V / n)^(1/3), the fcc spacing (Kepler bound; Hales, Ann. Math.
@@ -390,7 +397,7 @@ def neighbour_shells(s: CrystalStructure) -> tuple[np.ndarray, np.ndarray, np.nd
     Rows run by i, then j, then the image's integer shift in the cell basis.
     """
     m = s.lattice.matrix()
-    cart = s.frac_array() @ m
+    cart = s.cart
     n = len(cart)
     # A self-image one shortest basis vector away bounds every site's
     # nearest distance, so a search this wide holds every shell.

@@ -16,7 +16,8 @@ own primitive cell, so detection takes its lattice's cached LLL basis
 reducing it again. A set whose rotations have no axis holds only I and -I;
 its signature can only be P1 or P-1, so it skips the conventional cell and
 the signature and is numbered 1 or 2 directly. The operations travel as one
-int array of rotations and one float array of translations.
+int array of rotations and one float array of translations, and the result
+keeps them in that one form (``SpacegroupResult.op_arrays``).
 
 Both stages run one search (``_fitting_ops``): each rotation with each
 translation taking the first anchor site onto an anchor site, tested in chunks
@@ -38,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +58,6 @@ class DetectionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymmetryOp:
-    rotation: tuple[tuple[int, int, int], ...]
-    translation: tuple[float, float, float]
-
-    def apply(self, frac: np.ndarray) -> np.ndarray:
-        w = np.array(self.rotation)
-        return (frac @ w.T + np.array(self.translation)) % 1.0
-
-
-@dataclass(frozen=True)
 class SpacegroupResult:
     number: int
     symbol: str
@@ -76,13 +66,6 @@ class SpacegroupResult:
     ambiguous: bool
     # The input-cell rotations and translations, one row per operation.
     op_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
-
-    @cached_property
-    def operations(self) -> tuple[SymmetryOp, ...]:
-        """The operations of the input cell, built on first read."""
-        ws, ts = self.op_arrays
-        return tuple(SymmetryOp(tuple(map(tuple, w)), tuple(t))
-                     for w, t in zip(ws.tolist(), ts.tolist()))
 
 
 def crystal_system(number: int) -> str:

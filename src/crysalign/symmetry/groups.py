@@ -249,7 +249,3 @@ def signature_index() -> dict[tuple, tuple[int, ...]]:
     for num, (_, _, sig) in load_group_table().items():
         index.setdefault(sig, []).append(num)
     return {sig: tuple(sorted(nums)) for sig, nums in index.items()}
-
-
-def group_order(num: int) -> int:
-    return len(close_ops(load_group_table()[num][1]))

@@ -41,10 +41,16 @@ def orbit_structure(lattice, number, rng):
     return CrystalStructure(lattice, tuple(Site(*sites[k]) for k in order))
 
 
+def group_order(number):
+    """The number of operations of group ``number`` in its standard setting
+    (translations modulo the cell), from its table generators."""
+    return len(groups.close_ops(groups.load_group_table()[number][1]))
+
+
 def generic_orbit_cells(seed):
     """(number, cell) for each of the 226 table groups of order at most 96,
     in number order, all drawn from one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
     for number in range(1, 231):
-        if groups.group_order(number) <= 96:
+        if group_order(number) <= 96:
             yield number, orbit_structure(lattice_for(number, rng), number, rng)

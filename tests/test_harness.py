@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from crysalign import energetics, harness, rewards, validity
+from crysalign import ciflite, energetics, harness, rewards, validity
 from crysalign.ciflite import write_ciflite
 from crysalign.harness import (
     EXIT_INPUT,
@@ -108,6 +108,24 @@ class TestHullMemo:
             assert all(r.e_hull is not None for r in rows)
             assert len({r.bond_rel_diff for r in rows}) == 1
 
+    def test_memo_empty_when_a_task_starts(self, monkeypatch):
+        """The memo lives for one task: the same NaCl chunk evaluated twice
+        in one process solves its hull LP once each time."""
+        calls = []
+        real = energetics.simplex
+        monkeypatch.setattr(energetics, "simplex",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        records = [ciflite.SampleRecord(**sample_record(f"p{k}", _rocksalt(5.4 + 0.05 * k),
+                                                        "NaCl"))
+                   for k in range(3)]
+        config = RunConfig(samples_path=__file__, relax_before_hull=False)
+        chunk = (list(enumerate(records)), config)
+        for _ in range(2):
+            before = len(calls)
+            results = harness._evaluate_chunk(chunk)
+            assert len(calls) - before == 1
+            assert all(row.e_hull is not None for row, _ in results)
+
 
 class TestReducedBasisOnce:
     def test_one_reduction_per_lattice(self, monkeypatch, oxidation_table):
@@ -116,7 +134,7 @@ class TestReducedBasisOnce:
         reduction for the two jittered cells, which are primitive, and
         reduces the primitive cell of the exact rock salt (four pure
         translations) once more."""
-        from crysalign import ciflite, metrics, structcore, traces
+        from crysalign import metrics, structcore, traces
         from crysalign.symmetry import detect
 
         cells = [_rocksalt(5.64, 0.01), _rocksalt(5.64, 0.012), _rocksalt(5.64)]
@@ -141,10 +159,6 @@ class TestReducedBasisOnce:
         uniq, _, _ = metrics.discovery_rates(structures, [0.0] * 3, [])
         assert uniq == 1 / 3
         assert counts == {structcore: 3, detect: 1}
-
-
-def _hull_memo_size(_):
-    return energetics.hull_energy.cache_info().currsize
 
 
 class TestPool:
@@ -182,15 +196,6 @@ class TestPool:
         assert rows_to_csv(rows) == first
         assert harness._pool is not pool
         assert victim.pid not in harness._pool._processes
-
-    def test_hull_memo_empty_when_a_batch_starts(self, samples_path):
-        """The kept workers fill their memos in one batch, and this process
-        fills its own in a one-worker batch; the first task of the next
-        batch finds an empty memo in whichever worker runs it."""
-        run_evaluation(self.config(samples_path))
-        run_evaluation(self.config(samples_path, workers=1))
-        assert energetics.hull_energy.cache_info().currsize > 0
-        assert harness._pool_map(_hull_memo_size, range(8), 2) == [0] * 8
 
     def test_process_exits_and_reaps_its_workers(self, samples_path):
         code = """
@@ -683,6 +688,7 @@ class TestCli:
         assert main(["symmetry", str(path)]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["number"] == 221
+        assert out["n_operations"] == 48
 
     def test_cli_import_leaves_scipy_out(self):
         """The hull runs on the in-package simplex and the pair search on
@@ -740,6 +746,24 @@ class TestCli:
             gc.collect()
         capsys.readouterr()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_truncated_last_reference_block_is_input_error(self, samples_path, tmp_path,
+                                                           capsys):
+        """A last block without its closing marker is an error at the line of
+        its opening marker, not a structure parsed from what is there."""
+        from crysalign.cli import main
+        path = tmp_path / "batch.txt"
+        good = "<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0\nCl 1 0.5 0.5 0.5</CIF>\n"
+        path.write_text(good + "<CIF>P1\n4 4 4\n90 90 90\nNa 1 0 0 0\n")
+        want = f"{path}: missing </CIF> marker (line 6)"
+        with pytest.raises(ciflite.ParseError) as info:
+            harness._load_reference(str(path))
+        assert (str(info.value), info.value.line) == (want, 6)
+        assert main(["metrics", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == want
+        with pytest.raises(InputError, match="missing </CIF> marker"):
+            run_evaluation(RunConfig(samples_path=samples_path,
+                                     reference_structures_path=str(path)))
 
     def test_metrics_subcommand_empty_batch(self, tmp_path):
         from crysalign.cli import main

@@ -1,6 +1,9 @@
-"""No module under ``src/`` imports a name it never uses.
+"""No module under ``src/``, ``tests/`` or ``scripts/`` imports a name it
+never uses.
 
 Package ``__init__`` modules are left out: their imports are re-exports.
+A test is named by its path under ``src/`` for a package module and under
+the repository root otherwise.
 """
 
 import ast
@@ -8,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = [p for d in (SRC, ROOT / "tests", ROOT / "scripts")
+           for p in sorted(d.rglob("*.py")) if p.name != "__init__.py"]
+IDS = [str(p.relative_to(SRC if p.is_relative_to(SRC) else ROOT)) for p in MODULES]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,8 +48,10 @@ def test_scan_finds_unused_names():
 
 def test_src_modules_are_found():
     assert {p.name for p in MODULES} >= {"detect.py", "groups.py", "structcore.py", "cli.py"}
+    assert {"tests/orbit_cells.py", "tests/test_symmetry.py",
+            "scripts/compare_detection.py"} <= set(IDS)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

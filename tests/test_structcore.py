@@ -441,3 +441,17 @@ class TestStructure:
             (Site("Na", (1.25, -0.25, 2.0)),))
         x, y, z = s.sites[0].frac_coords
         assert (x, y, z) == pytest.approx((0.25, 0.75, 0.0), abs=1e-12)
+
+    def test_cart_is_cached_read_only_positions(self):
+        """``cart`` is ``frac_array() @ lattice.matrix()`` to the bit, built
+        once per structure and read-only; a ``with_coords`` copy builds its
+        own."""
+        for s in list(seeded_skewed_cells(10)) + [_random_nacl(50, 3)]:
+            cart = s.cart
+            assert np.array_equal(cart, s.frac_array() @ s.lattice.matrix())
+            assert s.cart is cart
+            with pytest.raises(ValueError):
+                cart[0, 0] = 1.0
+            moved = s.with_coords((s.frac_array() + 0.25) % 1.0)
+            assert moved.cart is not cart
+            assert np.array_equal(moved.cart, moved.frac_array() @ moved.lattice.matrix())

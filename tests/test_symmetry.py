@@ -11,19 +11,19 @@ import pytest
 
 from crysalign import ciflite, structcore, traces
 from crysalign.structcore import CrystalStructure, Lattice, Site, reduced_basis
-from crysalign.symmetry import (
-    DetectionError,
-    SymmetryOp,
-    crystal_system,
-    detect_spacegroup,
-    group_order,
-)
+from crysalign.symmetry import DetectionError, crystal_system, detect_spacegroup
 from crysalign.symmetry import detect, groups
 
 from conftest import make_structure
-from orbit_cells import generic_orbit_cells, lattice_for, orbit_structure
+from orbit_cells import generic_orbit_cells, group_order, lattice_for, orbit_structure
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _apply(x, w, t):
+    """The operation (w, t) on fractional coordinates ``x`` (one site a
+    row): x' = w x + t, wrapped into the cell."""
+    return (x @ w.T + t) % 1.0
 
 
 def _op_arrays(ops):
@@ -160,15 +160,16 @@ class TestOperations:
     def test_operation_count_consistent(self, cscl):
         res = detect_spacegroup(cscl)
         # Pm-3m on a 1-formula-unit cell carries the full 48 coset reps.
-        assert len(res.operations) == 48
+        ws, ts = res.op_arrays
+        assert ws.shape == (48, 3, 3) and ts.shape == (48, 3)
 
     def test_operations_map_structure_to_itself(self, rocksalt):
         res = detect_spacegroup(rocksalt)
         frac = np.array([s.frac_coords for s in rocksalt.sites])
         elems = [s.element for s in rocksalt.sites]
-        for op in res.operations:
+        for w, t in zip(*res.op_arrays):
             for i in range(len(frac)):
-                image = np.array(op.apply(frac[i])) % 1.0
+                image = _apply(frac[i], w, t)
                 diffs = (frac - image + 0.5) % 1.0 - 0.5
                 hits = [j for j in range(len(frac))
                         if elems[j] == elems[i]
@@ -177,10 +178,9 @@ class TestOperations:
 
     def test_identity_present(self, hcp_mg):
         res = detect_spacegroup(hcp_mg)
-        eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
-        assert any(op.rotation == eye
-                   and max(abs(t) for t in op.translation) < 1e-9
-                   for op in res.operations)
+        ws, ts = res.op_arrays
+        assert ((ws == np.eye(3, dtype=int)).all(axis=(1, 2))
+                & (np.abs(ts) < 1e-9).all(axis=1)).any()
 
 
 class TestOrbits:
@@ -214,12 +214,11 @@ class TestOrbits:
         res = detect_spacegroup(rocksalt)
         # The pure-translation search and the primitive rotation search.
         assert len(sizes) == 2
-        assert len(res.operations) == 192 and res.number == 225
-        assert res.operations is res.operations and len(sizes) == 2
+        ws, _ = res.op_arrays
+        assert len(ws) == 192 and res.number == 225
         # 48 rotations, each followed by the 4 pure translations.
-        rotations = [op.rotation for op in res.operations]
-        assert rotations == [w for w in rotations[::4] for _ in range(4)]
-        assert len(set(rotations)) == 48
+        assert np.array_equal(ws, np.repeat(ws[::4], 4, axis=0))
+        assert len(np.unique(ws, axis=0)) == 48
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_orbits_are_the_lifts_in_order(self, seed):
@@ -280,13 +279,14 @@ class TestOrbits:
 
 
 def _lift(s, res, tol=1e-3):
-    """The input-cell oracle: maps each of ``res.operations`` on the sites
-    of ``s`` with the detection mapper at ``tol``. Returns which operations
-    map the cell onto itself, and the orbits of their permutations."""
+    """The input-cell oracle: maps each of the operations ``res.op_arrays``
+    on the sites of ``s`` with the detection mapper at ``tol``. Returns which
+    operations map the cell onto itself, and the orbits of their
+    permutations."""
+    ws, ts = res.op_arrays
     mapper = detect._Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    fit, perms = mapper.permutations(np.array([op.rotation for op in res.operations], dtype=float),
-                                     np.array([op.translation for op in res.operations]))
-    mapped = np.isin(np.arange(len(res.operations)), fit)
+    fit, perms = mapper.permutations(ws.astype(float), ts)
+    mapped = np.isin(np.arange(len(ws)), fit)
     return mapped, detect._orbits(s.num_sites, perms)
 
 
@@ -350,16 +350,20 @@ class TestHelpers:
         assert crystal_system(230) == "cubic"
 
     def test_group_orders(self):
-        assert group_order(1) == 1
-        assert group_order(2) == 2
-        assert group_order(221) == 48
-        assert group_order(225) == 192
-        assert group_order(227) == 192
+        """``close_ops`` closes each table group's generators to its full
+        operation set, translations taken modulo the cell."""
+        table = groups.load_group_table()
+        sizes = {num: len(groups.close_ops(table[num][1])) for num in (1, 2, 221, 225, 227)}
+        assert sizes == {1: 1, 2: 2, 221: 48, 225: 192, 227: 192}
 
     def test_symmetry_op_apply(self):
-        op = SymmetryOp(rotation=((0, -1, 0), (1, 0, 0), (0, 0, 1)),
-                        translation=(0.0, 0.0, 0.5))
-        assert op.apply((0.25, 0.0, 0.0)) == pytest.approx((0.0, 0.25, 0.5))
+        w = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        t = np.array([0.0, 0.0, 0.5])
+        assert _apply(np.array([0.25, 0.0, 0.0]), w, t) == pytest.approx((0.0, 0.25, 0.5))
+        # A row per site, wrapped into the cell.
+        frac = np.array([[0.25, 0.0, 0.0], [0.5, 0.75, 0.75]])
+        want = np.array([[0.0, 0.25, 0.5], [0.25, 0.5, 0.25]])
+        assert _apply(frac, w, t) == pytest.approx(want)
 
 
 def _op_codes(w, t12):
@@ -623,7 +627,9 @@ class TestVectorizedSearch:
                             lambda self, *a: calls.append(1) or distances(self, *a))
         res = detect_spacegroup(s)
         assert len(calls) <= 100
-        monkeypatch.setattr(structcore, "CHUNK", 1)
+        # 7 candidates per chunk and 1 per block: a step that divides
+        # neither stage's candidate count.
+        monkeypatch.setattr(structcore, "CHUNK", 3 * 200 * 7)
         assert detect_spacegroup(s) == res
         assert res.number == 1 and len(res.orbits) == 200
 
@@ -888,7 +894,7 @@ from orbit_cells import lattice_for, orbit_structure
 from crysalign.symmetry import detect_spacegroup
 rng = np.random.default_rng(0)
 res = detect_spacegroup(orbit_structure(lattice_for(7, rng), 7, rng))
-print(res.number, repr(res.operations), repr(res.orbits))
+print(res.number, res.op_arrays[0].tolist(), res.op_arrays[1].tolist(), repr(res.orbits))
 """
 
 
@@ -964,7 +970,8 @@ class TestRepeatedWorkSkipped:
         assert len(short) == 32
         for (number, a), b in zip(short, routed):
             assert a.number == b.number == number and not a.ambiguous and not b.ambiguous
-            assert a == b and a.operations == b.operations
+            assert a == b
+            assert all(np.array_equal(x, y) for x, y in zip(a.op_arrays, b.op_arrays))
 
     def test_stacked_translations_equal_products_one_at_a_time(self):
         """Every translation set detection maps between bases, on seeded
@@ -1088,7 +1095,7 @@ class TestGenericOrbits:
         partners = {n: nums for nums in index.values() for n in nums}
         assert len(results) == 226
         for num, res in results:
-            assert len(res.operations) == group_order(num), num
+            assert len(res.op_arrays[0]) == group_order(num), num
             assert res.number in partners[num], num
             assert res.ambiguous == (len(partners[num]) > 1), num
         # Known fault F1: the lower member of a shared-signature pair comes
