@@ -82,6 +82,14 @@ def _fixed(value: float, places: int) -> str:
                   f".{places}f")
 
 
+def _integer(digits: str, line: int | None = None) -> int:
+    """``int(digits)``, or a positioned ParseError past int's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} characters is too long", line) from None
+
+
 def parse_ciflite(text: str) -> CrystalStructure:
     """Parse the single <CIF>...</CIF> block in ``text``."""
     start = text.find(CIF_OPEN)
@@ -128,7 +136,7 @@ def parse_ciflite(text: str) -> CrystalStructure:
         el, count_s, *coords_s = parts
         if el not in ELEMENT_SET:
             raise ParseError(f"unknown element symbol {el!r}", base_line + idx)
-        if not re.fullmatch(r"\d+", count_s) or int(count_s) < 1:
+        if not re.fullmatch(r"\d+", count_s) or _integer(count_s, base_line + idx) < 1:
             raise ParseError(f"count must be a positive integer, got {count_s!r}", base_line + idx)
         if int(count_s) != 1:
             raise ParseError(f"explicit sites must have count 1, got {count_s}", base_line + idx)
@@ -189,9 +197,9 @@ def parse_prompt(text: str) -> PromptConstraints:
         elif key == "spacegroup_number":
             if "." in raw or "e" in raw.lower():
                 raise ParseError(f"space-group number must be an integer, got {raw!r}")
-            if not 1 <= int(raw) <= 230:
+            kwargs[key] = _integer(raw)
+            if not 1 <= kwargs[key] <= 230:
                 raise ParseError(f"space-group number {raw} outside [1, 230]")
-            kwargs[key] = int(raw)
         else:
             kwargs[key] = float(raw)
     ranges: dict[str, tuple[float, float]] = {}

@@ -59,7 +59,7 @@ class RunConfig:
     e0: float = 1.0
     length_tol: float = 0.05
     angle_tol: float = 5.0
-    site_tol: float = 0.03
+    site_tol: float = 0.1
 
     def __post_init__(self):
         if self.worker_count < 1:

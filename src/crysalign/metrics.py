@@ -1,4 +1,8 @@
-"""Batch discovery metrics: matching, uniqueness, novelty, S.U.N., aggregation."""
+"""Batch discovery metrics: matching, uniqueness, novelty, S.U.N., aggregation.
+
+Matching maps one structure's sites onto another's, each in the cell it is
+written in, with detection's site mapper at ``site_tol`` mean site spacings.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,14 @@ import numpy as np
 
 from .ciflite import write_ciflite
 from .energetics import is_stable
-from .structcore import CrystalStructure
+from .structcore import CrystalStructure, SiteMapper
 
 
 @dataclass(frozen=True)
 class MatchConfig:
     length_tol: float = 0.05   # relative, on Niggli-reduced cell lengths
     angle_tol: float = 5.0     # degrees, on Niggli-reduced cell angles
-    site_tol: float = 0.03     # fractional, per coordinate
+    site_tol: float = 0.1      # a length, in mean site spacings (V / n)^(1/3)
 
     def __post_init__(self):
         for name in ("length_tol", "angle_tol", "site_tol"):
@@ -73,47 +77,20 @@ def _lattices_agree(a: CrystalStructure, b: CrystalStructure,
     return True
 
 
-def _sites_assign(a: CrystalStructure, b: CrystalStructure,
-                  cfg: MatchConfig) -> bool:
-    """Greedy element-preserving assignment after a translation search.
-
-    For each translation that takes a's first site onto a same-element site
-    of b, a's sites in order each take the nearest unused same-element site
-    of b (the first on a tie); the cost is the largest wrapped fractional
-    difference over the axes.
-    """
-    # Equal formulas and site counts: the same element multiset.
-    if a.formula != b.formula or a.num_sites != b.num_sites:
-        return False
-    fa = a.frac_array()
-    fb = b.frac_array()
-    ea, eb = a.species, b.species
-    other = ea[:, None] != eb[None, :]
-    for j in np.flatnonzero(eb == ea[0]):
-        d = (fa + (fb[j] - fa[0]))[:, None, :] - fb[None, :, :]
-        cost = np.abs(d - np.round(d)).max(axis=2)
-        cost[other] = np.inf
-        for row in cost:
-            k = row.argmin()
-            # argmin returns the first NaN, and a NaN cost fails this test.
-            if not row[k] <= cfg.site_tol:
-                break
-            cost[:, k] = np.inf
-        else:
-            return True
-    return False
-
-
 def structures_match(a: CrystalStructure, b: CrystalStructure,
                      cfg: MatchConfig = MatchConfig()) -> bool:
-    """Same reduced formula, compatible reduced cells, and matchable sites."""
-    if a.formula != b.formula:
-        return False
-    if a.num_sites != b.num_sites:
+    """Same reduced formula and site count, compatible reduced cells, and a
+    translation taking a's first site of b's rarest element onto a b site
+    of that element that puts each site of a, in b's cell, nearest to a
+    distinct same-element site of b (the first on a tie), closer than
+    ``site_tol`` mean site spacings of b, (V / n)^(1/3)."""
+    if a.formula != b.formula or a.num_sites != b.num_sites:
         return False
     if not _lattices_agree(a, b, cfg):
         return False
-    return _sites_assign(a, b, cfg)
+    tol = cfg.site_tol * (b.volume() / b.num_sites) ** (1.0 / 3.0)
+    mapper = SiteMapper(b.lattice.matrix(), b.frac_array(), b.elements(), tol)
+    return len(mapper.anchored_fits(np.eye(3, dtype=int)[None], a)[0]) > 0
 
 
 def _canonical_order(batch: list[CrystalStructure]) -> list[int]:

@@ -24,9 +24,9 @@ ELEMENT_SET = frozenset(ELEMENTS)
 
 
 # Upper bound on the float64 entries of one distance broadcast: the pair
-# search here and the site mapper of symmetry detection run their site
-# differences in chunks of at most this many, so a large cell's temporaries
-# stay a few times 2 MiB.
+# search and the site mapper (of symmetry detection and structure matching)
+# run their site differences in chunks of at most this many, so a large
+# cell's temporaries stay a few times 2 MiB.
 CHUNK = 1 << 18
 
 # Smallest accepted V / (abc), the volume of a cell with unit edges at its
@@ -424,6 +424,93 @@ def neighbour_shells(s: CrystalStructure) -> tuple[np.ndarray, np.ndarray, np.nd
     keep = far & (d <= SHELL_FACTOR * nearest[i] + 1e-9)
     order = np.lexsort((*shift[keep].T[::-1], j[keep], i[keep]))
     return i[keep][order], j[keep][order], d[keep][order]
+
+
+class SiteMapper:
+    """Tests whether candidate ops map a site set onto the mapper's own
+    sites, the target: symmetry detection maps a cell onto itself, and
+    structure matching one structure onto another."""
+
+    def __init__(self, cell: np.ndarray, frac: np.ndarray, elems: tuple, tol: float):
+        self.cell = cell                     # rows = basis vectors (Cartesian)
+        self.frac = frac
+        self.tol = tol
+        # element -> its site indices, rarest element first and equal counts
+        # by name, so the order (and the anchor) never follows string hashing.
+        counts = {el: elems.count(el) for el in set(elems)}
+        self.by_elem: dict[str, np.ndarray] = {
+            el: np.array([i for i, e in enumerate(elems) if e == el])
+            for el in sorted(counts, key=lambda el: (counts[el], el))
+        }
+
+    def _distances(self, sites: np.ndarray, img: np.ndarray) -> np.ndarray:
+        """Cartesian distance from each image ``img[c, i]`` to each of
+        ``sites``, wrapped to the nearest periodic copy: shape (c, i, site)."""
+        d = sites - img[:, :, None, :]
+        d -= d.round()
+        x = d @ self.cell
+        return np.sqrt((x * x).sum(axis=3))
+
+    def permutations(self, ws: np.ndarray, ts: np.ndarray,
+                     source: CrystalStructure | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates ``(ws[k], ts[k])`` that map the source's sites (by
+        default the target's own, else read in the target's cell) onto the
+        target, ascending, and their permutations: source site i goes to the
+        nearest same-element target site to ``w x_i + t`` (first on a tie),
+        each within ``tol`` (a NaN distance is no match), no two to one site.
+        A source has the target's composition."""
+        frac = self.frac if source is None else source.frac_array()
+        n = len(frac)
+        # 3 n floats per candidate: the images of every site.
+        step = max(1, CHUNK // (3 * n))
+        fits, rows = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=np.int32)]
+        for lo in range(0, len(ws), step):
+            alive = np.arange(lo, min(lo + step, len(ws)))
+            perms = np.empty((len(alive), n), dtype=np.int32)
+            for el, idx in self.by_elem.items():
+                src = idx if source is None else np.flatnonzero(source.species == el)
+                sites = self.frac[idx]
+                img = np.matmul(frac[src], ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
+                hits = np.arange(len(alive))
+                if len(src) > 1 and len(alive) > 1:
+                    # A candidate that fails mostly fails on any one site, so
+                    # the last site's row alone (m distances, not m * m)
+                    # screens the chunk. Not the first site: the anchored
+                    # search builds its candidates to map the first anchor
+                    # site exactly. (With one site, that row is the block; a
+                    # lone candidate, mostly the fitting identity, gains nothing.)
+                    near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
+                    hits = hits[near]
+                # 3 m m floats per candidate in a full block.
+                block = max(1, CHUNK // (3 * len(src) * len(idx)))
+                ok = np.zeros(len(alive), dtype=bool)
+                for b in range(0, len(hits), block):
+                    hit = hits[b:b + block]
+                    dist = self._distances(sites, img[hit])
+                    image = idx[dist.argmin(axis=2)]
+                    ordered = np.sort(image, axis=1)
+                    ok[hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
+                               & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
+                    perms[alive[hit, None] - lo, src] = image
+                alive = alive[ok]
+                if not len(alive):
+                    break
+            fits.append(alive)
+            rows.append(perms[alive - lo])
+        return np.concatenate(fits), np.concatenate(rows)
+
+    def anchored_fits(self, rots: np.ndarray, source: CrystalStructure | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each of ``rots`` with each translation taking the source's first
+        site of the anchor element (the target's rarest, by name among equal
+        counts) onto an anchor site: the rotation index, translation and
+        site permutation of each that fits, in candidate order."""
+        el, idx = next(iter(self.by_elem.items()))
+        x = self.frac[idx]
+        x0 = x[0] if source is None else source.frac_array()[np.argmax(source.species == el)]
+        ts = ((x - np.matmul(rots, x0)[:, None, :]) % 1.0).reshape(-1, 3)
+        fit, perms = self.permutations(np.repeat(rots, len(idx), axis=0), ts, source)
+        return fit // len(idx), ts[fit], perms
 
 
 # Niggli reduction: comparisons allow this fraction of the geometric mean

@@ -19,9 +19,11 @@ the signature and is numbered 1 or 2 directly. The operations travel as one
 int array of rotations and one float array of translations, and the result
 keeps them in that one form (``SpacegroupResult.op_arrays``).
 
-Both stages run one search (``_fitting_ops``): each rotation with each
-translation taking the first anchor site onto an anchor site, tested in chunks
-by the rules of one at a time: nearest site, first on a tie, within ``tol``.
+Both stages run one search (``_fitting_ops``, the anchored search of
+``structcore.SiteMapper``, which structure matching shares): each rotation
+with each translation taking the first anchor site onto an anchor site,
+tested in chunks by the rules of one at a time: nearest site, first on a
+tie, within ``tol``.
 
 The conventional cell is read from the rotations' integer invariants
 (``groups.rotation_info``): each axis is the shortest lattice vector along
@@ -42,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import structcore
-from ..structcore import CrystalStructure, reduced_basis
+from ..structcore import CrystalStructure, SiteMapper, reduced_basis
 from . import groups
 from .groups import I3, signature, signature_index, load_group_table
 
@@ -128,78 +129,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structure mapping
-
-
-class _Mapper:
-    """Tests whether candidate ops map the site set onto itself."""
-
-    def __init__(self, cell: np.ndarray, frac: np.ndarray, elems: tuple, tol: float):
-        self.cell = cell                     # rows = basis vectors (Cartesian)
-        self.frac = frac
-        self.tol = tol
-        # element -> its site indices, rarest element first and equal counts
-        # by name, so the order (and the anchor) never follows string hashing.
-        counts = {el: elems.count(el) for el in set(elems)}
-        self.by_elem: dict[str, np.ndarray] = {
-            el: np.array([i for i, e in enumerate(elems) if e == el])
-            for el in sorted(counts, key=lambda el: (counts[el], el))
-        }
-
-    def anchor_sites(self) -> np.ndarray:
-        """Sites of the rarest element (by name among equal counts)."""
-        return next(iter(self.by_elem.values()))
-
-    def _distances(self, sites: np.ndarray, img: np.ndarray) -> np.ndarray:
-        """Cartesian distance from each image ``img[c, i]`` to each of
-        ``sites``, wrapped to the nearest periodic copy: shape (c, i, site)."""
-        d = sites - img[:, :, None, :]
-        d -= d.round()
-        x = d @ self.cell
-        return np.sqrt((x * x).sum(axis=3))
-
-    def permutations(self, ws: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates ``(ws[k], ts[k])`` that map the sites onto
-        themselves, ascending, and their permutations: site i goes to the
-        nearest same-element site to ``w x_i + t`` (first on a tie), each
-        within ``tol`` (a NaN distance is no match), no two to one site."""
-        n = len(self.frac)
-        # 3 n floats per candidate: the images of every site.
-        step = max(1, structcore.CHUNK // (3 * n))
-        fits, rows = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=np.int32)]
-        for lo in range(0, len(ws), step):
-            alive = np.arange(lo, min(lo + step, len(ws)))
-            perms = np.empty((len(alive), n), dtype=np.int32)
-            for idx in self.by_elem.values():
-                sites = self.frac[idx]
-                img = np.matmul(sites, ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
-                hits = np.arange(len(alive))
-                if len(idx) > 1 and len(alive) > 1:
-                    # A candidate that fails mostly fails on any one site, so
-                    # the last site's row alone (m distances, not m * m)
-                    # screens the chunk. Not the first site: the rotation
-                    # search builds its candidates to map the first anchor
-                    # site exactly. (With one site, that row is the block; a
-                    # lone candidate, mostly the fitting identity, gains nothing.)
-                    near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
-                    hits = hits[near]
-                # 3 m m floats per candidate in a full block.
-                block = max(1, structcore.CHUNK // (3 * len(idx) ** 2))
-                ok = np.zeros(len(alive), dtype=bool)
-                for b in range(0, len(hits), block):
-                    hit = hits[b:b + block]
-                    dist = self._distances(sites, img[hit])
-                    image = idx[dist.argmin(axis=2)]
-                    ordered = np.sort(image, axis=1)
-                    ok[hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
-                               & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
-                    perms[alive[hit, None] - lo, idx] = image
-                alive = alive[ok]
-                if not len(alive):
-                    break
-            fits.append(alive)
-            rows.append(perms[alive - lo])
-        return np.concatenate(fits), np.concatenate(rows)
+# site permutations
 
 
 def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -235,18 +165,12 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # detection
 
 
-def _fitting_ops(mapper: _Mapper, rots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each of ``rots`` (the identity among them) with each translation
-    taking the first anchor site onto an anchor site: the rotation index,
-    translation and site permutation of each that fits, in candidate order."""
-    idx = mapper.anchor_sites()
-    x = mapper.frac[idx]
-    ts = ((x - np.matmul(rots, x[0])[:, None, :]) % 1.0).reshape(-1, 3)
-    fit, perms = mapper.permutations(np.repeat(rots, len(idx), axis=0), ts)
-    rot_of = fit // len(idx)
+def _fitting_ops(mapper: SiteMapper, rots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mapper.anchored_fits(rots)``, whose identity (among ``rots``) must fit."""
+    rot_of, ts, perms = mapper.anchored_fits(rots)
     if not (rots[rot_of] == np.eye(3, dtype=int)).all(axis=(1, 2)).any():
         raise DetectionError("identity operation missing")
-    return rot_of, ts[fit], perms
+    return rot_of, ts, perms
 
 
 def _primitive_transform(translations: np.ndarray) -> np.ndarray:
@@ -472,7 +396,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
 
     # Primitive cell: the identity's fits, the zero translation first.
     _, translations, translation_perms = _fitting_ops(
-        _Mapper(cell0, frac0, elems, tol), np.eye(3, dtype=int)[None])
+        SiteMapper(cell0, frac0, elems, tol), np.eye(3, dtype=int)[None])
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     # A primitive input (s_mat = I) takes its lattice's own reduction, copied
@@ -491,7 +415,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         raise DetectionError("site folding inconsistent with pure translations")
     frac_prim = frac_r[keep]
     elems_prim = tuple(elems[i] for i in keep)
-    mapper = _Mapper(cell_r, frac_prim, elems_prim, tol)
+    mapper = SiteMapper(cell_r, frac_prim, elems_prim, tol)
 
     # Space-group operations in the reduced primitive basis: each rotation
     # with its first fitting anchor site.

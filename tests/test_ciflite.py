@@ -82,7 +82,8 @@ class TestParse:
             parse_ciflite(text)
         assert err.value.line == 5
 
-    @pytest.mark.parametrize("count", ["2", "0", "1.0"])
+    @pytest.mark.parametrize("count", ["2", "0", "1.0",
+                                       pytest.param("1" * 5000, id="5000-digits")])
     def test_site_count_other_than_one_is_positioned_parse_error(self, count):
         text = f"<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0\nCl {count} 0.5 0.5 0.5</CIF>"
         with pytest.raises(ParseError) as err:
@@ -223,6 +224,12 @@ class TestPrompt:
     def test_out_of_range_spacegroup_rejected(self, number):
         with pytest.raises(ParseError):
             parse_prompt(f"The space-group number is {number}.")
+
+    def test_oversized_spacegroup_is_parse_error(self):
+        """More digits than ``int`` converts: a ParseError, not the
+        ValueError of the conversion."""
+        with pytest.raises(ParseError, match="5000 characters"):
+            parse_prompt(f"The space-group number is {'2' * 5000}.")
 
 
 class TestResponseParts:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import multiprocessing.connection
@@ -488,6 +489,34 @@ class TestParseBoundary:
                            prompt="The space-group number is 999.")
         assert row.parse_status == "parse_error"
         assert row.r_target == 0.0
+
+
+    def test_oversized_integers_are_parse_errors(self, tmp_path):
+        """A space-group number or site count of more digits than ``int``
+        converts fails its own sample and leaves every other row as it was."""
+        records = synthetic_samples(10)
+        cif = records[0]["response_text"]
+        bad = [dict(records[0], prompt_id="big-sg",
+                    prompt_text=f"The space-group number is {'2' * 5000}."),
+               dict(records[0], prompt_id="big-count",
+                    response_text=cif.replace("Cl 1 ", f"Cl {'1' * 5000} ", 1))]
+        runs = []
+        for name, batch in (("plain", records), ("grown", records[:3] + bad + records[3:])):
+            path = tmp_path / f"{name}.jsonl"
+            write_jsonl(path, batch)
+            cfg = RunConfig(samples_path=str(path), output_dir=str(tmp_path / name),
+                            relax_before_hull=False)
+            runs.append(run_evaluation(cfg)[1])
+        plain, grown = runs
+        assert len(grown) == len(plain) + 2
+        for row in grown[3:5]:
+            assert row.parse_status == "parse_error"
+            assert "5000 characters" in row.error
+            assert row.r_target == 0.0
+        assert "line 8" in grown[4].error  # the first Cl site
+        kept = grown[:3] + grown[5:]
+        assert [dataclasses.replace(r, index=0) for r in kept] == \
+            [dataclasses.replace(r, index=0) for r in plain]
 
 
 class TestTimeout:

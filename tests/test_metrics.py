@@ -1,5 +1,8 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +107,73 @@ class TestStructuresMatch:
         assert structures_match(cscl, swapped) == structures_match(swapped, cscl)
 
 
+def supercell(s, n):
+    """The n x n x n supercell of s."""
+    lat = s.lattice
+    return CrystalStructure(
+        Lattice(n * lat.a, n * lat.b, n * lat.c, lat.alpha, lat.beta, lat.gamma),
+        tuple(Site(site.element, tuple((c + k) / n for c, k in zip(site.frac_coords, shift)))
+              for site in s.sites for shift in np.ndindex(n, n, n)))
+
+
+class TestMatchScale:
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 1.5)])
+    @pytest.mark.parametrize("direction", [(1, 0, 0), (1, 1, 1)])
+    def test_tolerance_is_a_length(self, rocksalt, n, scale, direction):
+        """One Na moved by 0.9 tol matches its cell and by 1.1 tol does not,
+        with tol ``site_tol`` mean site spacings: the same length in the 8-,
+        64- and 216-atom rock-salt cells, and 1.5 times it in rock salt
+        expanded 1.5 times."""
+        s = supercell(rescaled(rocksalt, scale), n)
+        tol = MatchConfig().site_tol * (s.volume() / s.num_sites) ** (1.0 / 3.0)
+        assert tol == pytest.approx(0.1 * scale * 5.64 / 2)
+        unit = np.array(direction) / np.linalg.norm(direction)
+        for factor, want in ((0.9, True), (1.1, False)):
+            frac = s.frac_array()
+            frac[0] += factor * tol * unit @ np.linalg.inv(s.lattice.matrix())
+            assert s.sites[0].element == "Na"
+            moved = s.with_coords(frac)
+            assert structures_match(moved, s) is want
+            assert structures_match(s, moved) is want
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize")
+    def test_large_pair_decides_in_bounded_time(self):
+        """Two different 1,000-site cells with one lattice decide in under
+        1 s, with the address space capped 1 GiB above the warm process."""
+        here = Path(__file__).resolve().parent
+        done = subprocess.run([sys.executable, "-c", _LARGE_PAIR_MATCH,
+                               str(here.parent / "src"), str(here)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        matched, seconds = done.stdout.split()
+        assert matched == "False"
+        assert float(seconds) < 1.0
+
+
+# Decision and seconds of one match of two random 1,000-site Na/Cl cells of
+# one lattice, after a warm-up match, under an address-space cap.
+_LARGE_PAIR_MATCH = """
+import resource, sys, time
+sys.path[:0] = sys.argv[1:3]
+from crysalign.metrics import structures_match
+from test_structcore import _random_nacl
+
+def status_kb(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+a, b = _random_nacl(1000, seed=1), _random_nacl(1000, seed=2)
+small = _random_nacl(4, seed=3)
+structures_match(small, small)
+cap = status_kb("VmSize") * 1024 + 2**30
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+start = time.perf_counter()
+matched = structures_match(a, b)
+print(matched, time.perf_counter() - start)
+"""
+
+
 class TestUniqueness:
     def test_two_identical_pairs(self, cscl, rocksalt):
         batch = [cscl, shifted(cscl, (0.1, 0.1, 0.1)),
@@ -201,8 +271,53 @@ class TestSharedAssignment:
             discovery_rates([cscl], [0.0, 0.0], [])
 
 
+def spacing_tol(b, cfg):
+    """``cfg.site_tol`` in Angstrom: that many mean site spacings of b."""
+    return cfg.site_tol * (b.volume() / b.num_sites) ** (1.0 / 3.0)
+
+
 def loop_sites_assign(a, b, cfg):
-    """The matcher as a per-site loop: the reference for ``_sites_assign``."""
+    """The matcher's site rule as a per-site loop: the reference for
+    ``structures_match`` on two structures with one lattice."""
+    ea, eb = a.elements(), b.elements()
+    if sorted(ea) != sorted(eb):
+        return False
+    fa, fb = a.frac_array(), b.frac_array()
+    m = b.lattice.matrix()
+    tol = spacing_tol(b, cfg)
+    anchor = min(set(eb), key=lambda el: (eb.count(el), el))
+    first = ea.index(anchor)
+    for j in [j for j, el in enumerate(eb) if el == anchor]:
+        shift = (fb[j] - fa[first]) % 1.0
+        used = set()
+        for i in range(len(ea)):
+            best, best_dist = None, None
+            for k in range(len(eb)):
+                if eb[k] != ea[i]:
+                    continue
+                d = fb[k] - (fa[i] + shift)
+                d -= np.round(d)
+                x = d @ m
+                dist = math.sqrt((x * x).sum())
+                if math.isnan(dist):         # no match for this site
+                    best_dist = dist
+                    break
+                if best_dist is None or dist < best_dist:   # first on a tie
+                    best, best_dist = k, dist
+            if not best_dist < tol or best in used:
+                break
+            used.add(best)
+        else:
+            return True
+    return False
+
+
+def fractional_sites_assign(a, b, site_tol):
+    """The previous site rule, as a per-site loop: for each translation
+    taking a's first site onto a same-element site of b, a's sites in order
+    each take the nearest unused same-element site of b (the first on a
+    tie), at a wrapped fractional difference of at most ``site_tol`` on
+    every axis."""
     fa = a.frac_array()
     fb = b.frac_array()
     ea, eb = a.elements(), b.elements()
@@ -224,7 +339,7 @@ def loop_sites_assign(a, b, cfg):
                 cost = float(np.abs(wrap(fa[i] + shift - fb[k])).max())
                 if best_cost is None or cost < best_cost:
                     best, best_cost = k, cost
-            if best is None or not best_cost <= cfg.site_tol:
+            if best is None or not best_cost <= site_tol:
                 ok = False
                 break
             used.add(best)
@@ -236,7 +351,7 @@ def loop_sites_assign(a, b, cfg):
 class TestSitesAssignOracle:
     @staticmethod
     def grid_structure(rng, elements, n):
-        """Sites on an eighth grid, some listed twice: many equal costs."""
+        """Sites on an eighth grid, some listed twice: many equal distances."""
         sites = [(rng.choice(elements), tuple(rng.randrange(8) / 8 for _ in range(3)))
                  for _ in range(n)]
         sites += [rng.choice(sites) for _ in range(rng.randint(0, 2))]
@@ -260,24 +375,28 @@ class TestSitesAssignOracle:
             a = self.grid_structure(rng, ["Na", "Cl", "O"], rng.randint(1, 6))
             b = rng.choice([self.moved(rng, a, rng.choice([0.0, 0.01, 0.05])),
                             self.grid_structure(rng, ["Na", "Cl", "O"], a.num_sites)])
-            cfg = MatchConfig(site_tol=rng.choice([0.03, 0.125, 0.25, 0.5]))
+            cfg = MatchConfig(site_tol=rng.choice([0.03, 0.1, 0.2, 0.4]))
             want = loop_sites_assign(a, b, cfg)
-            assert metrics._sites_assign(a, b, cfg) == want
-            assert metrics._sites_assign(b, a, cfg) == loop_sites_assign(b, a, cfg)
+            assert structures_match(a, b, cfg) == want
+            assert structures_match(b, a, cfg) == loop_sites_assign(b, a, cfg)
             outcomes.add(want)
         assert outcomes == {True, False}
 
     def test_first_minimum_wins_a_tie(self):
-        # The Na at 0.5 is 0.125 from both Na of b. Taking the first leaves
-        # the Na at 0.625 only the far one when b lists 0.625 first.
+        # The Na at 0.5 is 0.625 A from both Na of b, and goes to the first.
+        # When b lists 0.625 first, the Na at 0.625 goes there too: no two
+        # sites onto one, so no match, where the previous greedy rule gave
+        # the second Na the far site instead.
         a = make_structure((5.0, 5.0, 5.0, 90, 90, 90),
                            [("Cl", (0, 0, 0)), ("Na", (0.5, 0, 0)), ("Na", (0.625, 0, 0))])
-        cfg = MatchConfig(site_tol=0.125)
+        cfg = MatchConfig(site_tol=0.4)
+        assert spacing_tol(a, cfg) > 5.0 * 0.25
         for order, want in (((0.375, 0.625), True), ((0.625, 0.375), False)):
             b = make_structure((5.0, 5.0, 5.0, 90, 90, 90),
                                [("Cl", (0, 0, 0))] + [("Na", (x, 0, 0)) for x in order])
             assert loop_sites_assign(a, b, cfg) is want
-            assert metrics._sites_assign(a, b, cfg) is want
+            assert structures_match(a, b, cfg) is want
+            assert fractional_sites_assign(a, b, 0.25)
 
     def test_matches_loop_with_nan_sites(self):
         rng = random.Random(19)
@@ -291,7 +410,86 @@ class TestSitesAssignOracle:
             object.__setattr__(site, "frac_coords", tuple(coords))
             for x, y in ((a, b), (b, a), (b, b)):
                 assert not loop_sites_assign(x, y, MatchConfig())
-                assert not metrics._sites_assign(x, y, MatchConfig())
+                assert not structures_match(x, y)
+
+    def test_duplicated_site_matches_nothing(self, rocksalt):
+        """Two sites of one element at one point both go to the first of
+        them, so the cell matches neither itself nor a shifted copy."""
+        doubled = CrystalStructure(rocksalt.lattice, rocksalt.sites + rocksalt.sites[:1])
+        for other in (doubled, shifted(doubled, (0.25, 0.0, 0.0))):
+            assert not structures_match(doubled, other)
+            assert not structures_match(other, doubled)
+            assert not loop_sites_assign(doubled, other, MatchConfig())
+
+    @staticmethod
+    def valid_structure(rng, like=None):
+        """A random cell of 2 to 8 Na, Cl and O sites, every two at least
+        2 A apart (images included); with ``like``, in its lattice and of
+        its elements."""
+        while True:
+            if like is None:
+                s = make_structure(
+                    (rng.uniform(4, 8), rng.uniform(4, 8), rng.uniform(4, 8),
+                     rng.uniform(80, 100), rng.uniform(80, 100), rng.uniform(80, 100)),
+                    [(rng.choice(["Na", "Cl", "O"]), (rng.random(), rng.random(), rng.random()))
+                     for _ in range(rng.randint(2, 8))])
+            else:
+                s = CrystalStructure(like.lattice, tuple(
+                    Site(el, (rng.random(), rng.random(), rng.random()))
+                    for el in like.elements()))
+            if structcore.all_pair_min_distance(s) >= 2.0:
+                return s
+
+    @staticmethod
+    def displaced(rng, s, radii):
+        """s shifted and shuffled, site i moved by ``radii[i]`` A in a random
+        direction."""
+        m = s.lattice.matrix()
+        delta = np.array([rng.random() for _ in range(3)])
+        sites = []
+        for site, r in zip(s.sites, radii):
+            v = np.array([rng.gauss(0, 1) for _ in range(3)])
+            step = r * v / np.linalg.norm(v) @ np.linalg.inv(m)
+            sites.append(Site(site.element, tuple(np.array(site.frac_coords) + delta + step)))
+        rng.shuffle(sites)
+        return CrystalStructure(s.lattice, tuple(sites))
+
+    def test_agrees_with_fractional_rule_away_from_both_tolerances(self):
+        """On structurally valid pairs, the Cartesian rule at ``site_tol``
+        0.1 and the previous fractional rule at 0.02 per axis decide alike
+        when each site moves well inside both tolerances, or one site well
+        outside both."""
+        rng = random.Random(23)
+        cfg = MatchConfig()
+        frac_tol = 0.02
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            a = self.valid_structure(rng)
+            m = a.lattice.matrix()
+            # Cartesian radii that the per-axis rule holds within, and beyond
+            # which it fails: the cell's perpendicular widths and its edges.
+            widths = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
+            inner = min(spacing_tol(a, cfg), frac_tol * widths.min())
+            outer = max(spacing_tol(a, cfg), frac_tol * sum(a.lattice.lengths))
+            # The moved site's other same-element sites stay beyond both.
+            assert 3.0 * outer < 2.0
+            kind = rng.choice(["inside", "outside", "stranger"])
+            if kind == "inside":
+                b = self.displaced(rng, a, [rng.uniform(0, inner / 4) for _ in a.sites])
+            elif kind == "outside":
+                radii = [0.0] * a.num_sites
+                radii[rng.randrange(a.num_sites)] = 2.0 * outer
+                b = self.displaced(rng, a, radii)
+            else:
+                b = self.valid_structure(rng, like=a)
+            want = {"inside": True, "outside": False}.get(kind)
+            for x, y in ((a, b), (b, a)):
+                got = structures_match(x, y, cfg)
+                assert got == fractional_sites_assign(x, y, frac_tol) == loop_sites_assign(x, y, cfg)
+                if want is not None:
+                    assert got is want
+                seen[got] += 1
+        assert all(seen.values())
 
 
 class TestNovelty:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crysalign import ciflite, structcore, traces
-from crysalign.structcore import CrystalStructure, Lattice, Site, reduced_basis
+from crysalign.structcore import CrystalStructure, Lattice, Site, SiteMapper, reduced_basis
 from crysalign.symmetry import DetectionError, crystal_system, detect_spacegroup
 from crysalign.symmetry import detect, groups
 
@@ -208,9 +208,10 @@ class TestOrbits:
                          (0.5 + shift, shift, 0.5 + shift),
                          (0.5 + shift, 0.5 + shift, shift))])
         sizes = []
-        real = detect._Mapper.permutations
-        monkeypatch.setattr(detect._Mapper, "permutations",
-                            lambda self, ws, ts: sizes.append(len(ts)) or real(self, ws, ts))
+        real = SiteMapper.permutations
+        monkeypatch.setattr(SiteMapper, "permutations",
+                            lambda self, ws, ts, source=None:
+                            sizes.append(len(ts)) or real(self, ws, ts, source))
         res = detect_spacegroup(rocksalt)
         # The pure-translation search and the primitive rotation search.
         assert len(sizes) == 2
@@ -284,7 +285,7 @@ def _lift(s, res, tol=1e-3):
     operations map the cell onto itself, and the orbits of their
     permutations."""
     ws, ts = res.op_arrays
-    mapper = detect._Mapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
+    mapper = SiteMapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
     fit, perms = mapper.permutations(ws.astype(float), ts)
     mapped = np.isin(np.arange(len(ws)), fit)
     return mapped, detect._orbits(s.num_sites, perms)
@@ -510,7 +511,7 @@ def _permutation_loop(cell, frac, elems, tol, w, t, seen=None):
 
 
 def _fitting_rows(cell, frac, elems, tol, ws, ts, seen=None):
-    """The loop's result as ``_Mapper.permutations`` returns it: the fitting
+    """The loop's result as ``SiteMapper.permutations`` returns it: the fitting
     candidates, ascending, and their permutation rows."""
     rows = [_permutation_loop(cell, frac, elems, tol, w, t, seen) for w, t in zip(ws, ts)]
     fit = [k for k, p in enumerate(rows) if p is not None]
@@ -610,7 +611,7 @@ class TestVectorizedSearch:
                 ts = np.array([(f[j] - w @ f[0]) % 1.0 for w in ws[::3]
                                for j in (0, 1, 5)])
                 want = _fitting_rows(cell, f, elems, tol, ws, ts)
-                _assert_same_fits(detect._Mapper(cell, f, elems, tol).permutations(ws, ts), want)
+                _assert_same_fits(SiteMapper(cell, f, elems, tol).permutations(ws, ts), want)
                 matched += len(want[0])
                 unmatched += len(ws) - len(want[0])
         assert matched and unmatched
@@ -622,8 +623,8 @@ class TestVectorizedSearch:
         s = CrystalStructure(Lattice(15, 15, 15, 90, 90, 90),
                              tuple(Site("Si", tuple(p)) for p in rng.random((200, 3))))
         calls = []
-        distances = detect._Mapper._distances
-        monkeypatch.setattr(detect._Mapper, "_distances",
+        distances = SiteMapper._distances
+        monkeypatch.setattr(SiteMapper, "_distances",
                             lambda self, *a: calls.append(1) or distances(self, *a))
         res = detect_spacegroup(s)
         assert len(calls) <= 100
@@ -664,13 +665,13 @@ class TestVectorizedSearch:
             ws = np.array([rots[k] for k in rng.integers(0, len(rots), 37)])
             ts = np.concatenate([rng.integers(0, 8, (30, 3)) / 8.0, rng.random((7, 3))])
             want = _fitting_rows(cell, frac, elems, tol, ws, ts, seen)
-            _assert_same_fits(detect._Mapper(cell, frac, elems, tol).permutations(ws, ts), want)
+            _assert_same_fits(SiteMapper(cell, frac, elems, tol).permutations(ws, ts), want)
             seen["mapped"] += len(want[0])
             seen["rejected"] += 37 - len(want[0])
         assert all(seen.values()), seen
 
     def test_no_candidates(self):
-        mapper = detect._Mapper(np.eye(3), np.zeros((2, 3)), ("Na", "Cl"), 1e-3)
+        mapper = SiteMapper(np.eye(3), np.zeros((2, 3)), ("Na", "Cl"), 1e-3)
         fit, rows = mapper.permutations(np.zeros((0, 3, 3)), np.zeros((0, 3)))
         assert fit.shape == (0,) and rows.shape == (0, 2)
 
@@ -903,7 +904,7 @@ class TestReducedPrimitiveBasis:
         """Detection reduces the primitive cell with the shared LLL (a
         primitive input through its lattice's cached basis), which may
         return a left-handed basis; the basis it searches has det +1."""
-        real_mapper = detect._Mapper
+        real_mapper = SiteMapper
         primitive, reduced, signs = [], [], []
 
         def reducing(real_reduce):
@@ -923,7 +924,7 @@ class TestReducedPrimitiveBasis:
         with pytest.MonkeyPatch.context() as mp:
             for module in (structcore, detect):
                 mp.setattr(module, "reduced_basis", reducing(module.reduced_basis))
-            mp.setattr(detect, "_Mapper", Recording)
+            mp.setattr(detect, "SiteMapper", Recording)
             for _, s in itertools.islice(generic_orbit_cells(0), 0, None, 3):
                 detect_spacegroup(s)
         assert len(reduced) == len(primitive) == 76
