@@ -42,11 +42,7 @@ def _cmd_hull(args) -> int:
     candidate = energetics.PhaseEntry(
         Composition.from_formula(args.formula), args.energy, "candidate"
     )
-    try:
-        result = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
-    except energetics.CoverageError as e:
-        print(str(e), file=sys.stderr)
-        return harness.EXIT_INPUT
+    result = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
     print(json.dumps({
         "e_hull": result.e_hull,
         "stable": energetics.is_stable(max(result.e_hull, 0.0)),
@@ -127,18 +123,13 @@ def _cmd_evaluate(args) -> int:
         "output_dir": args.out,
         "worker_count": args.workers,
     }
-    try:
-        if args.config:
-            config = harness.load_config(args.config, overrides)
-        else:
-            if not args.samples:
-                print("either --config or --samples is required", file=sys.stderr)
-                return harness.EXIT_USAGE
-            config = harness.RunConfig(**{k: v for k, v in overrides.items()
-                                          if v is not None})
-    except harness.InputError as e:
-        print(str(e), file=sys.stderr)
-        return harness.EXIT_INPUT
+    if args.config:
+        config = harness.load_config(args.config, overrides)
+    elif args.samples:
+        config = harness.RunConfig(**{k: v for k, v in overrides.items() if v is not None})
+    else:
+        print("either --config or --samples is required", file=sys.stderr)
+        return harness.EXIT_USAGE
     try:
         report, rows = harness.run_evaluation(config)
         paths = harness.emit_report(report, rows, config.output_dir)
@@ -213,7 +204,8 @@ def main(argv=None) -> int:
         return harness.EXIT_USAGE if e.code not in (0, None) else harness.EXIT_OK
     try:
         return args.fn(args)
-    # ValueError covers ciflite.ParseError and malformed formulas or traces.
+    # ValueError covers ciflite.ParseError, harness.InputError,
+    # energetics.CoverageError and malformed formulas or traces.
     except (OSError, ValueError, DetectionError) as e:
         print(str(e), file=sys.stderr)
         return harness.EXIT_INPUT

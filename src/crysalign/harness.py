@@ -11,6 +11,13 @@ reused by every batch with the same worker count; results come back in
 sample order, so output is identical for any worker count. The batch
 metrics are computed from the finished rows in this process.
 
+One rule, in ``_check_sample``, sets a row's status: no CIF block is
+``missing_cif``, a ``ParseError`` before the validity report a
+``parse_error`` with its message, a ``DetectionError`` only leaves
+``spacegroup_detected`` empty, and any other raise is a ``check_error``
+that keeps every field found before it. A caught fault's ``error``, there
+or in the hull stage, is ``timeout`` or ``<type>: <message>`` (``_reason``).
+
 The workers fork when the pool is made, so they do not see state this
 process changes afterwards: a monkeypatch or a replaced table reaches the
 workers only through a pool made after it (``_drop_pool`` discards the
@@ -24,7 +31,6 @@ import csv
 import io
 import math
 import os
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
@@ -157,42 +163,32 @@ def _evaluate_chunk(args) -> list[tuple[EvaluationRow, CrystalStructure | None]]
                                   if s is not None and report.structural], config))
     results = []
     for found, s, report in checked:
-        if s is None:
-            results.append((found, None))
-            continue
-        e_hull, hull_error = next(hulls) if report.structural else (None, "")
-        found["error"] = found["error"] or hull_error
-        breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
-        results.append((EvaluationRow(
-            structural=int(report.structural), chemical=int(report.chemical),
-            composition_match=int(report.composition_match),
-            e_hull=e_hull, r_target=breakdown.r_target, formula=s.formula, **found), s))
+        if s is not None:
+            e_hull, hull_error = next(hulls) if report.structural else (None, "")
+            breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
+            found.setdefault("error", hull_error)
+            found.update(structural=int(report.structural), chemical=int(report.chemical),
+                         composition_match=int(report.composition_match), e_hull=e_hull,
+                         r_target=breakdown.r_target, formula=s.formula)
+        results.append((EvaluationRow(**found), s))
     return results
 
 
 def _check_sample(index, rec, config):
-    """One sample's parse, validity, detection and trace checks. Returns
-    (row, None, None) when the row has no validity report, else the row's
-    fields found so far, the structure and its report. A failing check
-    becomes the row's status and error."""
+    """One sample's parse, validity, detection and trace checks: the row's
+    fields found so far, then the structure and its validity report, both
+    ``None`` when the row has no report. Every raise becomes the row's
+    status and ``error`` here, by the rule in the module docstring."""
+    found: dict = {"index": index, "prompt_id": rec.prompt_id, "parse_status": "ok"}
+    s = report = None
     try:
         constraints = ciflite.parse_prompt(rec.prompt_text)
         trace_text, cif_text = ciflite.extract_response_parts(rec.response_text)
         if cif_text is None:
-            return EvaluationRow(index, rec.prompt_id, "missing_cif"), None, None
+            return dict(found, parse_status="missing_cif"), None, None
         s = ciflite.parse_ciflite(cif_text)
-    except ciflite.ParseError as e:
-        return EvaluationRow(index, rec.prompt_id, "parse_error", error=str(e)), None, None
-    try:
         report = validity.build_report(s, constraints.formula,
                                        validity.OxidationTable.load_default())
-    except Exception:
-        error = _traceback_line()
-        return EvaluationRow(index, rec.prompt_id, "check_error", error=error), None, None
-    # Checks after the report: a raise keeps what was found before it.
-    found: dict = {"index": index, "prompt_id": rec.prompt_id,
-                   "parse_status": "ok", "error": ""}
-    try:
         try:
             sym = detect_spacegroup(s, config.symmetry_tol)
             found["spacegroup_detected"] = sym.number
@@ -207,14 +203,16 @@ def _check_sample(index, rec, config):
                 found["site_match"] = int(cons.site_match)
                 found["volume_rel_diff"] = cons.volume_rel_diff
                 found["bond_rel_diff"] = cons.bond_rel_diff
-    except Exception:
-        found["parse_status"] = "check_error"
-        found["error"] = _traceback_line()
-    return found, s, report
+    except Exception as e:
+        parsing = report is None and isinstance(e, ciflite.ParseError)
+        found["parse_status"] = "parse_error" if parsing else "check_error"
+        found["error"] = str(e) if parsing else _reason(e)
+    return found, (s if report is not None else None), report
 
 
-def _traceback_line() -> str:
-    return traceback.format_exc(limit=1).replace("\n", " ")
+def _reason(e: Exception) -> str:
+    """A caught fault as its row's ``error``: no traceback, no path."""
+    return "timeout" if isinstance(e, TimeoutError) else f"{type(e).__name__}: {e}"
 
 
 def _hull_distances(structures: list[CrystalStructure],
@@ -236,10 +234,8 @@ def _hull_distances(structures: list[CrystalStructure],
             candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
             hull = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
             out.append((max(hull.e_hull, 0.0), ""))
-        except TimeoutError:
-            out.append((None, "timeout"))
         except Exception as e:
-            out.append((None, f"{type(e).__name__}: {e}"))
+            out.append((None, _reason(e)))
     return out
 
 

@@ -32,6 +32,15 @@ GEOMETRY_LABELS = {
 }
 
 
+def _integer(digits: str) -> int:
+    """``int(digits)``, or a ValueError naming the length past int's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("+-"))
+        raise ValueError(f"trace integer of {count} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     spacegroup_number: int | None = None
@@ -51,7 +60,7 @@ class TraceRecord:
 
     def __post_init__(self):
         if self.charge_equation is not None:
-            terms = [(int(num), int(state)) for num, state in
+            terms = [(_integer(num), _integer(state)) for num, state in
                      re.findall(r"(\d+)\*\(([+-]\d+)\)", self.charge_equation)]
             if sum(num * state for num, state in terms) != 0:
                 raise ValueError("charge equation does not sum to zero as written")
@@ -257,20 +266,20 @@ def parse_trace(text: str) -> TraceRecord:
     sg_num = sg_sym = None
     m = _SG_RE.search(text)
     if m:
-        sg_sym, sg_num = m.group(1), int(m.group(2))
+        sg_sym, sg_num = m.group(1), _integer(m.group(2))
     site_counts: dict[str, int] = {}
     orbit_counts: dict[str, int] = {}
     states: dict[str, int] = {}
     for count, el, orbits, state in _SITE_RE.findall(text):
-        site_counts[el] = int(count)
+        site_counts[el] = _integer(count)
         if orbits:
-            orbit_counts[el] = int(orbits)
+            orbit_counts[el] = _integer(orbits)
         if state:
-            states[el] = int(state)
+            states[el] = _integer(state)
     m = _EQ_RE.search(text)
     equation = m.group(1) if m else None
     coordination = {
-        el: (neigh, int(n), label)
+        el: (neigh, _integer(n), label)
         for el, n, neigh, label in _COORD_RE.findall(text)
     }
     bonds = {

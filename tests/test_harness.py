@@ -235,7 +235,7 @@ class TestCheckError:
                                                 relax_before_hull=False))
         bad, good = rows
         assert bad.parse_status == "check_error"
-        assert "charge equation" in bad.error
+        assert bad.error == "ValueError: charge equation does not sum to zero as written"
         assert good.parse_status == "ok" and good.error == ""
         for name in ("structural", "chemical", "composition_match",
                      "spacegroup_detected", "e_hull", "r_target", "formula"):
@@ -274,6 +274,58 @@ class TestCheckError:
             assert getattr(bad, name) == getattr(good, name)
         assert bad.structural == 1 and bad.e_hull is not None
 
+    @pytest.mark.parametrize("sentence", [
+        "The structure has space group Fm-3m (id {big}).",
+        "There are {big} Na atoms in 1 orbit with oxidation state +1.",
+        "There are 4 Na atoms in {big} orbits.",
+        "Each Na atom is coordinated by {big} Cl atoms in a octahedral geometry.",
+        "The charge balance is {big}*(+1)+4*(-1)=0.",
+    ])
+    def test_oversized_trace_integer_is_check_error(self, rocksalt, tmp_path, sentence):
+        """A trace integer of more digits than ``int`` converts names its
+        length, not int's own advice; the CIF block is fine, so the row keeps
+        its validity flags, e_hull and space group."""
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", rocksalt, "NaCl",
+                                         trace=sentence.format(big="3" * 5000)),
+                           sample_record("p1", rocksalt, "NaCl")])
+        _, (bad, good) = run_evaluation(RunConfig(samples_path=str(path),
+                                                  relax_before_hull=False))
+        assert bad.parse_status == "check_error"
+        assert bad.error == "ValueError: trace integer of 5000 digits is too long"
+        for name in ("structural", "chemical", "composition_match",
+                     "spacegroup_detected", "e_hull", "r_target", "formula"):
+            assert getattr(bad, name) == getattr(good, name)
+        assert bad.structural == 1 and bad.spacegroup_detected == 225
+        assert bad.e_hull is not None
+
+    def test_raise_before_report_leaves_row_empty(self, rocksalt, tmp_path, monkeypatch):
+        """A fault inside the validity report is a check_error with no
+        validity flags and no formula, and its structure stays out of the
+        batch metrics."""
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [sample_record("p0", rocksalt, "NaCl"),
+                           sample_record("p1", _rocksalt(5.9), "NaCl")])
+        config = RunConfig(samples_path=str(path), relax_before_hull=False)
+        before, _ = run_evaluation(config)
+        real = validity.build_report
+
+        def broken(s, target, table):
+            if s.lattice.a > 5.8:
+                raise RuntimeError("validity fault")
+            return real(s, target, table)
+
+        monkeypatch.setattr(harness.validity, "build_report", broken)
+        after, (good, bad) = run_evaluation(config)
+        assert good.parse_status == "ok" and good.structural == 1
+        assert bad.parse_status == "check_error"
+        assert bad.error == "RuntimeError: validity fault"
+        assert (bad.structural, bad.chemical, bad.composition_match) == (0, 0, 0)
+        assert bad.formula == "" and bad.e_hull is None and bad.r_target == 0.0
+        assert bad.spacegroup_detected is None
+        count = {e.name: e.count for e in before.entries}["uniqueness"]
+        assert {e.name: e.count for e in after.entries}["uniqueness"] == count - 1 == 1
+
     def test_parse_failures_stay_out_of_metrics(self, rocksalt, tmp_path):
         path = tmp_path / "samples.jsonl"
         write_jsonl(path, [sample_record("p0", rocksalt, "NaCl"),
@@ -283,6 +335,83 @@ class TestCheckError:
                                                 relax_before_hull=False))
         assert rows[1].parse_status == "missing_cif"
         assert {e.name: e.count for e in report.entries}["uniqueness"] == 1
+
+
+# Pieces of an adversarial response: a rock-salt cell, its trace, and the
+# ways a generator can break either or its prompt.
+_BIG = "7" * 5000
+_ROCKSALT_SITES = ["Na 1 0 0 0", "Na 1 0.5 0.5 0", "Na 1 0.5 0 0.5", "Na 1 0 0.5 0.5",
+                   "Cl 1 0.5 0.5 0.5", "Cl 1 0 0 0.5", "Cl 1 0 0.5 0", "Cl 1 0.5 0 0"]
+_ROCKSALT_TRACE = (
+    "The structure has space group Fm-3m (id 225). "
+    "There are 4 Na atoms in 1 orbit with oxidation state +1. "
+    "There are 4 Cl atoms in 1 orbit with oxidation state -1. "
+    "The charge balance is 4*(+1)+4*(-1)=0. "
+    "Each Na atom is coordinated by 6 Cl atoms in a octahedral geometry.")
+_BREAKS = {
+    "huge_lengths": lambda p: dict(p, lengths="1e200 1e200 1e200"),
+    "tiny_length": lambda p: dict(p, lengths="5.64 1e-300 5.64"),
+    "huge_coordinate": lambda p: dict(p, sites=p["sites"][:4] + ["Cl 1 1e300 0.5 0.5"]
+                                      + p["sites"][5:]),
+    "sites_at_one_point": lambda p: dict(p, sites=p["sites"] + p["sites"][:1]),
+    "flat_angles": lambda p: dict(p, angles="179.9 0.1 90"),
+    "unbalanced_charge": lambda p: dict(p, trace=p["trace"].replace(
+        "4*(+1)+4*(-1)", "4*(+1)+4*(+1)")),
+    "digits_in_prompt": lambda p: dict(p, prompt=p["prompt"]
+                                       + f" The space-group number is {_BIG}."),
+    "digits_in_cif": lambda p: dict(p, sites=p["sites"][:4] + [f"Cl {_BIG} 0.5 0.5 0.5"]
+                                    + p["sites"][5:]),
+    "digits_in_trace": lambda p: dict(p, trace=p["trace"].replace(
+        "There are 4 Na", f"There are {_BIG} Na")),
+    "digits_in_trace_id": lambda p: dict(p, trace=p["trace"].replace("id 225", f"id {_BIG}")),
+    "digits_in_charge": lambda p: dict(p, trace=p["trace"].replace("4*(-1)", f"{_BIG}*(-1)")),
+}
+
+
+def adversarial_samples(n, seed):
+    """``n`` samples that each break a rock-salt response one way, in turn,
+    plus up to two more ways drawn from ``seed``."""
+    rng = random.Random(seed)
+    kinds = sorted(_BREAKS)
+    records = []
+    for i in range(n):
+        parts = {"prompt": "The chemical formula is NaCl.", "trace": _ROCKSALT_TRACE,
+                 "lengths": "5.64 5.64 5.64", "angles": "90 90 90",
+                 "sites": _ROCKSALT_SITES}
+        for kind in [kinds[i % len(kinds)]] + rng.sample(kinds, rng.randint(0, 2)):
+            parts = _BREAKS[kind](parts)
+        cif = "\n".join(["<CIF>P1", parts["lengths"], parts["angles"], *parts["sites"]])
+        records.append({"prompt_id": f"p{i:03d}", "prompt_text": parts["prompt"],
+                        "response_text": f"{parts['trace']}\n{cif}</CIF>"})
+    return records
+
+
+class TestAdversarialRows:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_sample_gets_one_row_with_a_plain_reason(self, tmp_path, seed):
+        """However a response is broken, the batch finishes with one row per
+        sample in order, for one worker and for two, and no row's reason
+        holds a traceback or the path of this checkout."""
+        records = adversarial_samples(3 * len(_BREAKS), seed)
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, records)
+        checkout = str(Path(__file__).resolve().parent.parent)
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflowing cells
+            for workers in (1, 2):
+                config = RunConfig(samples_path=str(path), worker_count=workers,
+                                   timeout_s=60.0)
+                runs.append(run_evaluation(config)[1])
+        one, two = runs
+        assert one == two
+        assert [r.prompt_id for r in one] == [r["prompt_id"] for r in records]
+        for row in one:
+            assert "Traceback" not in row.error and checkout not in row.error
+            assert row.parse_status == "ok" or row.error
+            assert row.formula or row.r_target == 0.0     # no report, no reward
+        statuses = {r.parse_status for r in one}
+        assert statuses == {"ok", "parse_error", "check_error"}
 
 
 class TestNiggliInBatch:
