@@ -18,6 +18,9 @@ the hull is checked by running it in two checkouts and comparing the dumps:
     python3 scripts/compare_hull.py > new.jsonl
     (cd ../parent && python3 scripts/compare_hull.py > old.jsonl)
     diff ../parent/old.jsonl new.jsonl
+
+``scripts/golden.py`` pins a digest of each line in
+``tests/golden/hull.txt``, which the tier-1 golden test checks.
 """
 
 from __future__ import annotations
@@ -74,10 +77,15 @@ def result(composition, refs) -> dict:
             "decomposition": [[r.label, w] for r, w in decomposition]}
 
 
+def line(name, composition, refs) -> str:
+    """The dump line of one case, without its newline."""
+    return json.dumps({"case": name, **result(composition, refs)})
+
+
 def main() -> int:
     refs = energetics.load_reference_phases()
     for name, composition in cases(refs):
-        print(json.dumps({"case": name, **result(composition, refs)}), flush=True)
+        print(line(name, composition, refs), flush=True)
     return 0
 
 

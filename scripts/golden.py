@@ -5,10 +5,11 @@ For the ``screen`` and ``relax`` workloads of ``perfbench/workloads.py``,
 seeds 1-10, this evaluates each batch with one worker and the workload's own
 run settings (relaxation, timeout, reference file) and stores its
 ``samples.csv`` and ``metrics.csv`` as ``tests/golden/<workload>-<seed>/``.
-It also writes ``tests/golden/detection.txt``: one line per case of
-``scripts/compare_detection.py``, holding the case name and a SHA-256 prefix
-of its JSON line. ``tests/test_golden.py`` regenerates both in process and
-compares them.
+It also writes ``tests/golden/detection.txt`` and ``tests/golden/hull.txt``:
+one line per case of ``scripts/compare_detection.py`` and
+``scripts/compare_hull.py``, holding the case name and a SHA-256 prefix of
+its JSON line. ``tests/test_golden.py`` regenerates all of them in process
+and compares them.
 
 A change that moves outputs on purpose reruns the script in the same commit,
 so that the ``git diff`` of ``tests/golden/`` records what moved:
@@ -31,15 +32,17 @@ for path in (SRC, ROOT / "perfbench", ROOT / "scripts"):
         sys.path.insert(0, str(path))
 
 import compare_detection  # noqa: E402
+import compare_hull  # noqa: E402
 import oracles  # noqa: E402
 import workloads  # noqa: E402
-from crysalign import harness  # noqa: E402
+from crysalign import energetics, harness  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 CASES = [(name, seed) for name in ("screen", "relax") for seed in range(1, 11)]
 FILES = ("samples.csv", "metrics.csv")
 DETECTION = GOLDEN / "detection.txt"
-# Hex digits of each detection line's SHA-256 kept in the pin.
+HULL = GOLDEN / "hull.txt"
+# Hex digits of each dump line's SHA-256 kept in a pin.
 DIGEST_CHARS = 16
 
 
@@ -68,13 +71,22 @@ def generate(name: str, seed: int, work_dir: Path) -> dict[str, bytes]:
     return {f: (out / f).read_bytes() for f in FILES}
 
 
+def _pinned(name: str, line: str) -> str:
+    """A dump case's pin line: its name and its dump line's digest."""
+    return f"{name}\t{hashlib.sha256(line.encode()).hexdigest()[:DIGEST_CHARS]}\n"
+
+
 def detection_lines() -> list[str]:
-    """One line per detection dump case: its name and its line's digest."""
-    lines = []
-    for name, s, tol in compare_detection.cases():
-        digest = hashlib.sha256(compare_detection.line(name, s, tol).encode()).hexdigest()
-        lines.append(f"{name}\t{digest[:DIGEST_CHARS]}\n")
-    return lines
+    """One pin line per detection dump case."""
+    return [_pinned(name, compare_detection.line(name, s, tol))
+            for name, s, tol in compare_detection.cases()]
+
+
+def hull_lines() -> list[str]:
+    """One pin line per hull dump case."""
+    refs = energetics.load_reference_phases()
+    return [_pinned(name, compare_hull.line(name, composition, refs))
+            for name, composition in compare_hull.cases(refs)]
 
 
 def main() -> int:
@@ -86,6 +98,7 @@ def main() -> int:
         for f, data in written.items():
             (target / f).write_bytes(data)
     DETECTION.write_text("".join(detection_lines()), encoding="utf-8")
+    HULL.write_text("".join(hull_lines()), encoding="utf-8")
     return 0
 
 

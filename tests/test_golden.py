@@ -1,5 +1,5 @@
 """The pinned outputs: every golden CSV regenerates to the same bytes, and
-every case of the detection dump to the same digest.
+every case of the detection and hull dumps to the same digest.
 
 ``scripts/golden.py`` wrote ``tests/golden/``; a change that moves outputs
 on purpose reruns it, and the ``git diff`` of those files is the record.
@@ -54,11 +54,11 @@ def test_outputs_match_golden(name, seed, tmp_path):
     assert not problems, "\n".join(problems)
 
 
-def test_detection_matches_golden():
-    """Each case's dump line hashes as pinned; a failure names every case
-    that differs, is missing or is new."""
-    want = golden.DETECTION.read_text(encoding="utf-8")
-    got = "".join(golden.detection_lines())
+def _check_pin(path: Path, lines: list[str]) -> None:
+    """Fail unless ``lines`` are the pin at ``path``, naming every case that
+    differs, is missing or is new."""
+    want = path.read_text(encoding="utf-8")
+    got = "".join(lines)
     if got == want:
         return
     old = dict(line.split("\t") for line in want.splitlines())
@@ -68,3 +68,13 @@ def test_detection_matches_golden():
                 + [f"{name} new" for name in new if name not in old])
     assert not problems, f"{len(problems)} cases:\n" + "\n".join(problems)
     pytest.fail("same cases and digests in a different order")
+
+
+def test_detection_matches_golden():
+    """Each detection dump case's line hashes as pinned."""
+    _check_pin(golden.DETECTION, golden.detection_lines())
+
+
+def test_hull_matches_golden():
+    """Each hull dump case's line hashes as pinned."""
+    _check_pin(golden.HULL, golden.hull_lines())
