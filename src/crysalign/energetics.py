@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -28,6 +28,10 @@ STABILITY_THRESHOLD = 0.016  # eV/atom, strict upper bound for "stable"
 
 # Verlet skin (A) of the pair list in relax_positions: wide enough that a
 # short descent rarely rebuilds it, narrow enough to add few extra pairs.
+# The rebuild schedule it sets is part of the e_hull bits: neighbour_pairs
+# orders each site's rows by image shift, counted from the cell that holds
+# j when the list is built, so a list rebuilt after an atom crosses a cell
+# face sums the same kept terms in another order.
 SKIN = 0.5
 
 # Pair-potential cutoff (A); every sigma in the pair table must be at most
@@ -77,24 +81,10 @@ class PhaseEntry:
             raise ValueError("phase energy must be finite")
 
 
-class PhaseSet(tuple):
-    """Reference phases as a tuple that hashes its members once.
-
-    ``hull_energy`` is memoized on its reference set, so a plain tuple would
-    rehash every phase on each call, a memo hit included.
-    """
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 @dataclass(frozen=True)
 class HullResult:
     e_hull: float
+    energy: float       # hull energy per atom; e_hull is the candidate's less this
     decomposition: tuple[tuple[PhaseEntry, float], ...]
 
 
@@ -435,16 +425,13 @@ def formation_energy(backend: PairPotentialBackend, s: CrystalStructure) -> floa
 
 def energy_above_hull(candidate: PhaseEntry,
                       refs: tuple[PhaseEntry, ...] | list[PhaseEntry]) -> HullResult:
-    """Hull distance: the candidate's energy less ``hull_energy`` at its
-    composition. Pass ``refs`` as a ``PhaseSet`` to hash it only once."""
+    """Hull distance: the candidate's energy less the hull's at its composition."""
     fractions = tuple(candidate.composition.fractions().items())
-    if not isinstance(refs, PhaseSet):
-        refs = PhaseSet(refs)
     fun, decomposition = hull_energy(fractions, refs)
-    return HullResult(e_hull=candidate.energy_per_atom - fun, decomposition=decomposition)
+    return HullResult(e_hull=candidate.energy_per_atom - fun, energy=fun,
+                      decomposition=decomposition)
 
 
-@lru_cache(maxsize=None)
 def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry, ...]
                 ) -> tuple[float, tuple[tuple[PhaseEntry, float], ...]]:
     """Hull energy per atom at the atomic ``fractions`` (sorted by element)
@@ -452,9 +439,6 @@ def hull_energy(fractions: tuple[tuple[str, float], ...], refs: tuple[PhaseEntry
 
     minimize sum w_i E_i subject to sum w_i x_i,e = x_cand,e and w >= 0;
     the weights then sum to 1 automatically because atomic fractions do.
-    Memoized on both arguments, since the LP depends on nothing else; a
-    raise is not memoized. ``harness._hull_distances`` clears the memo when
-    it starts, so a memo lives for one task in whichever process runs it.
     """
     target = dict(fractions)
     elements = sorted(target)
@@ -562,7 +546,7 @@ def is_stable(e_hull: float) -> bool:
 
 
 @lru_cache(maxsize=1)
-def load_reference_phases() -> PhaseSet:
+def load_reference_phases() -> tuple[PhaseEntry, ...]:
     """Curated surrogate phase set: label, formula, energy per atom."""
     text = (resources.files("crysalign.data") / "reference_phases.txt").read_text()
     entries = []
@@ -576,4 +560,4 @@ def load_reference_phases() -> PhaseSet:
             energy_per_atom=float(energy),
             label=label,
         ))
-    return PhaseSet(entries)
+    return tuple(entries)

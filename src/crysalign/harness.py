@@ -219,21 +219,24 @@ def _hull_distances(structures: list[CrystalStructure],
                     config: RunConfig) -> list[tuple[float | None, str]]:
     """Each structure's energy above hull, or ``None`` and the reason. With
     ``relax_before_hull`` all of them relax first, together, each within a
-    budget of ``timeout_s``. The hull memo starts empty, so it holds the
-    LPs of this task alone."""
-    energetics.hull_energy.cache_clear()
+    budget of ``timeout_s``. Each composition's hull is solved once, for
+    the first structure there; a solve that raises is not kept, so the next
+    structure there solves it again."""
     backend = energetics.PairPotentialBackend.load_default()
     if config.relax_before_hull:
         structures = energetics.relax_positions(backend, structures, budget_s=config.timeout_s)
+    hulls = {}                      # atomic fractions -> HullResult
     out = []
     for s in structures:
         try:
             if isinstance(s, Exception):
                 raise s
             ef = energetics.formation_energy(backend, s)
-            candidate = energetics.PhaseEntry(s.composition(), ef, "candidate")
-            hull = energetics.energy_above_hull(candidate, energetics.load_reference_phases())
-            out.append((max(hull.e_hull, 0.0), ""))
+            key = tuple(s.composition().fractions().items())
+            if key not in hulls:
+                hulls[key] = energetics.energy_above_hull(
+                    energetics.PhaseEntry(s.composition(), ef), energetics.load_reference_phases())
+            out.append((max(ef - hulls[key].energy, 0.0), ""))
         except Exception as e:
             out.append((None, _reason(e)))
     return out

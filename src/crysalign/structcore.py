@@ -8,6 +8,7 @@ The cell-matrix convention is lower-triangular row vectors built from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +34,12 @@ CHUNK = 1 << 18
 # angles. Below it the cell is flat to rounding: at 1.7e-16, the angles
 # (101, 129, 130) degrees give a Niggli cell 4 % off in volume.
 FLAT_CELL_RATIO = 1e-4
+
+# Bound on the magnitude of a fractional coordinate. From 2**26 on, the
+# spacing of doubles (2**-26, 1.5e-8) passes the 1e-8 the format writes, and
+# from 2**52 on no fraction is left, so wrapping such a value into the cell
+# puts the site at a place the input never gave.
+MAX_FRAC_COORD = 2.0 ** 26
 
 
 class GeometryError(ValueError):
@@ -63,8 +70,13 @@ class Lattice:
             # a numpy scalar never reaches the decimal writer.
             object.__setattr__(self, name, float(value))
         for name in ("a", "b", "c"):
-            if not getattr(self, name) > 0:
+            length = getattr(self, name)
+            if not length > 0:
                 raise GeometryError(f"lattice length {name} must be > 0")
+            # The metric and the reduction square the lengths; a square that
+            # overflows or leaves the normal range breaks them.
+            if not sys.float_info.min <= length * length <= sys.float_info.max:
+                raise GeometryError(f"lattice length {name}={length} squares out of float range")
         for name in ("alpha", "beta", "gamma"):
             ang = getattr(self, name)
             if not 0.0 < ang < 180.0:
@@ -72,6 +84,8 @@ class Lattice:
         # Triangle-type condition; a non-positive determinant means the three
         # angles cannot close a parallelepiped.
         volume = self.volume()
+        if not math.isfinite(volume):
+            raise GeometryError("cell volume overflows")
         if volume <= 0:
             raise GeometryError("angles produce a non-positive cell determinant")
         if volume < FLAT_CELL_RATIO * self.a * self.b * self.c:
@@ -145,6 +159,9 @@ class Site:
             raise ValueError(f"unknown element symbol {self.element!r}")
         if not all(math.isfinite(x) for x in self.frac_coords):
             raise GeometryError(f"fractional coordinates must be finite, got {self.frac_coords}")
+        if not all(abs(x) < MAX_FRAC_COORD for x in self.frac_coords):
+            raise GeometryError(f"fractional coordinates must be below 2**26 in magnitude, "
+                                f"got {self.frac_coords}")
         object.__setattr__(
             self, "frac_coords", tuple(_wrap(float(x)) for x in self.frac_coords)
         )

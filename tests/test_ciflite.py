@@ -68,7 +68,9 @@ class TestParse:
     @pytest.mark.parametrize("lengths,angles", [
         ("-5.6 5.6 5.6", "90 90 90"), ("nan 5.6 5.6", "90 90 90"),
         ("inf 5.6 5.6", "90 90 90"), ("5.6 5.6 5.6", "130 130 130"),
-        ("5.6 5.6 5.6", "90 inf 90"), ("2 2 2", "101 129 130")])
+        ("5.6 5.6 5.6", "90 inf 90"), ("2 2 2", "101 129 130"),
+        ("1e200 1e200 1e200", "90 90 90"), ("5.64 1e-300 5.64", "90 90 90"),
+        ("1e150 1e150 1e150", "90 90 90")])
     def test_bad_cell_is_positioned_parse_error(self, lengths, angles):
         text = f"header\n<CIF>P1\n{lengths}\n{angles}\nNa 1 0 0 0</CIF>"
         with pytest.raises(ParseError) as err:
@@ -81,6 +83,19 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_ciflite(text)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("coord", ["1e300", "-1e300", repr(2.0 ** 26)])
+    def test_huge_coordinate_is_positioned_parse_error(self, coord):
+        """A coordinate that no double holds to the format's 1e-8 is not
+        wrapped into the cell."""
+        text = f"<CIF>P1\n5.6 5.6 5.6\n90 90 90\nNa 1 0 0 0\nCl 1 0.5 {coord} 0.5</CIF>"
+        with pytest.raises(ParseError, match="2\\*\\*26") as err:
+            parse_ciflite(text)
+        assert err.value.line == 5
+
+    def test_coordinate_below_the_bound_wraps(self):
+        text = f"<CIF>P1\n5.6 5.6 5.6\n90 90 90\nCl 1 0.5 {2.0 ** 26 - 0.5!r} -0.25</CIF>"
+        assert parse_ciflite(text).sites[0].frac_coords == (0.5, 0.5, 0.75)
 
     @pytest.mark.parametrize("count", ["2", "0", "1.0",
                                        pytest.param("1" * 5000, id="5000-digits")])

@@ -18,7 +18,6 @@ from crysalign.energetics import (
     PairKernel,
     PairPotentialBackend,
     PhaseEntry,
-    PhaseSet,
     RelaxationError,
     STABILITY_THRESHOLD,
     energy_above_hull,
@@ -727,37 +726,6 @@ class TestHull:
             with pytest.raises(CoverageError):
                 energy_above_hull(entry("NaCl", -1.0), refs)
 
-    def test_memo_keys_on_fractions_and_references(self):
-        low = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -2.0)]
-        high = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -1.0)]
-        energetics.hull_energy.cache_clear()
-        assert energy_above_hull(entry("NaCl", -1.5), low).e_hull == pytest.approx(0.5)
-        assert energy_above_hull(entry("NaCl", -1.5), high).e_hull == pytest.approx(-0.5)
-        # Na2Cl2 has NaCl's fractions, so it reuses that LP.
-        again = energy_above_hull(entry("Na2Cl2", -1.75), low)
-        assert again.e_hull == pytest.approx(0.25)
-        assert [(reduced(r), w) for r, w in again.decomposition] == [("ClNa", 1.0)]
-        info = energetics.hull_energy.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
-
-    def test_memo_hit_on_the_loaded_set_hashes_no_phase(self, monkeypatch):
-        refs = load_reference_phases()
-        candidate = entry("NaCl", -1.5)
-        energetics.hull_energy.cache_clear()
-        first = energy_above_hull(candidate, refs)
-        hashed = []
-        phase_hash = PhaseEntry.__hash__
-        monkeypatch.setattr(PhaseEntry, "__hash__",
-                            lambda phase: hashed.append(phase) or phase_hash(phase))
-        assert energy_above_hull(candidate, refs) == first
-        assert hashed == []
-        # A different set gets its own solve, which hashes each of its phases.
-        other = PhaseSet(refs + (entry("NaCl", -3.0),))
-        assert energy_above_hull(candidate, other).e_hull == pytest.approx(1.5)
-        assert len(hashed) == len(other)
-        info = energetics.hull_energy.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
-
     def test_hull_independent_of_irrelevant_phases(self):
         refs = [entry("Na", 0.0), entry("Cl", 0.0), entry("NaCl", -2.0)]
         extra = refs + [entry("FeO", -5.0), entry("Fe", 0.0)]
@@ -779,7 +747,6 @@ def linprog_hull(fractions, refs):
 
 
 def simplex_hull(fractions, refs):
-    energetics.hull_energy.cache_clear()
     fun, decomposition = energetics.hull_energy(fractions, tuple(refs))
     return fun, [r.label for r, _ in decomposition]
 

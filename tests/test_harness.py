@@ -128,6 +128,60 @@ class TestHullMemo:
             assert all(row.e_hull is not None for row, _ in results)
 
 
+    @staticmethod
+    def _chunk(config):
+        """NaCl as a 2-atom and as an 8-atom cell, then KCl: two sets of
+        atomic fractions over three structures."""
+        a = 5.64 / 2 ** 0.5
+        primitive = make_structure((a, a, a, 60, 60, 60),
+                                   [("Na", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
+        kcl = make_structure((6.29,) * 3 + (90,) * 3,
+                             [(site.element.replace("Na", "K"), site.frac_coords)
+                              for site in _rocksalt(6.29).sites])
+        cells = [("NaCl", primitive), ("NaCl", _rocksalt(5.64)), ("KCl", kcl)]
+        records = [ciflite.SampleRecord(**sample_record(f"p{k}", s, formula))
+                   for k, (formula, s) in enumerate(cells)]
+        return (list(enumerate(records)), config)
+
+    def test_one_solve_per_fractions_in_a_task(self, monkeypatch):
+        """The 2- and 8-atom NaCl cells share one LP, and each row's e_hull
+        is its own hull distance, floored at 0, to the bit."""
+        calls = []
+        real = energetics.simplex
+        monkeypatch.setattr(energetics, "simplex",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        chunk = self._chunk(RunConfig(samples_path=__file__, relax_before_hull=False))
+        results = harness._evaluate_chunk(chunk)
+        assert len(calls) == 2
+        backend = energetics.PairPotentialBackend.load_default()
+        refs = energetics.load_reference_phases()
+        for row, s in results:
+            entry = energetics.PhaseEntry(s.composition(),
+                                          energetics.formation_energy(backend, s))
+            want = max(energetics.energy_above_hull(entry, refs).e_hull, 0.0)
+            assert row.e_hull == want and row.error == ""
+        assert [r.formula for r, _ in results] == ["ClNa", "ClNa", "ClK"]
+        assert len({r.e_hull for r, _ in results}) == 3
+
+    def test_a_raise_is_kept_for_no_structure(self, monkeypatch):
+        """A hull solve that raises fails its own row; the next structure at
+        the same composition solves again and gets its hull."""
+        real = energetics.hull_energy
+        raised = []
+
+        def first_raises(*args):
+            if not raised:
+                raised.append(1)
+                raise RuntimeError("hull went wrong")
+            return real(*args)
+
+        monkeypatch.setattr(energetics, "hull_energy", first_raises)
+        chunk = self._chunk(RunConfig(samples_path=__file__, relax_before_hull=False))
+        first, second, _ = (row for row, _ in harness._evaluate_chunk(chunk))
+        assert (first.e_hull, first.error) == (None, "RuntimeError: hull went wrong")
+        assert second.e_hull is not None and second.error == ""
+
+
 class TestReducedBasisOnce:
     def test_one_reduction_per_lattice(self, monkeypatch, oxidation_table):
         """Validity, detection, the trace shells, relaxation, the energy and
@@ -368,6 +422,18 @@ _BREAKS = {
 }
 
 
+_ROCKSALT_PARTS = {"prompt": "The chemical formula is NaCl.", "trace": _ROCKSALT_TRACE,
+                   "lengths": "5.64 5.64 5.64", "angles": "90 90 90",
+                   "sites": _ROCKSALT_SITES}
+
+
+def _record(prompt_id, parts):
+    """The sample that ``parts`` of a response make."""
+    cif = "\n".join(["<CIF>P1", parts["lengths"], parts["angles"], *parts["sites"]])
+    return {"prompt_id": prompt_id, "prompt_text": parts["prompt"],
+            "response_text": f"{parts['trace']}\n{cif}</CIF>"}
+
+
 def adversarial_samples(n, seed):
     """``n`` samples that each break a rock-salt response one way, in turn,
     plus up to two more ways drawn from ``seed``."""
@@ -375,15 +441,15 @@ def adversarial_samples(n, seed):
     kinds = sorted(_BREAKS)
     records = []
     for i in range(n):
-        parts = {"prompt": "The chemical formula is NaCl.", "trace": _ROCKSALT_TRACE,
-                 "lengths": "5.64 5.64 5.64", "angles": "90 90 90",
-                 "sites": _ROCKSALT_SITES}
+        parts = _ROCKSALT_PARTS
         for kind in [kinds[i % len(kinds)]] + rng.sample(kinds, rng.randint(0, 2)):
             parts = _BREAKS[kind](parts)
-        cif = "\n".join(["<CIF>P1", parts["lengths"], parts["angles"], *parts["sites"]])
-        records.append({"prompt_id": f"p{i:03d}", "prompt_text": parts["prompt"],
-                        "response_text": f"{parts['trace']}\n{cif}</CIF>"})
+        records.append(_record(f"p{i:03d}", parts))
     return records
+
+
+# The values of the breaks that no parsed cell may hold.
+_UNPARSEABLE = ("1e200 1e200 1e200", "1e-300", "1e300")
 
 
 class TestAdversarialRows:
@@ -391,14 +457,17 @@ class TestAdversarialRows:
     def test_every_sample_gets_one_row_with_a_plain_reason(self, tmp_path, seed):
         """However a response is broken, the batch finishes with one row per
         sample in order, for one worker and for two, and no row's reason
-        holds a traceback or the path of this checkout."""
-        records = adversarial_samples(3 * len(_BREAKS), seed)
+        holds a traceback or the path of this checkout. A sample with huge
+        lengths, a tiny length or a huge coordinate is a parse error. The
+        unbroken response last is the batch's ``ok`` row."""
+        records = adversarial_samples(3 * len(_BREAKS), seed) + [
+            _record("clean", _ROCKSALT_PARTS)]
         path = tmp_path / "samples.jsonl"
         write_jsonl(path, records)
         checkout = str(Path(__file__).resolve().parent.parent)
         runs = []
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # the overflowing cells
+            warnings.simplefilter("error", RuntimeWarning)
             for workers in (1, 2):
                 config = RunConfig(samples_path=str(path), worker_count=workers,
                                    timeout_s=60.0)
@@ -406,12 +475,38 @@ class TestAdversarialRows:
         one, two = runs
         assert one == two
         assert [r.prompt_id for r in one] == [r["prompt_id"] for r in records]
-        for row in one:
+        for row, record in zip(one, records):
             assert "Traceback" not in row.error and checkout not in row.error
             assert row.parse_status == "ok" or row.error
             assert row.formula or row.r_target == 0.0     # no report, no reward
+            if any(value in record["response_text"] for value in _UNPARSEABLE):
+                assert row.parse_status == "parse_error", row
         statuses = {r.parse_status for r in one}
         assert statuses == {"ok", "parse_error", "check_error"}
+
+    def test_huge_coordinate_earns_no_reward(self, tmp_path):
+        """Rock salt with one coordinate at 1e300 is not wrapped to the
+        origin and detected as No. 225: the row is a parse error."""
+        parts = dict(_ROCKSALT_PARTS, trace="",
+                     sites=["Na 1 1e300 0 0"] + _ROCKSALT_SITES[1:])
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [_record("p0", parts)])
+        (row,) = run_evaluation(RunConfig(samples_path=str(path)))[1]
+        assert row.parse_status == "parse_error"
+        assert row.error.endswith("(line 4)")
+        assert (row.r_target, row.spacegroup_detected, row.e_hull) == (0.0, None, None)
+
+    @pytest.mark.parametrize("lengths", ["1e200 1e200 1e200", "5.64 1e-300 5.64"])
+    def test_overflowing_cell_is_parse_error(self, tmp_path, lengths):
+        """A cell whose squared lengths leave the float range is rejected
+        when it is parsed, before any reduction warns or raises."""
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [_record("p0", dict(_ROCKSALT_PARTS, trace="", lengths=lengths))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (row,) = run_evaluation(RunConfig(samples_path=str(path)))[1]
+        assert row.parse_status == "parse_error"
+        assert row.error.endswith("(line 2)") and row.r_target == 0.0
 
 
 class TestNiggliInBatch:
