@@ -87,13 +87,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    structures = harness._load_reference(args.batch)
-    if not structures:
+    records = harness._load_reference(args.batch)
+    if not records:
         print("no structures in batch file", file=sys.stderr)
         return harness.EXIT_INPUT
     reference = harness._load_reference(args.reference) if args.reference else []
-    uniq, nov, _ = metrics.discovery_rates(structures, [None] * len(structures), reference)
-    out = {"count": len(structures), "uniqueness": uniq}
+    uniq, nov, _ = metrics.discovery_rates(records, [None] * len(records), reference)
+    out = {"count": len(records), "uniqueness": uniq}
     if reference:
         out["novelty"] = nov
     print(json.dumps(out))

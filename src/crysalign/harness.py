@@ -9,13 +9,17 @@ sample alone, not on the chunk it ran in. With more than one worker the
 tasks run on a process pool that is kept for the life of the process and
 reused by every batch with the same worker count; results come back in
 sample order, so output is identical for any worker count. The batch
-metrics are computed from the finished rows in this process.
+metrics, computed in this process, read only the finished rows and the
+match record (``metrics.MatchRecord``) that each row's checks build: no
+structure, and no computation on one, reaches them.
 
 One rule, in ``_check_sample``, sets a row's status: no CIF block is
 ``missing_cif``, a ``ParseError`` before the validity report a
 ``parse_error`` with its message, a ``DetectionError`` only leaves
 ``spacegroup_detected`` empty, and any other raise is a ``check_error``
-that keeps every field found before it. A caught fault's ``error``, there
+that keeps every field found before it. The match record is built before
+the report, so a raise there leaves the row without a report; a row
+without one stays out of the batch metrics. A caught fault's ``error``, there
 or in the hull stage, is ``timeout`` or ``<type>: <message>`` (``_reason``).
 
 The workers fork when the pool is made, so they do not see state this
@@ -151,18 +155,18 @@ class EvaluationRow:
     error: str = ""
 
 
-def _evaluate_chunk(args) -> list[tuple[EvaluationRow, CrystalStructure | None]]:
-    """The samples of one task, each to its finished row and its parsed
-    structure for the batch metrics (``None`` when the row has no validity
+def _evaluate_chunk(args) -> list[tuple[EvaluationRow, metrics.MatchRecord | None]]:
+    """The samples of one task, each to its finished row and its match
+    record for the batch metrics (``None`` when the row has no validity
     report): every sample's checks, then one relaxation of the chunk's
     structurally valid cells, then each hull distance and reward. A row
     depends on its own sample alone (``energetics.relax_positions``)."""
     items, config = args
     checked = [_check_sample(index, rec, config) for index, rec in items]
-    hulls = iter(_hull_distances([s for _, s, report in checked
+    hulls = iter(_hull_distances([s for _, s, report, _ in checked
                                   if s is not None and report.structural], config))
     results = []
-    for found, s, report in checked:
+    for found, s, report, record in checked:
         if s is not None:
             e_hull, hull_error = next(hulls) if report.structural else (None, "")
             breakdown = rewards.combined_reward(report, e_hull, config.weights(), config.e0)
@@ -170,23 +174,25 @@ def _evaluate_chunk(args) -> list[tuple[EvaluationRow, CrystalStructure | None]]
             found.update(structural=int(report.structural), chemical=int(report.chemical),
                          composition_match=int(report.composition_match), e_hull=e_hull,
                          r_target=breakdown.r_target, formula=s.formula)
-        results.append((EvaluationRow(**found), s))
+        results.append((EvaluationRow(**found), record))
     return results
 
 
 def _check_sample(index, rec, config):
-    """One sample's parse, validity, detection and trace checks: the row's
-    fields found so far, then the structure and its validity report, both
-    ``None`` when the row has no report. Every raise becomes the row's
-    status and ``error`` here, by the rule in the module docstring."""
+    """One sample's parse, match record, validity, detection and trace
+    checks: the row's fields found so far, then the structure, its validity
+    report and its match record, all ``None`` when the row has no report.
+    Every raise becomes the row's status and ``error`` here, by the rule in
+    the module docstring."""
     found: dict = {"index": index, "prompt_id": rec.prompt_id, "parse_status": "ok"}
-    s = report = None
+    s = report = record = None
     try:
         constraints = ciflite.parse_prompt(rec.prompt_text)
         trace_text, cif_text = ciflite.extract_response_parts(rec.response_text)
         if cif_text is None:
-            return dict(found, parse_status="missing_cif"), None, None
+            return dict(found, parse_status="missing_cif"), None, None, None
         s = ciflite.parse_ciflite(cif_text)
+        record = metrics.MatchRecord.from_structure(s)
         report = validity.build_report(s, constraints.formula,
                                        validity.OxidationTable.load_default())
         try:
@@ -207,7 +213,9 @@ def _check_sample(index, rec, config):
         parsing = report is None and isinstance(e, ciflite.ParseError)
         found["parse_status"] = "parse_error" if parsing else "check_error"
         found["error"] = str(e) if parsing else _reason(e)
-    return found, (s if report is not None else None), report
+    if report is None:
+        return found, None, None, None
+    return found, s, report, record
 
 
 def _reason(e: Exception) -> str:
@@ -301,36 +309,45 @@ def run_evaluation(config: RunConfig) -> tuple[metrics.MetricReport, list[Evalua
     results = [result for chunk in _pool_map(_evaluate_chunk, chunks, config.worker_count)
                for result in chunk]
     rows = [row for row, _ in results]
-    scored = [(s, row.e_hull) for row, s in results if s is not None]
+    scored = [(record, row.e_hull) for row, record in results if record is not None]
     report = _build_metric_report(rows, scored, reference, config.match_config())
     return report, rows
 
 
-def _load_reference(path: str | None):
+def _load_reference(path: str | None) -> list[metrics.MatchRecord]:
+    """The match record of each CIF block of a file (a reference set, or a
+    ``crysalign metrics`` batch); none without a path. A block that does not
+    parse is a ``ParseError`` at its file line, and one whose record cannot
+    be built an ``InputError`` naming the file and the block's first line."""
     if path is None:
         return []
-    structures = []
+    records = []
     text = Path(path).read_text(encoding="utf-8")
     lines_before = 0
     *blocks, tail = text.split(ciflite.CIF_CLOSE)
     for chunk in blocks:
         if ciflite.CIF_OPEN in chunk:
             try:
-                structures.append(ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE))
+                s = ciflite.parse_ciflite(chunk + ciflite.CIF_CLOSE)
             except ciflite.ParseError as e:
                 # The chunk's line numbers count from its own start.
                 line = None if e.line is None else lines_before + e.line
                 raise ciflite.ParseError(f"{path}: {e.reason}", line) from None
+            try:
+                records.append(metrics.MatchRecord.from_structure(s))
+            except Exception as e:
+                line = lines_before + chunk.count("\n", 0, chunk.index(ciflite.CIF_OPEN)) + 1
+                raise InputError(f"{path}: block at line {line}: {_reason(e)}") from e
         lines_before += chunk.count("\n")
     if ciflite.CIF_OPEN in tail:
         line = lines_before + tail.count("\n", 0, tail.index(ciflite.CIF_OPEN)) + 1
         raise ciflite.ParseError(f"{path}: missing {ciflite.CIF_CLOSE} marker", line)
-    return structures
+    return records
 
 
 def _build_metric_report(rows, scored, reference, match_cfg):
-    """Batch metrics; ``scored`` holds (structure, e_hull) for each row that
-    has a validity report."""
+    """Batch metrics; ``scored`` holds (match record, e_hull) for each row
+    that has a validity report, and ``reference`` the reference records."""
     entries = []
 
     def add(name, values):
@@ -351,8 +368,8 @@ def _build_metric_report(rows, scored, reference, match_cfg):
     add("mean_r_target", [r.r_target for r in rows])
     m = len(scored)
     if scored:
-        structures, e_hulls = zip(*scored)
-        uniq, nov, sun = metrics.discovery_rates(list(structures), list(e_hulls),
+        records, e_hulls = zip(*scored)
+        uniq, nov, sun = metrics.discovery_rates(list(records), list(e_hulls),
                                                  reference, match_cfg)
     else:
         uniq = nov = sun = 0.0

@@ -1,7 +1,11 @@
-"""Batch discovery metrics: matching, uniqueness, novelty, S.U.N., aggregation.
+"""Batch discovery metrics: match records, matching, uniqueness, novelty,
+S.U.N., aggregation.
 
-Matching maps one structure's sites onto another's, each in the cell it is
-written in, with detection's site mapper at ``site_tol`` mean site spacings.
+Each structure becomes one ``MatchRecord`` where its row is checked, and the
+batch metrics read records only. Matching maps one record's sites onto
+another's, each in the cell it is written in, with detection's site mapper
+at ``site_tol`` mean site spacings; each target's mapper is built once per
+batch (``site_mapper``), not once per comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .ciflite import write_ciflite
 from .energetics import is_stable
-from .structcore import CrystalStructure, SiteMapper
+from .structcore import CrystalStructure, Lattice, SiteMapper, niggli_reduce
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,38 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _lattices_agree(a: CrystalStructure, b: CrystalStructure,
-                    cfg: MatchConfig) -> bool:
-    la = a.niggli_lattice
-    lb = b.niggli_lattice
+@dataclass(frozen=True, eq=False)
+class MatchRecord:
+    """What the batch metrics read of one structure: its formula, site
+    count and Niggli cell, the site mapper's inputs (row-vector cell matrix,
+    fractional sites, element per site; read-only), the mean site spacing
+    (V / n)^(1/3), and its CIF text, the key that orders a batch."""
+
+    formula: str
+    num_sites: int
+    niggli: Lattice
+    cell: np.ndarray
+    frac: np.ndarray
+    species: np.ndarray
+    spacing: float
+    key: str
+
+    @classmethod
+    def from_structure(cls, s: CrystalStructure) -> "MatchRecord":
+        arrays = (s.lattice.matrix(), s.frac_array(), np.array(s.elements()))
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(s.formula, s.num_sites, niggli_reduce(s.lattice), *arrays,
+                   (s.volume() / s.num_sites) ** (1.0 / 3.0), write_ciflite(s))
+
+
+def site_mapper(r: MatchRecord, cfg: MatchConfig = MatchConfig()) -> SiteMapper:
+    """The mapper that matches other records onto ``r``: its sites, each
+    within ``site_tol`` of its mean site spacings."""
+    return SiteMapper(r.cell, r.frac, tuple(r.species.tolist()), cfg.site_tol * r.spacing)
+
+
+def _lattices_agree(la: Lattice, lb: Lattice, cfg: MatchConfig) -> bool:
     for x, y in zip(la.lengths, lb.lengths):
         if abs(x - y) > cfg.length_tol * max(x, y):
             return False
@@ -77,57 +109,51 @@ def _lattices_agree(a: CrystalStructure, b: CrystalStructure,
     return True
 
 
-def structures_match(a: CrystalStructure, b: CrystalStructure,
+def structures_match(a: MatchRecord, b: MatchRecord, b_sites: SiteMapper,
                      cfg: MatchConfig = MatchConfig()) -> bool:
     """Same reduced formula and site count, compatible reduced cells, and a
     translation taking a's first site of b's rarest element onto a b site
     of that element that puts each site of a, in b's cell, nearest to a
     distinct same-element site of b (the first on a tie), closer than
-    ``site_tol`` mean site spacings of b, (V / n)^(1/3)."""
+    ``site_tol`` mean site spacings of b. ``b_sites`` is
+    ``site_mapper(b, cfg)``."""
     if a.formula != b.formula or a.num_sites != b.num_sites:
         return False
-    if not _lattices_agree(a, b, cfg):
+    if not _lattices_agree(a.niggli, b.niggli, cfg):
         return False
-    tol = cfg.site_tol * (b.volume() / b.num_sites) ** (1.0 / 3.0)
-    mapper = SiteMapper(b.lattice.matrix(), b.frac_array(), b.elements(), tol)
-    return len(mapper.anchored_fits(np.eye(3, dtype=int)[None], a)[0]) > 0
+    return len(b_sites.anchored_fits(np.eye(3, dtype=int)[None], (a.frac, a.species))[0]) > 0
 
 
-def _canonical_order(batch: list[CrystalStructure]) -> list[int]:
-    keys = [write_ciflite(s) for s in batch]
-    return sorted(range(len(batch)), key=lambda i: keys[i])
-
-
-def cluster_indices(batch: list[CrystalStructure],
+def cluster_indices(batch: list[MatchRecord],
                     cfg: MatchConfig = MatchConfig()) -> list[int]:
-    """Cluster id per structure; ids index the cluster representative.
+    """Cluster id per record; ids index the cluster representative.
 
-    Structures are visited in canonical serialized order, so the clustering
-    does not depend on batch order or worker schedule.
+    Records are visited in the order of their keys, so the clustering does
+    not depend on batch order or worker schedule. Each representative's
+    mapper is built once, when it founds its cluster.
     """
-    order = _canonical_order(batch)
-    reps: list[int] = []
+    reps: list[tuple[int, SiteMapper]] = []
     assignment = [-1] * len(batch)
-    for i in order:
-        for rep in reps:
-            if structures_match(batch[i], batch[rep], cfg):
+    for i in sorted(range(len(batch)), key=lambda i: batch[i].key):
+        for rep, sites in reps:
+            if structures_match(batch[i], batch[rep], sites, cfg):
                 assignment[i] = rep
                 break
         else:
-            reps.append(i)
+            reps.append((i, site_mapper(batch[i], cfg)))
             assignment[i] = i
     return assignment
 
 
-def discovery_rates(batch: list[CrystalStructure],
+def discovery_rates(batch: list[MatchRecord],
                     e_hulls: list[float | None],
-                    reference: list[CrystalStructure],
+                    reference: list[MatchRecord],
                     cfg: MatchConfig = MatchConfig()) -> tuple[float, float, float]:
     """Uniqueness, novelty and S.U.N. of one batch, from one clustering pass
-    and one novelty test per structure.
+    and one novelty test per record.
 
-    Uniqueness is clusters per structure; novelty the share matching no
-    reference structure; S.U.N. the share that is at once stable, its
+    Uniqueness is clusters per record; novelty the share matching no
+    reference record; S.U.N. the share that is at once stable, its
     cluster's representative and novel.
     """
     if len(batch) != len(e_hulls):
@@ -135,35 +161,37 @@ def discovery_rates(batch: list[CrystalStructure],
     if not batch:
         raise ValueError("batch must be non-empty")
     assignment = cluster_indices(batch, cfg)
-    novel = [is_novel(s, reference, cfg) for s in batch]
+    targets = [(r, site_mapper(r, cfg)) for r in reference]
+    novel = [is_novel(r, targets, cfg) for r in batch]
     sun = sum(1 for i, e in enumerate(e_hulls)
               if e is not None and is_stable(e) and assignment[i] == i and novel[i])
     n = len(batch)
     return len(set(assignment)) / n, sum(novel) / n, sun / n
 
 
-def uniqueness(batch: list[CrystalStructure],
+def uniqueness(batch: list[MatchRecord],
                cfg: MatchConfig = MatchConfig()) -> float:
-    """Clusters per structure."""
+    """Clusters per record."""
     return discovery_rates(batch, [None] * len(batch), [], cfg)[0]
 
 
-def novelty(batch: list[CrystalStructure],
-            reference: list[CrystalStructure],
+def novelty(batch: list[MatchRecord],
+            reference: list[MatchRecord],
             cfg: MatchConfig = MatchConfig()) -> float:
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    return sum(is_novel(s, reference, cfg) for s in batch) / len(batch)
+    """Share of records that match no reference record."""
+    return discovery_rates(batch, [None] * len(batch), reference, cfg)[1]
 
 
-def is_novel(s: CrystalStructure, reference: list[CrystalStructure],
+def is_novel(r: MatchRecord, reference: list[tuple[MatchRecord, SiteMapper]],
              cfg: MatchConfig = MatchConfig()) -> bool:
-    return not any(structures_match(s, r, cfg) for r in reference)
+    """No reference record matches ``r``; ``reference`` pairs each record
+    with its ``site_mapper``."""
+    return not any(structures_match(r, ref, sites, cfg) for ref, sites in reference)
 
 
-def sun_ratio(batch: list[CrystalStructure],
+def sun_ratio(batch: list[MatchRecord],
               e_hulls: list[float | None],
-              reference: list[CrystalStructure],
+              reference: list[MatchRecord],
               cfg: MatchConfig = MatchConfig()) -> float:
     """Fraction simultaneously stable, unique (cluster representative), novel."""
     return discovery_rates(batch, e_hulls, reference, cfg)[2]

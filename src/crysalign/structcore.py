@@ -8,7 +8,6 @@ The cell-matrix convention is lower-triangular row vectors built from
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +33,16 @@ CHUNK = 1 << 18
 # angles. Below it the cell is flat to rounding: at 1.7e-16, the angles
 # (101, 129, 130) degrees give a Niggli cell 4 % off in volume.
 FLAT_CELL_RATIO = 1e-4
+
+# Accepted cell lengths, in Angstrom. From about 1e21 A on the writer's
+# 28-digit Decimal context cannot hold a length to its 6 places, and near
+# 1e-7 A detection spends over a second on a two-site cell. Within them,
+# and with FLAT_CELL_RATIO, the LLL transform (``reduced_basis``) stays
+# small: an entry is a basis row (at most sqrt(3) times the longest edge
+# while LLL runs) dotted with a dual row (at most 1 / (FLAT_CELL_RATIO times
+# the shortest edge) long), so below 2e11, inside int64 and exact in a double.
+MIN_CELL_LENGTH = 1e-3
+MAX_CELL_LENGTH = 1e4
 
 # Bound on the magnitude of a fractional coordinate. From 2**26 on, the
 # spacing of doubles (2**-26, 1.5e-8) passes the 1e-8 the format writes, and
@@ -73,10 +82,9 @@ class Lattice:
             length = getattr(self, name)
             if not length > 0:
                 raise GeometryError(f"lattice length {name} must be > 0")
-            # The metric and the reduction square the lengths; a square that
-            # overflows or leaves the normal range breaks them.
-            if not sys.float_info.min <= length * length <= sys.float_info.max:
-                raise GeometryError(f"lattice length {name}={length} squares out of float range")
+            if not MIN_CELL_LENGTH <= length <= MAX_CELL_LENGTH:
+                raise GeometryError(f"lattice length {name}={length} outside "
+                                    f"[{MIN_CELL_LENGTH}, {MAX_CELL_LENGTH}] A")
         for name in ("alpha", "beta", "gamma"):
             ang = getattr(self, name)
             if not 0.0 < ang < 180.0:
@@ -84,8 +92,6 @@ class Lattice:
         # Triangle-type condition; a non-positive determinant means the three
         # angles cannot close a parallelepiped.
         volume = self.volume()
-        if not math.isfinite(volume):
-            raise GeometryError("cell volume overflows")
         if volume <= 0:
             raise GeometryError("angles produce a non-positive cell determinant")
         if volume < FLAT_CELL_RATIO * self.a * self.b * self.c:
@@ -185,21 +191,9 @@ class CrystalStructure:
         return self.lattice.volume()
 
     @cached_property
-    def niggli_lattice(self) -> "Lattice":
-        """``niggli_reduce(self.lattice)``, computed once per structure."""
-        return niggli_reduce(self.lattice)
-
-    @cached_property
     def formula(self) -> str:
         """``reduced_formula(self.composition())``, computed once per structure."""
         return reduced_formula(self.composition())
-
-    @cached_property
-    def species(self) -> np.ndarray:
-        """``np.array(self.elements())``, built once per structure; read-only."""
-        species = np.array(self.elements())
-        species.setflags(write=False)
-        return species
 
     @cached_property
     def cart(self) -> np.ndarray:
@@ -469,14 +463,16 @@ class SiteMapper:
         return np.sqrt((x * x).sum(axis=3))
 
     def permutations(self, ws: np.ndarray, ts: np.ndarray,
-                     source: CrystalStructure | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     source: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """The candidates ``(ws[k], ts[k])`` that map the source's sites (by
-        default the target's own, else read in the target's cell) onto the
-        target, ascending, and their permutations: source site i goes to the
+        default the target's own, else the fractional sites and element
+        array ``source``, read in the target's cell) onto the target,
+        ascending, and their permutations: source site i goes to the
         nearest same-element target site to ``w x_i + t`` (first on a tie),
         each within ``tol`` (a NaN distance is no match), no two to one site.
         A source has the target's composition."""
-        frac = self.frac if source is None else source.frac_array()
+        frac = self.frac if source is None else source[0]
         n = len(frac)
         # 3 n floats per candidate: the images of every site.
         step = max(1, CHUNK // (3 * n))
@@ -485,7 +481,7 @@ class SiteMapper:
             alive = np.arange(lo, min(lo + step, len(ws)))
             perms = np.empty((len(alive), n), dtype=np.int32)
             for el, idx in self.by_elem.items():
-                src = idx if source is None else np.flatnonzero(source.species == el)
+                src = idx if source is None else np.flatnonzero(source[1] == el)
                 sites = self.frac[idx]
                 img = np.matmul(frac[src], ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
                 hits = np.arange(len(alive))
@@ -516,7 +512,8 @@ class SiteMapper:
             rows.append(perms[alive - lo])
         return np.concatenate(fits), np.concatenate(rows)
 
-    def anchored_fits(self, rots: np.ndarray, source: CrystalStructure | None = None
+    def anchored_fits(self, rots: np.ndarray,
+                      source: tuple[np.ndarray, np.ndarray] | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each of ``rots`` with each translation taking the source's first
         site of the anchor element (the target's rarest, by name among equal
@@ -524,7 +521,7 @@ class SiteMapper:
         site permutation of each that fits, in candidate order."""
         el, idx = next(iter(self.by_elem.items()))
         x = self.frac[idx]
-        x0 = x[0] if source is None else source.frac_array()[np.argmax(source.species == el)]
+        x0 = x[0] if source is None else source[0][np.argmax(source[1] == el)]
         ts = ((x - np.matmul(rots, x0)[:, None, :]) % 1.0).reshape(-1, 3)
         fit, perms = self.permutations(np.repeat(rots, len(idx), axis=0), ts, source)
         return fit // len(idx), ts[fit], perms

@@ -31,7 +31,7 @@ from crysalign.grpo import (
     train_toy_policy,
 )
 from crysalign.harness import RunConfig, rows_to_csv, run_evaluation
-from crysalign.metrics import novelty, sun_ratio, uniqueness
+from crysalign.metrics import MatchRecord, novelty, sun_ratio, uniqueness
 from crysalign.rewards import (
     combined_reward,
     range_reward,
@@ -323,18 +323,20 @@ class TestCriterion11Metrics:
                           for x in s.sites)
             return CrystalStructure(s.lattice, sites)
 
-        batch = [cscl, shift(cscl), rocksalt, diamond]
+        batch = [MatchRecord.from_structure(s)
+                 for s in (cscl, shift(cscl), rocksalt, diamond)]
+        reference = batch[2:3]
         assert uniqueness(batch) == pytest.approx(3 / 4)
-        assert novelty(batch, [rocksalt]) == pytest.approx(3 / 4)
+        assert novelty(batch, reference) == pytest.approx(3 / 4)
         # Stable: all but rocksalt; qualifying: one cscl rep + diamond.
-        got = sun_ratio(batch, [0.0, 0.0, 0.0, 0.0], [rocksalt])
+        got = sun_ratio(batch, [0.0, 0.0, 0.0, 0.0], reference)
         assert got == pytest.approx(2 / 4)
 
     def test_sun_bounded_on_random_batches(self, cscl, rocksalt, diamond,
                                            hcp_mg):
         rng = random.Random(111)
-        pool = [cscl, rocksalt, diamond, hcp_mg]
-        reference = [rocksalt, hcp_mg]
+        pool = [MatchRecord.from_structure(s) for s in (cscl, rocksalt, diamond, hcp_mg)]
+        reference = [pool[1], pool[3]]
         for _ in range(100):
             batch = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
             e_hulls = [rng.choice([0.0, 0.01, 0.05, None]) for _ in batch]

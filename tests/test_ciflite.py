@@ -70,7 +70,9 @@ class TestParse:
         ("inf 5.6 5.6", "90 90 90"), ("5.6 5.6 5.6", "130 130 130"),
         ("5.6 5.6 5.6", "90 inf 90"), ("2 2 2", "101 129 130"),
         ("1e200 1e200 1e200", "90 90 90"), ("5.64 1e-300 5.64", "90 90 90"),
-        ("1e150 1e150 1e150", "90 90 90")])
+        ("1e150 1e150 1e150", "90 90 90"), ("1e22 1e22 1e22", "90 90 90"),
+        ("1e25 5 5", "90 90 90"), ("1e-100 5 5", "90 90 90"), ("1e150 1 1", "90 90 90"),
+        ("1e50 1e-50 1", "90 90 90")])
     def test_bad_cell_is_positioned_parse_error(self, lengths, angles):
         text = f"header\n<CIF>P1\n{lengths}\n{angles}\nNa 1 0 0 0</CIF>"
         with pytest.raises(ParseError) as err:

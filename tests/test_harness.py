@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from crysalign import ciflite, energetics, harness, rewards, validity
+from crysalign import ciflite, energetics, harness, metrics, rewards, validity
 from crysalign.ciflite import write_ciflite
 from crysalign.harness import (
     EXIT_INPUT,
@@ -155,7 +155,8 @@ class TestHullMemo:
         assert len(calls) == 2
         backend = energetics.PairPotentialBackend.load_default()
         refs = energetics.load_reference_phases()
-        for row, s in results:
+        for (row, _), (_, sample) in zip(results, chunk[0]):
+            s = ciflite.parse_ciflite(sample.response_text)
             entry = energetics.PhaseEntry(s.composition(),
                                           energetics.formation_energy(backend, s))
             want = max(energetics.energy_above_hull(entry, refs).e_hull, 0.0)
@@ -210,8 +211,7 @@ class TestReducedBasisOnce:
         results = harness._evaluate_chunk((list(enumerate(records)), config))
         assert all(row.site_match is not None and row.e_hull is not None
                    for row, _ in results)
-        structures = [s for _, s in results]
-        uniq, _, _ = metrics.discovery_rates(structures, [0.0] * 3, [])
+        uniq, _, _ = metrics.discovery_rates([r for _, r in results], [0.0] * 3, [])
         assert uniq == 1 / 3
         assert counts == {structcore: 3, detect: 1}
 
@@ -391,6 +391,97 @@ class TestCheckError:
         assert {e.name: e.count for e in report.entries}["uniqueness"] == 1
 
 
+class TestRecordFaults:
+    """A raise while a match record is built: in a worker it fails that
+    row alone; in a file read in this process it is an input error."""
+
+    @staticmethod
+    def _writer_fails_for(monkeypatch, a):
+        """``metrics.write_ciflite``, which builds each record's key, raises
+        for a cell with first length ``a``."""
+        real = metrics.write_ciflite
+
+        def broken(s):
+            if s.lattice.a == a:
+                raise RuntimeError("writer fault")
+            return real(s)
+
+        monkeypatch.setattr(metrics, "write_ciflite", broken)
+
+    def test_record_fault_fails_its_row_alone(self, tmp_path, monkeypatch):
+        """With 1 and 2 workers, the sample whose record raises is a
+        check_error row with no validity flags. Every other row, and the
+        discovery metrics, equal those of the batch without that sample;
+        every metric equals that of the batch where the sample has no CIF
+        block, which also scores zero and stays out of the discovery
+        metrics."""
+        def batch(name, bad):
+            records = [sample_record(f"p{k}", _rocksalt(a), "NaCl")
+                       for k, a in enumerate((5.0, 5.64, 5.64, 6.3, 7.0))]
+            if bad is not None:
+                records.insert(2, bad)
+            path = tmp_path / f"{name}.jsonl"
+            write_jsonl(path, records)
+            return str(path)
+
+        ref = tmp_path / "ref.txt"
+        ref.write_text(write_ciflite(_rocksalt(6.3)) + "\n")
+
+        def run(path, workers=1):
+            return run_evaluation(RunConfig(samples_path=path, worker_count=workers,
+                                            reference_structures_path=str(ref),
+                                            relax_before_hull=False))
+
+        without_report, without = run(batch("without", None))
+        no_cif = {"prompt_id": "bad", "prompt_text": "The chemical formula is NaCl.",
+                  "response_text": "no structure"}
+        no_cif_report, _ = run(batch("no-cif", no_cif))
+        path = batch("with", sample_record("bad", _rocksalt(5.9), "NaCl"))
+        self._writer_fails_for(monkeypatch, 5.9)
+        discovery = ("uniqueness", "novelty", "sun_ratio")
+        for workers in (1, 2):
+            harness._drop_pool()              # workers fork with the patch
+            report, rows = run(path, workers)
+            bad = rows[2]
+            assert (bad.prompt_id, bad.parse_status) == ("bad", "check_error")
+            assert bad.error == "RuntimeError: writer fault"
+            assert (bad.structural, bad.chemical, bad.composition_match) == (0, 0, 0)
+            assert (bad.formula, bad.e_hull, bad.r_target) == ("", None, 0.0)
+            assert bad.spacegroup_detected is None
+            others = rows[:2] + rows[3:]
+            assert ([dataclasses.replace(r, index=0) for r in others]
+                    == [dataclasses.replace(r, index=0) for r in without])
+            assert ([e for e in report.entries if e.name in discovery]
+                    == [e for e in without_report.entries if e.name in discovery])
+            assert report.to_csv() == no_cif_report.to_csv()
+        values = {e.name: e.value for e in report.entries}
+        assert (values["uniqueness"], values["novelty"]) == (0.8, 0.8)
+
+    def test_file_record_fault_is_input_error(self, tmp_path, monkeypatch, capsys):
+        """A reference or ``crysalign metrics`` block whose record raises
+        names its file and first line, and exits 2, not 3."""
+        from crysalign.cli import main
+        listed = tmp_path / "listed.txt"
+        listed.write_text("\n".join(write_ciflite(_rocksalt(a)) for a in (5.6, 5.9)) + "\n")
+        clean = tmp_path / "clean.txt"
+        clean.write_text(write_ciflite(_rocksalt(5.6)) + "\n")
+        samples = tmp_path / "samples.jsonl"
+        write_jsonl(samples, [sample_record("p0", _rocksalt(5.6), "NaCl")])
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsamples_path = {samples}\n"
+                       f"reference_structures_path = {listed}\n")
+        self._writer_fails_for(monkeypatch, 5.9)
+        want = f"{listed}: block at line 12: RuntimeError: writer fault"
+        with pytest.raises(InputError) as info:
+            run_evaluation(load_config(str(ini)))
+        assert str(info.value) == want
+        for argv in (["metrics", str(listed)],
+                     ["metrics", str(clean), "--reference", str(listed)],
+                     ["evaluate", "--config", str(ini), "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_INPUT
+            assert capsys.readouterr().err.strip() == want
+
+
 # Pieces of an adversarial response: a rock-salt cell, its trace, and the
 # ways a generator can break either or its prompt.
 _BIG = "7" * 5000
@@ -405,6 +496,8 @@ _ROCKSALT_TRACE = (
 _BREAKS = {
     "huge_lengths": lambda p: dict(p, lengths="1e200 1e200 1e200"),
     "tiny_length": lambda p: dict(p, lengths="5.64 1e-300 5.64"),
+    "giant_length": lambda p: dict(p, lengths="1e25 5 5"),
+    "skewed_lengths": lambda p: dict(p, lengths="1e-100 5 5"),
     "huge_coordinate": lambda p: dict(p, sites=p["sites"][:4] + ["Cl 1 1e300 0.5 0.5"]
                                       + p["sites"][5:]),
     "sites_at_one_point": lambda p: dict(p, sites=p["sites"] + p["sites"][:1]),
@@ -449,7 +542,7 @@ def adversarial_samples(n, seed):
 
 
 # The values of the breaks that no parsed cell may hold.
-_UNPARSEABLE = ("1e200 1e200 1e200", "1e-300", "1e300")
+_UNPARSEABLE = ("1e200 1e200 1e200", "1e-300", "1e300", "1e25 5 5", "1e-100 5 5")
 
 
 class TestAdversarialRows:
@@ -457,8 +550,9 @@ class TestAdversarialRows:
     def test_every_sample_gets_one_row_with_a_plain_reason(self, tmp_path, seed):
         """However a response is broken, the batch finishes with one row per
         sample in order, for one worker and for two, and no row's reason
-        holds a traceback or the path of this checkout. A sample with huge
-        lengths, a tiny length or a huge coordinate is a parse error. The
+        holds a traceback or the path of this checkout. A sample with a cell
+        length outside the accepted range or a huge coordinate is a parse
+        error. The
         unbroken response last is the batch's ``ok`` row."""
         records = adversarial_samples(3 * len(_BREAKS), seed) + [
             _record("clean", _ROCKSALT_PARTS)]

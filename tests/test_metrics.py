@@ -10,6 +10,7 @@ import pytest
 from crysalign import metrics, structcore
 from crysalign.metrics import (
     MatchConfig,
+    MatchRecord,
     MetricReport,
     MetricValue,
     aggregate,
@@ -17,6 +18,7 @@ from crysalign.metrics import (
     discovery_rates,
     is_novel,
     novelty,
+    site_mapper,
     structures_match,
     sun_ratio,
     uniqueness,
@@ -24,6 +26,22 @@ from crysalign.metrics import (
 from crysalign.structcore import CrystalStructure, Lattice, Site
 
 from conftest import make_structure
+
+
+def records(structures):
+    return [MatchRecord.from_structure(s) for s in structures]
+
+
+def match(a, b, cfg=MatchConfig()):
+    """``structures_match`` on two structures, each made a record and b's
+    mapper built for this one call."""
+    ra, rb = records([a, b])
+    return structures_match(ra, rb, site_mapper(rb, cfg), cfg)
+
+
+def targets(reference, cfg=MatchConfig()):
+    """The reference form ``is_novel`` reads: each record with its mapper."""
+    return [(r, site_mapper(r, cfg)) for r in reference]
 
 
 def shifted(s, delta):
@@ -53,38 +71,38 @@ def random_structure(rng):
 
 class TestStructuresMatch:
     def test_reflexive(self, rocksalt):
-        assert structures_match(rocksalt, rocksalt)
+        assert match(rocksalt, rocksalt)
 
     def test_symmetric_on_random_pairs(self):
         rng = random.Random(2)
         for _ in range(30):
             a, b = random_structure(rng), random_structure(rng)
-            assert structures_match(a, b) == structures_match(b, a)
+            assert match(a, b) == match(b, a)
 
     def test_rescale_differs(self, rocksalt):
-        assert not structures_match(rocksalt, rescaled(rocksalt, 2.0))
+        assert not match(rocksalt, rescaled(rocksalt, 2.0))
 
     def test_translation_invariant(self, rocksalt):
-        assert structures_match(rocksalt, shifted(rocksalt, (0.25, 0.25, 0.25)))
+        assert match(rocksalt, shifted(rocksalt, (0.25, 0.25, 0.25)))
 
     def test_site_permutation_invariant(self, rocksalt):
         permuted = CrystalStructure(rocksalt.lattice, rocksalt.sites[::-1])
-        assert structures_match(rocksalt, permuted)
+        assert match(rocksalt, permuted)
 
     def test_small_perturbation_matches(self, cscl):
         nudged = make_structure(
             (4.11, 4.11, 4.11, 90, 90, 90),
             [("Cs", (0.005, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
-        assert structures_match(cscl, nudged)
+        assert match(cscl, nudged)
 
     def test_large_perturbation_differs(self, cscl):
         moved = make_structure(
             (4.11, 4.11, 4.11, 90, 90, 90),
             [("Cs", (0.2, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
-        assert not structures_match(cscl, moved)
+        assert not match(cscl, moved)
 
     def test_different_formulas_differ(self, cscl, rocksalt):
-        assert not structures_match(cscl, rocksalt)
+        assert not match(cscl, rocksalt)
 
     def test_nan_coordinate_never_matches(self):
         lattice = Lattice(5.35, 5.35, 5.35, 90, 90, 90)
@@ -95,16 +113,16 @@ class TestStructuresMatch:
         f_nan = Site("F", (0.5, 0.5, 0.5))
         object.__setattr__(f_nan, "frac_coords", (math.nan, 0.5, 0.5))
         broken = CrystalStructure(lattice, (Site("K", (0.0, 0.0, 0.0)), f_nan))
-        assert not structures_match(broken, valid)
-        assert not structures_match(valid, broken)
-        assert not structures_match(broken, broken)
+        assert not match(broken, valid)
+        assert not match(valid, broken)
+        assert not match(broken, broken)
 
     def test_element_identity_matters(self, cscl):
         swapped = make_structure(
             (4.11, 4.11, 4.11, 90, 90, 90),
             [("Cl", (0.0, 0.0, 0.0)), ("Cs", (0.5, 0.5, 0.5))])
         # Same composition and geometry; Cl now on the corner site.
-        assert structures_match(cscl, swapped) == structures_match(swapped, cscl)
+        assert match(cscl, swapped) == match(swapped, cscl)
 
 
 def supercell(s, n):
@@ -133,8 +151,8 @@ class TestMatchScale:
             frac[0] += factor * tol * unit @ np.linalg.inv(s.lattice.matrix())
             assert s.sites[0].element == "Na"
             moved = s.with_coords(frac)
-            assert structures_match(moved, s) is want
-            assert structures_match(s, moved) is want
+            assert match(moved, s) is want
+            assert match(s, moved) is want
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize")
     def test_large_pair_decides_in_bounded_time(self):
@@ -151,25 +169,26 @@ class TestMatchScale:
 
 
 # Decision and seconds of one match of two random 1,000-site Na/Cl cells of
-# one lattice, after a warm-up match, under an address-space cap.
+# one lattice, b's mapper built in the timed span, after a warm-up match,
+# under an address-space cap.
 _LARGE_PAIR_MATCH = """
 import resource, sys, time
 sys.path[:0] = sys.argv[1:3]
-from crysalign.metrics import structures_match
+from crysalign.metrics import MatchRecord, site_mapper, structures_match
 from test_structcore import _random_nacl
 
 def status_kb(key):
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
 
-a, b = _random_nacl(1000, seed=1), _random_nacl(1000, seed=2)
-small = _random_nacl(4, seed=3)
-structures_match(small, small)
+a, b, small = (MatchRecord.from_structure(_random_nacl(n, seed=seed))
+                for n, seed in ((1000, 1), (1000, 2), (4, 3)))
+structures_match(small, small, site_mapper(small))
 cap = status_kb("VmSize") * 1024 + 2**30
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
 start = time.perf_counter()
-matched = structures_match(a, b)
+matched = structures_match(a, b, site_mapper(b))
 print(matched, time.perf_counter() - start)
 """
 
@@ -178,22 +197,22 @@ class TestUniqueness:
     def test_two_identical_pairs(self, cscl, rocksalt):
         batch = [cscl, shifted(cscl, (0.1, 0.1, 0.1)),
                  rocksalt, shifted(rocksalt, (0.25, 0.0, 0.0))]
-        assert uniqueness(batch) == pytest.approx(0.5)
+        assert uniqueness(records(batch)) == pytest.approx(0.5)
 
     def test_all_distinct(self, cscl, rocksalt, diamond):
-        assert uniqueness([cscl, rocksalt, diamond]) == pytest.approx(1.0)
+        assert uniqueness(records([cscl, rocksalt, diamond])) == pytest.approx(1.0)
 
     def test_all_identical(self, cscl):
-        assert uniqueness([cscl] * 5) == pytest.approx(1 / 5)
+        assert uniqueness(records([cscl] * 5)) == pytest.approx(1 / 5)
 
     def test_batch_order_invariant(self, cscl, rocksalt, diamond):
-        batch = [cscl, rocksalt, diamond, shifted(cscl, (0.3, 0.0, 0.0))]
+        batch = records([cscl, rocksalt, diamond, shifted(cscl, (0.3, 0.0, 0.0))])
         for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
             assert uniqueness([batch[i] for i in perm]) == pytest.approx(0.75)
 
     def test_duplicate_never_increases_clusters(self, cscl, rocksalt):
-        base = [cscl, rocksalt]
-        more = base + [cscl]
+        base = records([cscl, rocksalt])
+        more = base + records([cscl])
         n_base = len(set(cluster_indices(base)))
         n_more = len(set(cluster_indices(more)))
         assert n_more == n_base
@@ -213,8 +232,8 @@ class TestUniqueness:
         batch = [make_structure((4.0 + 0.5 * k, 4.0, 4.0, 90, 90, 90),
                                 [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
                  for k in range(8)]
-        assert len(set(cluster_indices(batch))) == len(batch)
-        assert 0 < len(calls) <= len(batch)
+        assert len(set(cluster_indices(records(batch)))) == len(batch)
+        assert len(calls) == len(batch)
 
 
     def test_each_formula_reduced_once(self, monkeypatch):
@@ -232,8 +251,8 @@ class TestUniqueness:
         batch = [make_structure((4.0 + 0.5 * k, 4.0, 4.0, 90, 90, 90),
                                 [("Cs", (0.0, 0.0, 0.0)), ("Cl", (0.5, 0.5, 0.5))])
                  for k in range(8)]
-        assert len(set(cluster_indices(batch))) == len(batch)
-        assert 0 < len(calls) <= len(batch)
+        assert len(set(cluster_indices(records(batch)))) == len(batch)
+        assert len(calls) == len(batch)
 
     def test_formula_is_reduced_composition(self, cscl, rocksalt, diamond, calcite):
         rng = random.Random(5)
@@ -247,14 +266,14 @@ class TestSharedAssignment:
         """``discovery_rates`` against the three definitions written out
         from one ``cluster_indices`` pass and ``is_novel``."""
         rng = random.Random(11)
-        pool = [cscl, rocksalt, diamond, shifted(cscl, (0.1, 0.1, 0.1)),
-                shifted(diamond, (0.25, 0.25, 0.25)), random_structure(rng)]
+        pool = records([cscl, rocksalt, diamond, shifted(cscl, (0.1, 0.1, 0.1)),
+                        shifted(diamond, (0.25, 0.25, 0.25)), random_structure(rng)])
         for _ in range(40):
             batch = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             e_hulls = [rng.choice([0.0, 0.02, None]) for _ in batch]
-            reference = rng.choice([[], [rocksalt], [cscl, diamond]])
+            reference = rng.choice([[], [pool[1]], [pool[0], pool[2]]])
             assignment = cluster_indices(batch)
-            novel = [is_novel(s, reference) for s in batch]
+            novel = [is_novel(r, targets(reference)) for r in batch]
             sun = [e is not None and e < 0.016 and assignment[i] == i and novel[i]
                    for i, e in enumerate(e_hulls)]
             n = len(batch)
@@ -268,7 +287,7 @@ class TestSharedAssignment:
         with pytest.raises(ValueError):
             discovery_rates([], [], [])
         with pytest.raises(ValueError):
-            discovery_rates([cscl], [0.0, 0.0], [])
+            discovery_rates(records([cscl]), [0.0, 0.0], [])
 
 
 def spacing_tol(b, cfg):
@@ -377,8 +396,8 @@ class TestSitesAssignOracle:
                             self.grid_structure(rng, ["Na", "Cl", "O"], a.num_sites)])
             cfg = MatchConfig(site_tol=rng.choice([0.03, 0.1, 0.2, 0.4]))
             want = loop_sites_assign(a, b, cfg)
-            assert structures_match(a, b, cfg) == want
-            assert structures_match(b, a, cfg) == loop_sites_assign(b, a, cfg)
+            assert match(a, b, cfg) == want
+            assert match(b, a, cfg) == loop_sites_assign(b, a, cfg)
             outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -395,7 +414,7 @@ class TestSitesAssignOracle:
             b = make_structure((5.0, 5.0, 5.0, 90, 90, 90),
                                [("Cl", (0, 0, 0))] + [("Na", (x, 0, 0)) for x in order])
             assert loop_sites_assign(a, b, cfg) is want
-            assert structures_match(a, b, cfg) is want
+            assert match(a, b, cfg) is want
             assert fractional_sites_assign(a, b, 0.25)
 
     def test_matches_loop_with_nan_sites(self):
@@ -410,15 +429,15 @@ class TestSitesAssignOracle:
             object.__setattr__(site, "frac_coords", tuple(coords))
             for x, y in ((a, b), (b, a), (b, b)):
                 assert not loop_sites_assign(x, y, MatchConfig())
-                assert not structures_match(x, y)
+                assert not match(x, y)
 
     def test_duplicated_site_matches_nothing(self, rocksalt):
         """Two sites of one element at one point both go to the first of
         them, so the cell matches neither itself nor a shifted copy."""
         doubled = CrystalStructure(rocksalt.lattice, rocksalt.sites + rocksalt.sites[:1])
         for other in (doubled, shifted(doubled, (0.25, 0.0, 0.0))):
-            assert not structures_match(doubled, other)
-            assert not structures_match(other, doubled)
+            assert not match(doubled, other)
+            assert not match(other, doubled)
             assert not loop_sites_assign(doubled, other, MatchConfig())
 
     @staticmethod
@@ -484,7 +503,7 @@ class TestSitesAssignOracle:
                 b = self.valid_structure(rng, like=a)
             want = {"inside": True, "outside": False}.get(kind)
             for x, y in ((a, b), (b, a)):
-                got = structures_match(x, y, cfg)
+                got = match(x, y, cfg)
                 assert got == fractional_sites_assign(x, y, frac_tol) == loop_sites_assign(x, y, cfg)
                 if want is not None:
                     assert got is want
@@ -494,43 +513,44 @@ class TestSitesAssignOracle:
 
 class TestNovelty:
     def test_subset_of_reference(self, cscl, rocksalt):
-        assert novelty([cscl, rocksalt], [cscl, rocksalt]) == 0.0
+        assert novelty(records([cscl, rocksalt]), records([cscl, rocksalt])) == 0.0
 
     def test_disjoint_compositions(self, cscl, diamond, rocksalt):
-        assert novelty([cscl, diamond], [rocksalt]) == 1.0
+        assert novelty(records([cscl, diamond]), records([rocksalt])) == 1.0
 
     def test_half_in_reference(self, cscl, rocksalt):
-        assert novelty([cscl, rocksalt], [rocksalt]) == pytest.approx(0.5)
+        assert novelty(records([cscl, rocksalt]), records([rocksalt])) == pytest.approx(0.5)
 
     def test_is_novel_prunes_by_formula(self, cscl, rocksalt):
-        assert is_novel(cscl, [rocksalt])
-        assert not is_novel(cscl, [shifted(cscl, (0.1, 0.2, 0.3))])
+        (r,) = records([cscl])
+        assert is_novel(r, targets(records([rocksalt])))
+        assert not is_novel(r, targets(records([shifted(cscl, (0.1, 0.2, 0.3))])))
 
 
 class TestSun:
     def test_duplicates_of_one_novel_stable(self, cscl, rocksalt):
         batch = [cscl, shifted(cscl, (0.1, 0.0, 0.0)), shifted(cscl, (0.2, 0.0, 0.0))]
-        got = sun_ratio(batch, [0.0, 0.0, 0.0], [rocksalt])
+        got = sun_ratio(records(batch), [0.0, 0.0, 0.0], records([rocksalt]))
         assert got == pytest.approx(1 / 3)
 
     def test_none_stable(self, cscl, rocksalt):
-        assert sun_ratio([cscl], [0.5], [rocksalt]) == 0.0
+        assert sun_ratio(records([cscl]), [0.5], records([rocksalt])) == 0.0
 
     def test_missing_e_hull_not_stable(self, cscl, rocksalt):
-        assert sun_ratio([cscl], [None], [rocksalt]) == 0.0
+        assert sun_ratio(records([cscl]), [None], records([rocksalt])) == 0.0
 
     def test_constructed_counts(self, cscl, rocksalt, diamond):
         # diamond duplicated (one representative), cscl unstable,
         # rocksalt in the reference: exactly one qualifying structure.
         batch = [diamond, shifted(diamond, (0.25, 0.25, 0.25)), cscl, rocksalt]
-        got = sun_ratio(batch, [0.0, 0.0, 0.1, 0.0], [rocksalt])
+        got = sun_ratio(records(batch), [0.0, 0.0, 0.1, 0.0], records([rocksalt]))
         assert got == pytest.approx(1 / 4)
 
     def test_bounded_by_component_rates(self, cscl, rocksalt, diamond):
         rng = random.Random(7)
-        pool = [cscl, rocksalt, diamond,
-                shifted(cscl, (0.1, 0.1, 0.1)), random_structure(rng)]
-        reference = [rocksalt]
+        pool = records([cscl, rocksalt, diamond,
+                        shifted(cscl, (0.1, 0.1, 0.1)), random_structure(rng)])
+        reference = [pool[1]]
         for _ in range(100):
             batch = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             e_hulls = [rng.choice([0.0, 0.02, None]) for _ in batch]
