@@ -25,6 +25,7 @@ from .structcore import (
     ELEMENT_SET,
     GeometryError,
     Lattice,
+    MAX_SITES,
     Site,
 )
 
@@ -65,7 +66,6 @@ class SampleRecord:
     prompt_id: str
     prompt_text: str
     response_text: str
-    line_number: int = 0
 
     def __post_init__(self):
         if not self.prompt_id:
@@ -127,6 +127,9 @@ def parse_ciflite(text: str) -> CrystalStructure:
     except GeometryError as e:
         raise ParseError(str(e), base_line + lines[1][0]) from None
 
+    if len(lines) - 3 > MAX_SITES:
+        raise ParseError(f"block lists more than {MAX_SITES} sites",
+                         base_line + lines[3 + MAX_SITES][0])
     sites = []
     for idx, ln in lines[3:]:
         parts = ln.split()
@@ -255,7 +258,6 @@ def load_samples(path) -> list[SampleRecord]:
                     prompt_id=str(obj["prompt_id"]),
                     prompt_text=str(obj["prompt_text"]),
                     response_text=str(obj["response_text"]),
-                    line_number=lineno,
                 ))
             except ValueError as e:
                 raise ParseError(f"{path}: {e}", lineno) from None

@@ -354,7 +354,7 @@ def _build_metric_report(rows, scored, reference, match_cfg):
         if values:
             entries.append(replace(metrics.aggregate(values), name=name))
         else:
-            entries.append(metrics.MetricValue(name, 0.0, 0.0, 0, low_count=True))
+            entries.append(metrics.MetricValue(name, 0.0, 0.0, 0))
 
     add("structural_validity", [bool(r.structural) for r in rows])
     add("chemical_validity", [bool(r.chemical) for r in rows])
@@ -374,7 +374,7 @@ def _build_metric_report(rows, scored, reference, match_cfg):
     else:
         uniq = nov = sun = 0.0
     for name, value in (("uniqueness", uniq), ("novelty", nov), ("sun_ratio", sun)):
-        entries.append(metrics.MetricValue(name, value, 0.0, m, low_count=m <= 1))
+        entries.append(metrics.MetricValue(name, value, 0.0, m))
     return metrics.MetricReport(tuple(entries))
 
 

@@ -2,10 +2,10 @@
 S.U.N., aggregation.
 
 Each structure becomes one ``MatchRecord`` where its row is checked, and the
-batch metrics read records only. Matching maps one record's sites onto
-another's, each in the cell it is written in, with detection's site mapper
-at ``site_tol`` mean site spacings; each target's mapper is built once per
-batch (``site_mapper``), not once per comparison.
+batch metrics read records only. A record holds its sites in one form, the
+detection's site mapper, built with the record; matching maps one record's
+sites onto another's with the target's mapper, each in the cell it is
+written in, at ``site_tol`` mean site spacings of the target.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .ciflite import write_ciflite
 from .energetics import is_stable
-from .structcore import CrystalStructure, Lattice, SiteMapper, niggli_reduce
+from .structcore import CrystalStructure, SiteMapper, niggli_reduce
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class MetricValue:
     value: float
     standard_error: float
     count: int
-    low_count: bool = False
 
     def __post_init__(self):
         if self.standard_error < 0:
@@ -70,58 +69,47 @@ class MetricReport:
 
 @dataclass(frozen=True, eq=False)
 class MatchRecord:
-    """What the batch metrics read of one structure: its formula, site
-    count and Niggli cell, the site mapper's inputs (row-vector cell matrix,
-    fractional sites, element per site; read-only), the mean site spacing
-    (V / n)^(1/3), and its CIF text, the key that orders a batch."""
+    """What the batch metrics read of one structure: its formula, the six
+    numbers of its Niggli cell, its sites as the mapper that matches other
+    records onto it, the mean site spacing (V / n)^(1/3), and its CIF text,
+    the key that orders a batch."""
 
     formula: str
-    num_sites: int
-    niggli: Lattice
-    cell: np.ndarray
-    frac: np.ndarray
-    species: np.ndarray
+    niggli: tuple[float, float, float, float, float, float]
+    sites: SiteMapper
     spacing: float
     key: str
 
     @classmethod
     def from_structure(cls, s: CrystalStructure) -> "MatchRecord":
-        arrays = (s.lattice.matrix(), s.frac_array(), np.array(s.elements()))
-        for array in arrays:
-            array.setflags(write=False)
-        return cls(s.formula, s.num_sites, niggli_reduce(s.lattice), *arrays,
+        sites = SiteMapper(s.lattice.matrix(), s.frac_array(), s.elements())
+        return cls(s.formula, niggli_reduce(s.lattice), sites,
                    (s.volume() / s.num_sites) ** (1.0 / 3.0), write_ciflite(s))
 
 
-def site_mapper(r: MatchRecord, cfg: MatchConfig = MatchConfig()) -> SiteMapper:
-    """The mapper that matches other records onto ``r``: its sites, each
-    within ``site_tol`` of its mean site spacings."""
-    return SiteMapper(r.cell, r.frac, tuple(r.species.tolist()), cfg.site_tol * r.spacing)
-
-
-def _lattices_agree(la: Lattice, lb: Lattice, cfg: MatchConfig) -> bool:
-    for x, y in zip(la.lengths, lb.lengths):
+def _lattices_agree(la: tuple, lb: tuple, cfg: MatchConfig) -> bool:
+    for x, y in zip(la[:3], lb[:3]):
         if abs(x - y) > cfg.length_tol * max(x, y):
             return False
-    for x, y in zip(la.angles, lb.angles):
+    for x, y in zip(la[3:], lb[3:]):
         if abs(x - y) > cfg.angle_tol:
             return False
     return True
 
 
-def structures_match(a: MatchRecord, b: MatchRecord, b_sites: SiteMapper,
+def structures_match(a: MatchRecord, b: MatchRecord,
                      cfg: MatchConfig = MatchConfig()) -> bool:
     """Same reduced formula and site count, compatible reduced cells, and a
     translation taking a's first site of b's rarest element onto a b site
     of that element that puts each site of a, in b's cell, nearest to a
     distinct same-element site of b (the first on a tie), closer than
-    ``site_tol`` mean site spacings of b. ``b_sites`` is
-    ``site_mapper(b, cfg)``."""
-    if a.formula != b.formula or a.num_sites != b.num_sites:
+    ``site_tol`` mean site spacings of b."""
+    if a.formula != b.formula or len(a.sites.frac) != len(b.sites.frac):
         return False
     if not _lattices_agree(a.niggli, b.niggli, cfg):
         return False
-    return len(b_sites.anchored_fits(np.eye(3, dtype=int)[None], (a.frac, a.species))[0]) > 0
+    fits = b.sites.anchored_fits(np.eye(3, dtype=int)[None], cfg.site_tol * b.spacing, a.sites)
+    return len(fits[0]) > 0
 
 
 def cluster_indices(batch: list[MatchRecord],
@@ -129,18 +117,17 @@ def cluster_indices(batch: list[MatchRecord],
     """Cluster id per record; ids index the cluster representative.
 
     Records are visited in the order of their keys, so the clustering does
-    not depend on batch order or worker schedule. Each representative's
-    mapper is built once, when it founds its cluster.
+    not depend on batch order or worker schedule.
     """
-    reps: list[tuple[int, SiteMapper]] = []
+    reps: list[int] = []
     assignment = [-1] * len(batch)
     for i in sorted(range(len(batch)), key=lambda i: batch[i].key):
-        for rep, sites in reps:
-            if structures_match(batch[i], batch[rep], sites, cfg):
+        for rep in reps:
+            if structures_match(batch[i], batch[rep], cfg):
                 assignment[i] = rep
                 break
         else:
-            reps.append((i, site_mapper(batch[i], cfg)))
+            reps.append(i)
             assignment[i] = i
     return assignment
 
@@ -161,8 +148,7 @@ def discovery_rates(batch: list[MatchRecord],
     if not batch:
         raise ValueError("batch must be non-empty")
     assignment = cluster_indices(batch, cfg)
-    targets = [(r, site_mapper(r, cfg)) for r in reference]
-    novel = [is_novel(r, targets, cfg) for r in batch]
+    novel = [is_novel(r, reference, cfg) for r in batch]
     sun = sum(1 for i, e in enumerate(e_hulls)
               if e is not None and is_stable(e) and assignment[i] == i and novel[i])
     n = len(batch)
@@ -182,11 +168,10 @@ def novelty(batch: list[MatchRecord],
     return discovery_rates(batch, [None] * len(batch), reference, cfg)[1]
 
 
-def is_novel(r: MatchRecord, reference: list[tuple[MatchRecord, SiteMapper]],
+def is_novel(r: MatchRecord, reference: list[MatchRecord],
              cfg: MatchConfig = MatchConfig()) -> bool:
-    """No reference record matches ``r``; ``reference`` pairs each record
-    with its ``site_mapper``."""
-    return not any(structures_match(r, ref, sites, cfg) for ref, sites in reference)
+    """No reference record matches ``r``."""
+    return not any(structures_match(r, ref, cfg) for ref in reference)
 
 
 def sun_ratio(batch: list[MatchRecord],
@@ -206,7 +191,7 @@ def aggregate(values) -> MetricValue:
     if all(isinstance(v, (bool, np.bool_)) for v in seq):
         p = sum(bool(v) for v in seq) / n
         se = math.sqrt(p * (1.0 - p) / n)
-        return MetricValue("", p, se, n, low_count=(n == 1))
+        return MetricValue("", p, se, n)
     arr = np.asarray(seq, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MetricValue("", float(arr.mean()), se, n, low_count=(n == 1))
+    return MetricValue("", float(arr.mean()), se, n)

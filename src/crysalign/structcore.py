@@ -50,6 +50,11 @@ MAX_CELL_LENGTH = 1e4
 # puts the site at a place the input never gave.
 MAX_FRAC_COORD = 2.0 ** 26
 
+# Most sites one parsed cell may list. Detection grows about as the square
+# of the site count (2,000 sites took 3.2 s and 90 MB), and the largest
+# workload cell has 216 sites; generator training sets hold at most 52.
+MAX_SITES = 512
+
 
 class GeometryError(ValueError):
     """Non-finite or degenerate geometry (e.g. a non-positive cell determinant)."""
@@ -438,14 +443,13 @@ def neighbour_shells(s: CrystalStructure) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 class SiteMapper:
-    """Tests whether candidate ops map a site set onto the mapper's own
-    sites, the target: symmetry detection maps a cell onto itself, and
-    structure matching one structure onto another."""
+    """Tests whether candidate ops map a site set, the source, onto the
+    mapper's own sites, the target: symmetry detection maps a cell onto
+    itself, and structure matching one structure onto another."""
 
-    def __init__(self, cell: np.ndarray, frac: np.ndarray, elems: tuple, tol: float):
+    def __init__(self, cell: np.ndarray, frac: np.ndarray, elems: tuple):
         self.cell = cell                     # rows = basis vectors (Cartesian)
         self.frac = frac
-        self.tol = tol
         # element -> its site indices, rarest element first and equal counts
         # by name, so the order (and the anchor) never follows string hashing.
         counts = {el: elems.count(el) for el in set(elems)}
@@ -462,18 +466,17 @@ class SiteMapper:
         x = d @ self.cell
         return np.sqrt((x * x).sum(axis=3))
 
-    def permutations(self, ws: np.ndarray, ts: np.ndarray,
-                     source: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def permutations(self, ws: np.ndarray, ts: np.ndarray, tol: float,
+                     source: SiteMapper | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The candidates ``(ws[k], ts[k])`` that map the source's sites (by
-        default the target's own, else the fractional sites and element
-        array ``source``, read in the target's cell) onto the target,
-        ascending, and their permutations: source site i goes to the
-        nearest same-element target site to ``w x_i + t`` (first on a tie),
-        each within ``tol`` (a NaN distance is no match), no two to one site.
-        A source has the target's composition."""
-        frac = self.frac if source is None else source[0]
-        n = len(frac)
+        default the target's own, else those of the mapper ``source``, read
+        in the target's cell) onto the target, ascending, and their
+        permutations: source site i goes to the nearest same-element target
+        site to ``w x_i + t`` (first on a tie), each within ``tol`` (a NaN
+        distance is no match), no two to one site. A source has the
+        target's composition."""
+        source = self if source is None else source
+        n = len(source.frac)
         # 3 n floats per candidate: the images of every site.
         step = max(1, CHUNK // (3 * n))
         fits, rows = [np.zeros(0, dtype=int)], [np.zeros((0, n), dtype=np.int32)]
@@ -481,9 +484,9 @@ class SiteMapper:
             alive = np.arange(lo, min(lo + step, len(ws)))
             perms = np.empty((len(alive), n), dtype=np.int32)
             for el, idx in self.by_elem.items():
-                src = idx if source is None else np.flatnonzero(source[1] == el)
+                src = source.by_elem[el]
                 sites = self.frac[idx]
-                img = np.matmul(frac[src], ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
+                img = np.matmul(source.frac[src], ws[alive].transpose(0, 2, 1)) + ts[alive][:, None, :]
                 hits = np.arange(len(alive))
                 if len(src) > 1 and len(alive) > 1:
                     # A candidate that fails mostly fails on any one site, so
@@ -492,7 +495,7 @@ class SiteMapper:
                     # search builds its candidates to map the first anchor
                     # site exactly. (With one site, that row is the block; a
                     # lone candidate, mostly the fitting identity, gains nothing.)
-                    near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < self.tol
+                    near = self._distances(sites, img[:, -1:])[:, 0].min(axis=1) < tol
                     hits = hits[near]
                 # 3 m m floats per candidate in a full block.
                 block = max(1, CHUNK // (3 * len(src) * len(idx)))
@@ -502,7 +505,7 @@ class SiteMapper:
                     dist = self._distances(sites, img[hit])
                     image = idx[dist.argmin(axis=2)]
                     ordered = np.sort(image, axis=1)
-                    ok[hit] = ((dist.min(axis=2) < self.tol).all(axis=1)
+                    ok[hit] = ((dist.min(axis=2) < tol).all(axis=1)
                                & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
                     perms[alive[hit, None] - lo, src] = image
                 alive = alive[ok]
@@ -512,18 +515,20 @@ class SiteMapper:
             rows.append(perms[alive - lo])
         return np.concatenate(fits), np.concatenate(rows)
 
-    def anchored_fits(self, rots: np.ndarray,
-                      source: tuple[np.ndarray, np.ndarray] | None = None
+    def anchored_fits(self, rots: np.ndarray, tol: float,
+                      source: SiteMapper | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each of ``rots`` with each translation taking the source's first
         site of the anchor element (the target's rarest, by name among equal
         counts) onto an anchor site: the rotation index, translation and
-        site permutation of each that fits, in candidate order."""
+        site permutation of each that fits within ``tol``, in candidate
+        order."""
+        source = self if source is None else source
         el, idx = next(iter(self.by_elem.items()))
         x = self.frac[idx]
-        x0 = x[0] if source is None else source[0][np.argmax(source[1] == el)]
+        x0 = source.frac[source.by_elem[el][0]]
         ts = ((x - np.matmul(rots, x0)[:, None, :]) % 1.0).reshape(-1, 3)
-        fit, perms = self.permutations(np.repeat(rots, len(idx), axis=0), ts, source)
+        fit, perms = self.permutations(np.repeat(rots, len(idx), axis=0), ts, tol, source)
         return fit // len(idx), ts[fit], perms
 
 
@@ -533,8 +538,11 @@ NIGGLI_EPS = 1e-10
 NIGGLI_MAX_STEPS = 200
 
 
-def niggli_reduce(lattice: Lattice) -> Lattice:
-    """Niggli-reduce a cell (Krivy-Gruber steps with stabilized comparisons).
+def niggli_reduce(lattice: Lattice) -> tuple[float, float, float, float, float, float]:
+    """Niggli-reduce a cell (Krivy-Gruber steps with stabilized comparisons)
+    to its six numbers ``(a, b, c, alpha, beta, gamma)``, in Angstrom and
+    degrees. They are not a ``Lattice``: a reduced vector may be shorter
+    than any accepted input length.
 
     The steps start from the LLL-reduced basis of the same lattice, so a
     nearly flat cell does not need more of them than ``NIGGLI_MAX_STEPS``.
@@ -618,4 +626,4 @@ def niggli_reduce(lattice: Lattice) -> Lattice:
     alpha = math.degrees(math.acos(np.clip(xi / (2 * lb * lc), -1, 1)))
     beta = math.degrees(math.acos(np.clip(eta / (2 * la * lc), -1, 1)))
     gamma = math.degrees(math.acos(np.clip(zeta / (2 * la * lb), -1, 1)))
-    return Lattice(la, lb, lc, alpha, beta, gamma)
+    return la, lb, lc, alpha, beta, gamma

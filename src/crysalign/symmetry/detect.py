@@ -165,9 +165,10 @@ def _orbits(n: int, perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # detection
 
 
-def _fitting_ops(mapper: SiteMapper, rots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``mapper.anchored_fits(rots)``, whose identity (among ``rots``) must fit."""
-    rot_of, ts, perms = mapper.anchored_fits(rots)
+def _fitting_ops(mapper: SiteMapper, rots: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mapper.anchored_fits(rots, tol)``; the identity (among ``rots``) must fit."""
+    rot_of, ts, perms = mapper.anchored_fits(rots, tol)
     if not (rots[rot_of] == np.eye(3, dtype=int)).all(axis=(1, 2)).any():
         raise DetectionError("identity operation missing")
     return rot_of, ts, perms
@@ -396,7 +397,7 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
 
     # Primitive cell: the identity's fits, the zero translation first.
     _, translations, translation_perms = _fitting_ops(
-        SiteMapper(cell0, frac0, elems, tol), np.eye(3, dtype=int)[None])
+        SiteMapper(cell0, frac0, elems), np.eye(3, dtype=int)[None], tol)
     m = len(translations)
     s_mat = _primitive_transform(translations)       # rows: prim basis in orig frac
     # A primitive input (s_mat = I) takes its lattice's own reduction, copied
@@ -415,12 +416,12 @@ def detect_spacegroup(s: CrystalStructure, tol: float = 1e-3) -> SpacegroupResul
         raise DetectionError("site folding inconsistent with pure translations")
     frac_prim = frac_r[keep]
     elems_prim = tuple(elems[i] for i in keep)
-    mapper = SiteMapper(cell_r, frac_prim, elems_prim, tol)
+    mapper = SiteMapper(cell_r, frac_prim, elems_prim)
 
     # Space-group operations in the reduced primitive basis: each rotation
     # with its first fitting anchor site.
     rots = np.array(_candidate_rotations(cell_r, tol)).reshape(-1, 3, 3)
-    rot_of, ts, perms = _fitting_ops(mapper, rots)
+    rot_of, ts, perms = _fitting_ops(mapper, rots, tol)
     accepted, first = np.unique(rot_of, return_index=True)
     op_rots, op_ts = rots[accepted], ts[first]
 

@@ -276,7 +276,6 @@ class TestSamples:
         samples = load_samples(path)
         assert len(samples) == 1
         assert samples[0].prompt_id == "p0"
-        assert samples[0].line_number == 1
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "samples.jsonl"

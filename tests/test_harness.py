@@ -27,7 +27,7 @@ from crysalign.harness import (
     rows_to_csv,
     run_evaluation,
 )
-from crysalign.structcore import Composition
+from crysalign.structcore import MAX_SITES, Composition
 
 from conftest import make_structure, sample_record, write_jsonl
 
@@ -602,6 +602,23 @@ class TestAdversarialRows:
         assert row.parse_status == "parse_error"
         assert row.error.endswith("(line 2)") and row.r_target == 0.0
 
+    def test_site_count_past_the_bound_is_parse_error(self, tmp_path):
+        """A block of ``MAX_SITES`` + 1 sites is a parse error at its first
+        site past the bound, before detection meets it; ``MAX_SITES`` sites
+        parse."""
+        grid = [f"Na 1 {i / 8} {j / 8} {k / 8}"
+                for i in range(8) for j in range(8) for k in range(8)]
+        assert len(grid) == MAX_SITES
+        path = tmp_path / "samples.jsonl"
+        parts = dict(_ROCKSALT_PARTS, trace="", lengths="30 30 30",
+                     sites=grid + ["Na 1 0.0625 0.0625 0.0625"])
+        write_jsonl(path, [_record("p0", parts)])
+        (row,) = run_evaluation(RunConfig(samples_path=str(path)))[1]
+        assert row.parse_status == "parse_error"
+        assert row.error == f"block lists more than {MAX_SITES} sites (line {MAX_SITES + 4})"
+        full = _record("p1", dict(parts, sites=grid))["response_text"]
+        assert ciflite.parse_ciflite(full).num_sites == MAX_SITES
+
 
 class TestNiggliInBatch:
     def test_nearly_flat_duplicates_do_not_abort(self, tmp_path):
@@ -617,6 +634,21 @@ class TestNiggliInBatch:
                                                 relax_before_hull=False))
         assert [r.parse_status for r in rows] == ["ok", "ok"]
         assert {e.name: e.value for e in report.entries}["uniqueness"] == 0.5
+
+    def test_reduced_vector_below_the_length_range(self, tmp_path):
+        """A cell inside the accepted lengths whose Niggli cell has a vector
+        of 1e-7 A: its record holds the Niggli numbers, so the row is
+        ``ok`` (structurally invalid) and counts in the batch metrics beside
+        a clean rock salt."""
+        clean = dict(_ROCKSALT_PARTS, trace="")
+        flat = dict(clean, lengths="0.001 0.001 5", angles="90 90 0.006",
+                    sites=["Na 1 0 0 0", "Cl 1 0.5 0.5 0.5"])
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [_record("flat", flat), _record("clean", clean)])
+        report, rows = run_evaluation(RunConfig(samples_path=str(path)))
+        assert [(r.parse_status, r.structural, r.error) for r in rows] == [
+            ("ok", 0, ""), ("ok", 1, "")]
+        assert {e.name: e.count for e in report.entries}["uniqueness"] == 2
 
 
 class TestConfig:

@@ -18,7 +18,6 @@ from crysalign.metrics import (
     discovery_rates,
     is_novel,
     novelty,
-    site_mapper,
     structures_match,
     sun_ratio,
     uniqueness,
@@ -33,15 +32,9 @@ def records(structures):
 
 
 def match(a, b, cfg=MatchConfig()):
-    """``structures_match`` on two structures, each made a record and b's
-    mapper built for this one call."""
+    """``structures_match`` on two structures, each made a record."""
     ra, rb = records([a, b])
-    return structures_match(ra, rb, site_mapper(rb, cfg), cfg)
-
-
-def targets(reference, cfg=MatchConfig()):
-    """The reference form ``is_novel`` reads: each record with its mapper."""
-    return [(r, site_mapper(r, cfg)) for r in reference]
+    return structures_match(ra, rb, cfg)
 
 
 def shifted(s, delta):
@@ -169,26 +162,28 @@ class TestMatchScale:
 
 
 # Decision and seconds of one match of two random 1,000-site Na/Cl cells of
-# one lattice, b's mapper built in the timed span, after a warm-up match,
-# under an address-space cap.
+# one lattice, b's record (its mapper with it) built in the timed span, after
+# a warm-up match, under an address-space cap.
 _LARGE_PAIR_MATCH = """
 import resource, sys, time
 sys.path[:0] = sys.argv[1:3]
-from crysalign.metrics import MatchRecord, site_mapper, structures_match
+from crysalign.metrics import MatchRecord, structures_match
 from test_structcore import _random_nacl
 
 def status_kb(key):
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
 
-a, b, small = (MatchRecord.from_structure(_random_nacl(n, seed=seed))
-                for n, seed in ((1000, 1), (1000, 2), (4, 3)))
-structures_match(small, small, site_mapper(small))
+a_cell, b_cell, small_cell = (_random_nacl(n, seed=seed)
+                              for n, seed in ((1000, 1), (1000, 2), (4, 3)))
+a, small = MatchRecord.from_structure(a_cell), MatchRecord.from_structure(small_cell)
+structures_match(small, small)
 cap = status_kb("VmSize") * 1024 + 2**30
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
 start = time.perf_counter()
-matched = structures_match(a, b, site_mapper(b))
+b = MatchRecord.from_structure(b_cell)
+matched = structures_match(a, b)
 print(matched, time.perf_counter() - start)
 """
 
@@ -273,7 +268,7 @@ class TestSharedAssignment:
             e_hulls = [rng.choice([0.0, 0.02, None]) for _ in batch]
             reference = rng.choice([[], [pool[1]], [pool[0], pool[2]]])
             assignment = cluster_indices(batch)
-            novel = [is_novel(r, targets(reference)) for r in batch]
+            novel = [is_novel(r, reference) for r in batch]
             sun = [e is not None and e < 0.016 and assignment[i] == i and novel[i]
                    for i, e in enumerate(e_hulls)]
             n = len(batch)
@@ -523,8 +518,8 @@ class TestNovelty:
 
     def test_is_novel_prunes_by_formula(self, cscl, rocksalt):
         (r,) = records([cscl])
-        assert is_novel(r, targets(records([rocksalt])))
-        assert not is_novel(r, targets(records([shifted(cscl, (0.1, 0.2, 0.3))])))
+        assert is_novel(r, records([rocksalt]))
+        assert not is_novel(r, records([shifted(cscl, (0.1, 0.2, 0.3))]))
 
 
 class TestSun:
@@ -575,7 +570,7 @@ class TestAggregate:
 
     def test_single_value_low_count(self):
         m = aggregate([1.5])
-        assert m.standard_error == 0.0 and m.low_count
+        assert m.standard_error == 0.0
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
@@ -595,8 +590,8 @@ class TestAggregate:
 class TestReport:
     def test_csv_and_markdown(self):
         report = MetricReport(entries=(
-            MetricValue("uniqueness", 0.75, 0.05, 4, False),
-            MetricValue("novelty", 1.0, 0.0, 4, False)))
+            MetricValue("uniqueness", 0.75, 0.05, 4),
+            MetricValue("novelty", 1.0, 0.0, 4)))
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "metric,value,standard_error,count"
         assert "uniqueness" in csv_text

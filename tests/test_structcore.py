@@ -382,21 +382,21 @@ class TestReducedBasis:
 class TestNiggli:
     def test_idempotent(self):
         lat = Lattice(4.0, 6.0, 5.0, 70, 100, 85)
-        red = niggli_reduce(lat)
-        red2 = niggli_reduce(red)
+        red = Lattice(*niggli_reduce(lat))
+        red2 = Lattice(*niggli_reduce(red))
         assert red.lengths == pytest.approx(red2.lengths, rel=1e-8)
         assert red.angles == pytest.approx(red2.angles, abs=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(lattice_strategy())
     def test_volume_preserved(self, lat):
-        red = niggli_reduce(lat)
+        red = Lattice(*niggli_reduce(lat))
         assert red.volume() == pytest.approx(lat.volume(), rel=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(lattice_strategy())
     def test_sorted_lengths(self, lat):
-        red = niggli_reduce(lat)
+        red = Lattice(*niggli_reduce(lat))
         a, b, c = red.lengths
         assert a <= b * (1 + 1e-8) and b <= c * (1 + 1e-8)
 
@@ -411,7 +411,7 @@ class TestNiggli:
                        math.degrees(math.acos(cos(1, 2))),
                        math.degrees(math.acos(cos(0, 2))),
                        math.degrees(math.acos(cos(0, 1))))
-        r1, r2 = niggli_reduce(lat1), niggli_reduce(lat2)
+        r1, r2 = Lattice(*niggli_reduce(lat1)), Lattice(*niggli_reduce(lat2))
         assert r1.lengths == pytest.approx(r2.lengths, rel=1e-8)
         assert r1.angles == pytest.approx(r2.angles, abs=1e-6)
 

@@ -210,8 +210,8 @@ class TestOrbits:
         sizes = []
         real = SiteMapper.permutations
         monkeypatch.setattr(SiteMapper, "permutations",
-                            lambda self, ws, ts, source=None:
-                            sizes.append(len(ts)) or real(self, ws, ts, source))
+                            lambda self, ws, ts, tol, source=None:
+                            sizes.append(len(ts)) or real(self, ws, ts, tol, source))
         res = detect_spacegroup(rocksalt)
         # The pure-translation search and the primitive rotation search.
         assert len(sizes) == 2
@@ -285,8 +285,8 @@ def _lift(s, res, tol=1e-3):
     operations map the cell onto itself, and the orbits of their
     permutations."""
     ws, ts = res.op_arrays
-    mapper = SiteMapper(s.lattice.matrix(), s.frac_array(), s.elements(), tol)
-    fit, perms = mapper.permutations(ws.astype(float), ts)
+    mapper = SiteMapper(s.lattice.matrix(), s.frac_array(), s.elements())
+    fit, perms = mapper.permutations(ws.astype(float), ts, tol)
     mapped = np.isin(np.arange(len(ws)), fit)
     return mapped, detect._orbits(s.num_sites, perms)
 
@@ -611,7 +611,7 @@ class TestVectorizedSearch:
                 ts = np.array([(f[j] - w @ f[0]) % 1.0 for w in ws[::3]
                                for j in (0, 1, 5)])
                 want = _fitting_rows(cell, f, elems, tol, ws, ts)
-                _assert_same_fits(SiteMapper(cell, f, elems, tol).permutations(ws, ts), want)
+                _assert_same_fits(SiteMapper(cell, f, elems).permutations(ws, ts, tol), want)
                 matched += len(want[0])
                 unmatched += len(ws) - len(want[0])
         assert matched and unmatched
@@ -665,14 +665,14 @@ class TestVectorizedSearch:
             ws = np.array([rots[k] for k in rng.integers(0, len(rots), 37)])
             ts = np.concatenate([rng.integers(0, 8, (30, 3)) / 8.0, rng.random((7, 3))])
             want = _fitting_rows(cell, frac, elems, tol, ws, ts, seen)
-            _assert_same_fits(SiteMapper(cell, frac, elems, tol).permutations(ws, ts), want)
+            _assert_same_fits(SiteMapper(cell, frac, elems).permutations(ws, ts, tol), want)
             seen["mapped"] += len(want[0])
             seen["rejected"] += 37 - len(want[0])
         assert all(seen.values()), seen
 
     def test_no_candidates(self):
-        mapper = SiteMapper(np.eye(3), np.zeros((2, 3)), ("Na", "Cl"), 1e-3)
-        fit, rows = mapper.permutations(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        mapper = SiteMapper(np.eye(3), np.zeros((2, 3)), ("Na", "Cl"))
+        fit, rows = mapper.permutations(np.zeros((0, 3, 3)), np.zeros((0, 3)), 1e-3)
         assert fit.shape == (0,) and rows.shape == (0, 2)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
