@@ -44,6 +44,11 @@ CUTOFF = 6.0
 # lists take 4 MB and a call 6 MB more.
 LOCKSTEP_SITES = 512
 
+# Each structure's descent in relax_positions ends after at most MAX_STEPS
+# steps, or once no force component reaches FORCE_TOL (eV/A).
+MAX_STEPS = 200
+FORCE_TOL = 1e-3
+
 # Hull simplex: a reduced cost or pivot entry within PIVOT_TOL of zero counts
 # as zero, and phase I leaves a system infeasible when its artificials keep
 # more than FEASIBILITY_TOL. Bland's rule cannot cycle, so MAX_PIVOTS (per
@@ -310,8 +315,6 @@ class PairKernel:
 def relax_positions(
     backend: PairPotentialBackend,
     structures: list[CrystalStructure],
-    max_steps: int = 200,
-    force_tol: float = 1e-3,
     budget_s: float | None = None,
 ) -> list[CrystalStructure | Exception]:
     """Positions-only descent with backtracking for each structure, in
@@ -342,7 +345,7 @@ def relax_positions(
             begun = time.monotonic()
             try:
                 descents[n] = (kernel.add(structures[n]),
-                               _descent(structures[n], max_steps, force_tol))
+                               _descent(structures[n]))
                 trials[n] = next(descents[n][1])
             except Exception as exc:
                 results[n] = exc
@@ -377,7 +380,7 @@ def relax_positions(
             spent[n] += now - begun
 
 
-def _descent(s: CrystalStructure, max_steps: int, force_tol: float):
+def _descent(s: CrystalStructure):
     """One structure's descent as a generator: it yields the positions to
     evaluate next and is sent back their energy, forces and whether the
     structure's time budget is spent; it returns the relaxed structure."""
@@ -386,7 +389,7 @@ def _descent(s: CrystalStructure, max_steps: int, force_tol: float):
     cart = start
     energy, f, expired = yield cart
     step = 0.05
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if expired:
             raise TimeoutError("relaxation passed its time budget")
         # max keeps an inf and propagates a NaN, so one read of fmax also
@@ -394,7 +397,7 @@ def _descent(s: CrystalStructure, max_steps: int, force_tol: float):
         fmax = float(np.abs(f).max()) if f.size else 0.0
         if not math.isfinite(fmax):
             raise RelaxationError("non-finite forces")
-        if fmax < force_tol:
+        if fmax < FORCE_TOL:
             break
         if fmax > 1e6:
             raise RelaxationError("force explosion")

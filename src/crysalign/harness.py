@@ -37,7 +37,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import ciflite, energetics, metrics, rewards, traces, validity
@@ -348,33 +348,21 @@ def _load_reference(path: str | None) -> list[metrics.MatchRecord]:
 def _build_metric_report(rows, scored, reference, match_cfg):
     """Batch metrics; ``scored`` holds (match record, e_hull) for each row
     that has a validity report, and ``reference`` the reference records."""
-    entries = []
-
-    def add(name, values):
-        if values:
-            entries.append(replace(metrics.aggregate(values), name=name))
-        else:
-            entries.append(metrics.MetricValue(name, 0.0, 0.0, 0))
-
-    add("structural_validity", [bool(r.structural) for r in rows])
-    add("chemical_validity", [bool(r.chemical) for r in rows])
-    add("composition_match", [bool(r.composition_match) for r in rows])
-    add("spacegroup_match", [bool(r.spacegroup_match) for r in rows
-                             if r.spacegroup_match is not None])
-    known_hulls = [r.e_hull for r in rows if r.e_hull is not None]
-    add("mean_e_hull", known_hulls)
-    add("stability_rate", [r.e_hull is not None and energetics.is_stable(r.e_hull)
-                           for r in rows])
-    add("mean_r_target", [r.r_target for r in rows])
-    m = len(scored)
-    if scored:
-        records, e_hulls = zip(*scored)
-        uniq, nov, sun = metrics.discovery_rates(list(records), list(e_hulls),
-                                                 reference, match_cfg)
-    else:
-        uniq = nov = sun = 0.0
-    for name, value in (("uniqueness", uniq), ("novelty", nov), ("sun_ratio", sun)):
-        entries.append(metrics.MetricValue(name, value, 0.0, m))
+    entries = [metrics.aggregate(name, values) for name, values in (
+        ("structural_validity", [bool(r.structural) for r in rows]),
+        ("chemical_validity", [bool(r.chemical) for r in rows]),
+        ("composition_match", [bool(r.composition_match) for r in rows]),
+        ("spacegroup_match", [bool(r.spacegroup_match) for r in rows
+                              if r.spacegroup_match is not None]),
+        ("mean_e_hull", [r.e_hull for r in rows if r.e_hull is not None]),
+        ("stability_rate", [r.e_hull is not None and energetics.is_stable(r.e_hull)
+                            for r in rows]),
+        ("mean_r_target", [r.r_target for r in rows]),
+    )]
+    rates = metrics.discovery_rates([record for record, _ in scored],
+                                    [e_hull for _, e_hull in scored], reference, match_cfg)
+    entries += [metrics.MetricValue(name, value, 0.0, len(scored))
+                for name, value in zip(("uniqueness", "novelty", "sun_ratio"), rates)]
     return metrics.MetricReport(tuple(entries))
 
 

@@ -141,12 +141,12 @@ def discovery_rates(batch: list[MatchRecord],
 
     Uniqueness is clusters per record; novelty the share matching no
     reference record; S.U.N. the share that is at once stable, its
-    cluster's representative and novel.
+    cluster's representative and novel. All three are 0 for an empty batch.
     """
     if len(batch) != len(e_hulls):
         raise ValueError("one e_hull entry per structure required")
     if not batch:
-        raise ValueError("batch must be non-empty")
+        return 0.0, 0.0, 0.0
     assignment = cluster_indices(batch, cfg)
     novel = [is_novel(r, reference, cfg) for r in batch]
     sun = sum(1 for i, e in enumerate(e_hulls)
@@ -182,16 +182,17 @@ def sun_ratio(batch: list[MatchRecord],
     return discovery_rates(batch, e_hulls, reference, cfg)[2]
 
 
-def aggregate(values) -> MetricValue:
-    """Mean and standard error; proportion SE for boolean-valued inputs."""
+def aggregate(name: str, values) -> MetricValue:
+    """The entry ``name``: mean and standard error, the proportion's SE for
+    boolean-valued inputs; 0 with count 0 for no values."""
     seq = list(values)
     if not seq:
-        raise ValueError("need at least one value")
+        return MetricValue(name, 0.0, 0.0, 0)
     n = len(seq)
     if all(isinstance(v, (bool, np.bool_)) for v in seq):
         p = sum(bool(v) for v in seq) / n
         se = math.sqrt(p * (1.0 - p) / n)
-        return MetricValue("", p, se, n)
+        return MetricValue(name, p, se, n)
     arr = np.asarray(seq, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MetricValue("", float(arr.mean()), se, n)
+    return MetricValue(name, float(arr.mean()), se, n)

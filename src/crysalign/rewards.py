@@ -31,9 +31,6 @@ class RewardWeights:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    r_structural: int
-    r_chemical: int
-    r_instruction: int
     validity_gate: int
     r_stability: float | None
     r_range: dict[str, float] = field(default_factory=dict)
@@ -109,9 +106,6 @@ def combined_reward(
     if gate:
         r_target += weights.alpha_stability * r_stab
     return RewardBreakdown(
-        r_structural=int(report.structural),
-        r_chemical=int(report.chemical),
-        r_instruction=int(report.composition_match),
         validity_gate=gate,
         r_stability=r_stab,
         r_target=r_target,
@@ -161,9 +155,6 @@ def conditioned_reward(
     if gate:
         r_target += r_stab
     return RewardBreakdown(
-        r_structural=int(report.structural),
-        r_chemical=int(report.chemical),
-        r_instruction=int(report.composition_match),
         validity_gate=gate,
         r_stability=r_stab,
         r_range=per_key,

@@ -662,18 +662,21 @@ class TestRelaxationErrors:
 
 
 class TestRelax:
-    def test_dimer_relaxes_to_lj_minimum(self, backend):
+    def test_dimer_relaxes_to_lj_minimum(self, backend, monkeypatch):
         eps, sigma = backend.pair_parameters("Na", "Na")
         s = isolated_pair("Na", 2 ** (1 / 6) * sigma + 0.3)
-        (relaxed,) = relax_positions(backend, [s], max_steps=500, force_tol=1e-6)
+        monkeypatch.setattr(energetics, "MAX_STEPS", 500)
+        monkeypatch.setattr(energetics, "FORCE_TOL", 1e-6)
+        (relaxed,) = relax_positions(backend, [s])
         box = 4 * CUTOFF
         r = abs(relaxed.sites[1].frac_coords[0] -
                 relaxed.sites[0].frac_coords[0]) * box
         assert r == pytest.approx(2 ** (1 / 6) * sigma, abs=1e-4)
 
-    def test_energy_never_increases(self, backend):
+    def test_energy_never_increases(self, backend, monkeypatch):
         s = isolated_pair("Na", 3.4)
-        (relaxed,) = relax_positions(backend, [s], max_steps=50)
+        monkeypatch.setattr(energetics, "MAX_STEPS", 50)
+        (relaxed,) = relax_positions(backend, [s])
         assert backend.energy_per_atom(relaxed) <= \
             backend.energy_per_atom(s) + 1e-12
 

@@ -651,6 +651,44 @@ class TestNiggliInBatch:
         assert {e.name: e.count for e in report.entries}["uniqueness"] == 2
 
 
+class TestBatchWithoutReports:
+    # metrics.csv of the three samples below: the rates over every row are 0
+    # of 3, and each metric over rows with a validity report is 0 of 0.
+    METRICS_CSV = (
+        "metric,value,standard_error,count\n"
+        "structural_validity,0.0,0.0,3\n"
+        "chemical_validity,0.0,0.0,3\n"
+        "composition_match,0.0,0.0,3\n"
+        "spacegroup_match,0.0,0.0,0\n"
+        "mean_e_hull,0.0,0.0,0\n"
+        "stability_rate,0.0,0.0,3\n"
+        "mean_r_target,0.0,0.0,3\n"
+        "uniqueness,0.0,0.0,0\n"
+        "novelty,0.0,0.0,0\n"
+        "sun_ratio,0.0,0.0,0\n"
+    )
+
+    def test_metrics_csv_when_no_row_has_a_report(self, tmp_path):
+        """A batch whose every row is ``missing_cif`` or ``parse_error``
+        writes the same metrics.csv with one worker and with two."""
+        prompt = _ROCKSALT_PARTS["prompt"] + " The space-group number is 225."
+        clean = dict(_ROCKSALT_PARTS, trace="", prompt=prompt)
+        records = [{"prompt_id": "no-cif", "prompt_text": prompt,
+                    "response_text": "no structure block here"},
+                   _record("giant", dict(clean, lengths="1e25 5 5")),
+                   _record("bad-site", dict(clean, sites=["Na 1 0 0"]))]
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, records)
+        for workers in (1, 2):
+            report, rows = run_evaluation(RunConfig(samples_path=str(path),
+                                                    worker_count=workers))
+            assert [r.parse_status for r in rows] == [
+                "missing_cif", "parse_error", "parse_error"]
+            out = tmp_path / f"out{workers}"
+            emit_report(report, rows, str(out))
+            assert (out / "metrics.csv").read_bytes() == self.METRICS_CSV.encode()
+
+
 class TestConfig:
     def test_defaults(self, samples_path):
         cfg = RunConfig(samples_path=samples_path)

@@ -278,9 +278,8 @@ class TestSharedAssignment:
             assert novelty(batch, reference) == want[1]
             assert sun_ratio(batch, e_hulls, reference) == want[2]
 
-    def test_rejects_empty_and_mismatched(self, cscl):
-        with pytest.raises(ValueError):
-            discovery_rates([], [], [])
+    def test_empty_is_zero_and_mismatched_rejected(self, cscl):
+        assert discovery_rates([], [], []) == (0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             discovery_rates(records([cscl]), [0.0, 0.0], [])
 
@@ -560,31 +559,30 @@ class TestSun:
 class TestAggregate:
     def test_boolean_proportion(self):
         values = [True] * 5000 + [False] * 5000
-        m = aggregate(values)
+        m = aggregate("m", values)
         assert m.value == pytest.approx(0.5)
         assert m.standard_error == pytest.approx(0.005, abs=1e-12)
 
     def test_constant_values(self):
-        m = aggregate([2.0, 2.0, 2.0])
+        m = aggregate("m", [2.0, 2.0, 2.0])
         assert m.value == 2.0 and m.standard_error == 0.0
 
     def test_single_value_low_count(self):
-        m = aggregate([1.5])
+        m = aggregate("m", [1.5])
         assert m.standard_error == 0.0
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
         values = [rng.uniform(-2, 5) for _ in range(40)]
-        m = aggregate(values)
+        m = aggregate("m", values)
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         assert m.value == pytest.approx(mean, abs=1e-12)
         assert m.standard_error == \
             pytest.approx(math.sqrt(var / len(values)), abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
+    def test_empty_is_the_zero_entry(self):
+        assert aggregate("m", []) == MetricValue("m", 0.0, 0.0, 0)
 
 
 class TestReport:
